@@ -2,11 +2,13 @@
 
 For a causal map S the output truncated before t must agree with the output
 for input truncated before t, at every cut.  Running a fresh solve per cut
-is quadratic in the node count, so the engines here carry an ensemble of
-solves (one column per cut time) through a single stepping pass and
-accumulate the weighted defect of each column online.
+is quadratic in the node count, so the audits feed the production steppers
+of `solvers` the ensemble of truncated inputs (one column per cut, the uncut
+input last), one stepping pass per block of columns, and accumulate the
+weighted defect of each column online.  The Picard audit runs `picard_solve`
+itself on the same blocks.
 
-All engines return max over cuts of |Q_t S f - Q_t S Q_t f| / |f| in the
+All audits return max over cuts of |Q_t S f - Q_t S Q_t f| / |f| in the
 weighted norm of the grid.
 """
 
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import Signal, TimeGrid
-from .solvers import OdeBlockSystem, PdeSystem, staggered_grad0
+from .signals import NORM_FLOOR, Signal, TimeGrid
+from .solvers import OdeBlockSystem, PdeSystem, _pde_steps, _step_ode_block, picard_solve
 
 __all__ = [
     "audit_ode_block",
@@ -23,262 +25,68 @@ __all__ = [
     "audit_picard",
 ]
 
-NORM_FLOOR = 1e-30
-
-
-def _tridiag_factor(lower, diag, upper):
-    m = len(diag)
-    c = np.empty(m - 1, dtype=complex)
-    dd = np.empty(m, dtype=complex)
-    dd[0] = diag[0]
-    if m > 1:
-        c[0] = upper[0] / diag[0]
-    for i in range(1, m):
-        dd[i] = diag[i] - lower[i - 1] * c[i - 1]
-        if i < m - 1:
-            c[i] = upper[i] / dd[i]
-    return c, dd
-
-
-def _tridiag_solve_many(lower, c, dd, rhs):
-    """Back-/forward-substitution for a prefactored tridiagonal system with
-    rhs of shape (m, K)."""
-    m = rhs.shape[0]
-    y = np.empty_like(rhs)
-    y[0] = rhs[0] / dd[0]
-    for i in range(1, m):
-        y[i] = (rhs[i] - lower[i - 1] * y[i - 1]) / dd[i]
-    x = np.empty_like(rhs)
-    x[-1] = y[-1]
-    for i in range(m - 2, -1, -1):
-        x[i] = y[i] - c[i] * x[i + 1]
-    return x
-
-
-def _weights(grid: TimeGrid) -> np.ndarray:
-    return grid.quad_weights()
+# Ensemble columns per pass, the uncut one included; bounds the memory of
+# the stepper audits at O(m * BLOCK) and of the Picard audit at O(n * BLOCK).
+BLOCK = 256
 
 
 def _finish(acc: np.ndarray, f_norm2: float) -> float:
     return float(np.sqrt(np.max(acc) / max(f_norm2, NORM_FLOOR)))
 
 
+def _ensemble_defect(stepper, sys, F: Signal, grid: TimeGrid) -> float:
+    """All-cuts defect of a per-node stepper.
+
+    `stepper(sys, rows, grid)` must yield the state at each node for RHS rows
+    of shape (m, K).  The cuts go in blocks of BLOCK - 1; in a block's pass,
+    the column of cut j carries F_k in row k when k < j, so it is F
+    truncated before cut j, and the last column carries F itself.  Node k
+    counts only for the cuts after it, so a pass ends at its last cut.
+    """
+    n = grid.n
+    w = grid.quad_weights()
+    acc = np.zeros(n)
+    for start in range(0, n, BLOCK - 1):
+        stop = min(start + BLOCK - 1, n)
+        cols = np.append(np.arange(start, stop), n)
+        rows = (f[:, None] * (k < cols) for k, f in enumerate(F.values))
+        for k, u in zip(range(stop - 1), stepper(sys, rows, grid)):
+            i = max(k + 1, start)
+            acc[i:stop] += w[k] * np.sum(np.abs(u[:, i - start:-1] - u[:, -1:]) ** 2, axis=0)
+    return _finish(acc, float(w @ np.sum(np.abs(F.values) ** 2, axis=1)))
+
+
 def audit_ode_block(sys: OdeBlockSystem, F: Signal, grid: TimeGrid) -> float:
     """All-cuts causality defect of the block time-stepping solve."""
-    n, m0, m1 = grid.n, sys.m0, sys.m1
-    dt = grid.dt
-    m = m0 + m1
-    w = _weights(grid)
-    Ms = sys.M.sample_all(grid)
-    N00 = sys.N00.sample_all(grid)
-    if m1:
-        N01 = sys.N01.sample_all(grid)
-        N10 = sys.N10.sample_all(grid)
-        N11 = sys.N11.sample_all(grid)
-    cuts = np.arange(n)
-    u_ens = np.zeros((n, m), dtype=complex)     # state per cut column
-    mu_ens = np.zeros((n, m0), dtype=complex)   # (M u) memory per cut
-    u_ref = np.zeros(m, dtype=complex)
-    mu_ref = np.zeros(m0, dtype=complex)
-    acc = np.zeros(n)
-    f_norm2 = 0.0
-    for k in range(n):
-        if m1:
-            blk = np.block([[Ms[k] / dt + N00[k], N01[k]], [N10[k], N11[k]]])
-        else:
-            blk = Ms[k] / dt + N00[k]
-        inv = np.linalg.inv(blk)
-        fk = F.values[k]
-        rhs_ref = fk.copy()
-        rhs_ref[:m0] += mu_ref / dt
-        u_ref = inv @ rhs_ref
-        mu_ref = Ms[k] @ u_ref[:m0]
-        mask = (k < cuts).astype(float)
-        rhs = np.outer(mask, fk)
-        rhs[:, :m0] += mu_ens / dt
-        u_ens = rhs @ inv.T
-        mu_ens = u_ens[:, :m0] @ Ms[k].T
-        diff2 = np.sum(np.abs(u_ens - u_ref[None, :]) ** 2, axis=1)
-        acc += w[k] * diff2 * (k < cuts)
-        f_norm2 += w[k] * float(np.sum(np.abs(fk) ** 2))
-    return _finish(acc, f_norm2)
+    return _ensemble_defect(_step_ode_block, sys, F, grid)
 
 
 def audit_pde(sys: PdeSystem, F: Signal, grid: TimeGrid) -> float:
     """All-cuts causality defect of the PDE stepping engines."""
-    kind = sys.A.kind
-    if kind == "skew-matrix":
-        return _audit_skew(sys, F, grid)
-    if kind == "grad0-div-1d":
-        return _audit_grad_div(sys, F, grid)
-    if kind == "grad0-div-1d-projected":
-        return _audit_wave(sys, F, grid)
-    raise ValueError(kind)
+    return _ensemble_defect(_pde_steps, sys, F, grid)
 
 
 def _audit_skew(sys: PdeSystem, F: Signal, grid: TimeGrid) -> float:
-    n = grid.n
-    dt = grid.dt
-    A = sys.A.dense()
-    m = A.shape[0]
-    Ms = sys.M.sample_all(grid)
-    Ns = sys.N.sample_all(grid)
-    w = _weights(grid)
-    cuts = np.arange(n)
-    u_ens = np.zeros((n, m), dtype=complex)
-    mu_ens = np.zeros((n, m), dtype=complex)
-    u_ref = np.zeros(m, dtype=complex)
-    mu_ref = np.zeros(m, dtype=complex)
-    acc = np.zeros(n)
-    f_norm2 = 0.0
-    for k in range(n):
-        inv = np.linalg.inv(Ms[k] / dt + Ns[k] + A)
-        fk = F.values[k]
-        u_ref = inv @ (fk + mu_ref / dt)
-        mu_ref = Ms[k] @ u_ref
-        mask = (k < cuts).astype(float)
-        rhs = np.outer(mask, fk) + mu_ens / dt
-        u_ens = rhs @ inv.T
-        mu_ens = u_ens @ Ms[k].T
-        acc += w[k] * np.sum(np.abs(u_ens - u_ref[None, :]) ** 2, axis=1) * (k < cuts)
-        f_norm2 += w[k] * float(np.sum(np.abs(fk) ** 2))
-    return _finish(acc, f_norm2)
+    return audit_pde(sys, F, grid)
 
 
-def _audit_grad_div(sys: PdeSystem, F: Signal, grid: TimeGrid) -> float:
-    n = grid.n
-    dt = grid.dt
-    m_x = sys.A.m_x
-    g = staggered_grad0(m_x, sys.A.length)
-    dx_inv = g[0, 0]
-    dx_inv2 = dx_inv**2
-    w = _weights(grid)
-    cuts = np.arange(n)
-    u_ens = np.zeros((m_x, n), dtype=complex)
-    h_ens = np.zeros((m_x + 1, n), dtype=complex)
-    u_ref = np.zeros(m_x, dtype=complex)
-    h_ref = np.zeros(m_x + 1, dtype=complex)
-    acc = np.zeros(n)
-    f_norm2 = 0.0
-    m0_prev = np.asarray(sys.m0_profile(grid.times[0] - dt), dtype=complex)
-    m1_prev = np.asarray(sys.m1_profile(grid.times[0] - dt), dtype=complex)
-
-    def g_apply(u):
-        out = np.empty((m_x + 1,) + u.shape[1:], dtype=complex)
-        out[0] = u[0]
-        out[1:m_x] = u[1:] - u[:-1]
-        out[m_x] = -u[-1]
-        return out * dx_inv
-
-    def gt_apply(h):
-        return (h[:-1] - h[1:]) * dx_inv
-
-    for k, t in enumerate(grid.times):
-        m0 = np.asarray(sys.m0_profile(t), dtype=complex)
-        m1 = np.asarray(sys.m1_profile(t), dtype=complex)
-        n0 = np.asarray(sys.n0_profile(t), dtype=complex)
-        n1 = np.asarray(sys.n1_profile(t), dtype=complex)
-        f0 = F.values[k, :m_x]
-        f1 = F.values[k, m_x:]
-        d1 = m1 / dt + n1
-        wgt = 1.0 / d1
-        diag = (wgt[:m_x] + wgt[1:]) * dx_inv2 + m0 / dt + n0
-        off = -wgt[1:m_x] * dx_inv2
-        c_fac, dd = _tridiag_factor(off, diag, off)
-        # reference column
-        rhs1_ref = f1 + m1_prev * h_ref / dt
-        rhs0_ref = f0 + m0_prev * u_ref / dt + gt_apply(wgt * rhs1_ref)
-        u_ref = _tridiag_solve_many(off, c_fac, dd, rhs0_ref[:, None])[:, 0]
-        h_ref = (rhs1_ref - g_apply(u_ref)) * wgt
-        # ensemble columns
-        mask = (k < cuts).astype(float)
-        rhs1 = np.outer(f1, mask) + (m1_prev[:, None] * h_ens) / dt
-        rhs0 = np.outer(f0, mask) + (m0_prev[:, None] * u_ens) / dt \
-            + gt_apply(wgt[:, None] * rhs1)
-        u_ens = _tridiag_solve_many(off, c_fac, dd, rhs0)
-        h_ens = (rhs1 - g_apply(u_ens)) * wgt[:, None]
-        diff2 = (
-            np.sum(np.abs(u_ens - u_ref[:, None]) ** 2, axis=0)
-            + np.sum(np.abs(h_ens - h_ref[:, None]) ** 2, axis=0)
-        )
-        acc += w[k] * diff2 * (k < cuts)
-        f_norm2 += w[k] * float(np.sum(np.abs(F.values[k]) ** 2))
-        m0_prev, m1_prev = m0, m1
-    return _finish(acc, f_norm2)
-
-
-def _audit_wave(sys: PdeSystem, F: Signal, grid: TimeGrid) -> float:
-    n = grid.n
-    dt = grid.dt
-    m_x = sys.A.m_x
-    a = sys.wave_coefficient
-    g = staggered_grad0(m_x, sys.A.length)
-    dx_inv = g[0, 0]
-    dx_inv2 = dx_inv**2
-    diag = (a[:m_x] + a[1:]) * dx_inv2 * dt + 1.0 / dt
-    off = -a[1:m_x] * dx_inv2 * dt
-    c_fac, dd = _tridiag_factor(off, diag, off)
-    w = _weights(grid)
-    cuts = np.arange(n)
-    v_ens = np.zeros((m_x, n), dtype=complex)
-    q_ens = np.zeros((m_x + 1, n), dtype=complex)
-    v_ref = np.zeros(m_x, dtype=complex)
-    q_ref = np.zeros(m_x + 1, dtype=complex)
-    acc = np.zeros(n)
-    f_norm2 = 0.0
-
-    def g_apply(u):
-        out = np.empty((m_x + 1,) + u.shape[1:], dtype=complex)
-        out[0] = u[0]
-        out[1:m_x] = u[1:] - u[:-1]
-        out[m_x] = -u[-1]
-        return out * dx_inv
-
-    def gt_apply(h):
-        return (h[:-1] - h[1:]) * dx_inv
-
-    for k in range(n):
-        fv = F.values[k, :m_x]
-        rhs_ref = fv + v_ref / dt - gt_apply(a * q_ref)
-        v_ref = _tridiag_solve_many(off, c_fac, dd, rhs_ref[:, None])[:, 0]
-        q_ref = q_ref + dt * g_apply(v_ref)
-        p_ref = a * q_ref
-        p_ref = p_ref - p_ref.mean()
-        mask = (k < cuts).astype(float)
-        rhs = np.outer(fv, mask) + v_ens / dt - gt_apply(a[:, None] * q_ens)
-        v_ens = _tridiag_solve_many(off, c_fac, dd, rhs)
-        q_ens = q_ens + dt * g_apply(v_ens)
-        p_ens = a[:, None] * q_ens
-        p_ens = p_ens - p_ens.mean(axis=0, keepdims=True)
-        diff2 = (
-            np.sum(np.abs(v_ens - v_ref[:, None]) ** 2, axis=0)
-            + np.sum(np.abs(p_ens - p_ref[:, None]) ** 2, axis=0)
-        )
-        acc += w[k] * diff2 * (k < cuts)
-        f_norm2 += w[k] * float(np.sum(np.abs(F.values[k]) ** 2))
-    return _finish(acc, f_norm2)
-
-
-def audit_picard(F_rule, lip: float, f: Signal, n_iter: int = 40) -> float:
+def audit_picard(F_rule, lip: float, f: Signal) -> float:
     """All-cuts causality defect of the fixed-point solution map.
 
-    Iterates the contraction on the whole ensemble of truncated inputs at
-    once; the map is nonlinear but the defect definition needs no linearity.
+    Runs `picard_solve` on blocks of the truncated-input ensemble; the map
+    is nonlinear but the defect definition needs no linearity.  Each block
+    carries the uncut input as its last column, so the reference and the
+    cut columns go through the same iterations.
     """
     grid = f.grid.with_nu(2.0 * lip)
     n = grid.n
-    dt = grid.dt
-    w = _weights(grid)
-    cuts = np.arange(n)
-    mask = (np.arange(n)[:, None] < cuts[None, :]).astype(float)
+    w = grid.quad_weights()
     fv = f.values[:, 0]
-    f_ens = fv[:, None] * mask
-    u_ens = np.zeros_like(f_ens)
-    u_ref = np.zeros(n, dtype=f_ens.dtype)
-    for _ in range(n_iter):
-        u_ens = dt * np.cumsum(F_rule(u_ens) + f_ens, axis=0)
-        u_ref = dt * np.cumsum(F_rule(u_ref) + fv)
-    diff2 = np.abs(u_ens - u_ref[:, None]) ** 2 * mask
-    acc = np.sum(w[:, None] * diff2, axis=0)
-    f_norm2 = float(np.sum(w * np.abs(fv) ** 2))
-    return _finish(acc, f_norm2)
+    acc = np.zeros(n)
+    for start in range(0, n, BLOCK - 1):
+        cuts = np.arange(start, min(start + BLOCK - 1, n))
+        mask = np.arange(n)[:, None] < cuts[None, :]
+        ens = Signal(grid, np.column_stack([fv[:, None] * mask, fv]))
+        u = picard_solve(F_rule, lip, ens).values
+        acc[cuts] = w @ (np.abs(u[:, :-1] - u[:, -1:]) ** 2 * mask)
+    return _finish(acc, float(w @ np.abs(fv) ** 2))

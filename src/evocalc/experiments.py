@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import Coefficient, Signal, TimeGrid, norm_nu
+from .signals import NORM_FLOOR, Coefficient, Signal, TimeGrid, norm_nu
 from .timecalc import (
     antiderivative,
     apply_multiplier,
@@ -48,8 +48,6 @@ from .homogenization import (
 )
 from . import causality_audit as audit
 
-NORM_FLOOR = 1e-30
-
 DEFAULTS = {
     "spectrum": {"nu": 0.5, "dt": 0.01, "n": 2048, "tol.circle": 1e-12, "tol.norm_slack": 0.02},
     "ode-block": {"nu": 20.0, "dt": 0.01, "n": 2001, "seed": 42,
@@ -80,14 +78,9 @@ def run_spectrum(cfg: dict) -> ConvergenceReport:
     """Spectral circle of the causal antiderivative plus its norm bound."""
     nu = cfg["nu"]
     grid = TimeGrid(0.0, cfg["dt"], int(cfg["n"]), nu)
-    deviation, h_samples, dense_eigs = spectrum_of_antiderivative(grid)
+    deviation, _ = spectrum_of_antiderivative(grid)
     r = 1.0 / (2.0 * nu)
-    rep = ConvergenceReport("spectrum", metadata={
-        "nu": nu, "radius": r,
-        "dense_eig_max_circle_dist": float(
-            np.max(np.abs(np.abs(dense_eigs - r) - r))
-        ),
-    })
+    rep = ConvergenceReport("spectrum", metadata={"nu": nu, "radius": r})
     rep.add_row(0, norm_error=deviation, bound_rhs=cfg["tol.circle"],
                 verdict=deviation <= cfg["tol.circle"])
     # xi = 0 gives z = 1/nu: on-circle identity |1/nu - r| = r, bit exact

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .signals import Coefficient, Signal, TimeGrid, inner_nu, norm_nu
+from .signals import NORM_FLOOR, Coefficient, Signal, TimeGrid, inner_nu, norm_nu
 from .timecalc import antiderivative
 from .operators import CausalOp, ProbeSet
 from .solvers import (
@@ -50,7 +50,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-NORM_FLOOR = 1e-30
 CSV_HEADER = ["scale", "pairing_error", "strong_error", "norm_error", "bound_rhs", "verdict"]
 
 
@@ -732,12 +731,8 @@ def heat_strong_continuity_experiment(
             worst = max(
                 worst,
                 _space_time_norm(u_a.values - u_b.values, grid, nu, m_x)
-                / max(_space_time_norm_signal(f, grid, nu, m_x), NORM_FLOOR),
+                / max(_space_time_norm(f.values, grid, nu, m_x), NORM_FLOOR),
             )
         report.add_row(label, pairing_error=worst, strong_error=worst, norm_error=worst)
     report.finalize(tol)
     return report
-
-
-def _space_time_norm_signal(f: Signal, grid: TimeGrid, nu: float, m_x: int) -> float:
-    return _space_time_norm(f.values, grid, nu, m_x)

@@ -15,7 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .signals import GridMismatchError, Signal, TimeGrid, inner_nu, norm_nu, truncate_before, shift
+from .signals import (
+    NORM_FLOOR, GridMismatchError, Signal, TimeGrid, inner_nu, norm_nu, truncate_before, shift,
+)
 from .timecalc import antiderivative, derivative
 
 __all__ = [
@@ -33,7 +35,6 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 4096
-NORM_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -289,6 +290,30 @@ def _weight_vector(grid: TimeGrid, nu: float, dim: int) -> np.ndarray:
     return np.repeat(w, dim)
 
 
+def _power_norm(normal_map, norm, v, budget: int) -> float:
+    """Largest singular value of A by power iteration of `normal_map`
+    (v -> A* A v) from v, stopping at relative change 1e-12; warns with the
+    budget when it does not settle and returns the final Rayleigh ratio."""
+    v = (1.0 / max(norm(v), NORM_FLOOR)) * v
+    sigma = 0.0
+    for _ in range(budget):
+        v = normal_map(v)
+        nv = norm(v)
+        if nv < NORM_FLOOR:
+            return 0.0
+        sigma_new = float(np.sqrt(nv))
+        v = (1.0 / nv) * v
+        if abs(sigma_new - sigma) <= 1e-12 * max(sigma_new, 1.0):
+            return sigma_new
+        sigma = sigma_new
+    warnings.warn(
+        f"op_norm power iteration did not settle in {budget} iterations; "
+        f"returning the final Rayleigh ratio {sigma:.6e}",
+        RuntimeWarning,
+    )
+    return sigma
+
+
 def op_norm(
     S: CausalOp,
     nu: float | None = None,
@@ -314,24 +339,8 @@ def op_norm(
             rng.standard_normal((S.grid.n, S.dim_in))
             + 1j * rng.standard_normal((S.grid.n, S.dim_in)),
         )
-        v = (1.0 / max(norm_nu(v, nu=nu), NORM_FLOOR)) * v
-        sigma = 0.0
-        for _ in range(max(max_iter, 3000)):
-            v = S.adjoint_action(S(v))
-            nv = norm_nu(v, nu=nu)
-            if nv < NORM_FLOOR:
-                return 0.0
-            sigma_new = float(np.sqrt(nv))
-            v = (1.0 / nv) * v
-            if abs(sigma_new - sigma) <= 1e-12 * max(sigma_new, 1.0):
-                return sigma_new
-            sigma = sigma_new
-        warnings.warn(
-            f"op_norm power iteration did not settle in {max_iter} iterations; "
-            f"returning the final Rayleigh ratio {sigma:.6e}",
-            RuntimeWarning,
-        )
-        return sigma
+        return _power_norm(lambda x: S.adjoint_action(S(x)),
+                           lambda x: norm_nu(x, nu=nu), v, max(max_iter, 3000))
 
     if S.dense is None and size <= DENSE_LIMIT:
         S = S.materialize()
@@ -352,25 +361,8 @@ def op_norm(
     # power iteration on A* A; the Rayleigh ratio is reported as the estimate
     rng = np.random.default_rng(11)
     v = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        u = A @ v
-        v = A.conj().T @ u
-        nv = np.linalg.norm(v)
-        if nv < NORM_FLOOR:
-            return 0.0
-        sigma_new = np.sqrt(nv)
-        v /= nv
-        if abs(sigma_new - sigma) <= 1e-12 * max(sigma_new, 1.0):
-            return float(sigma_new)
-        sigma = sigma_new
-    warnings.warn(
-        f"op_norm power iteration did not settle in {max_iter} iterations; "
-        f"returning the final Rayleigh ratio {float(sigma):.6e}",
-        RuntimeWarning,
-    )
-    return float(sigma)
+    AH = A.conj().T
+    return _power_norm(lambda x: AH @ (A @ x), np.linalg.norm, v, max_iter)
 
 
 def causality_defect(

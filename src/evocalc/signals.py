@@ -26,6 +26,9 @@ __all__ = [
     "multiply",
 ]
 
+# Floor for norms used as denominators, so zero signals give 0, not nan.
+NORM_FLOOR = 1e-30
+
 
 class GridMismatchError(ValueError):
     """Two signals live on different lattices (t0, dt, n) or dims differ."""
@@ -106,20 +109,11 @@ class Signal:
         return Signal(grid, np.zeros((grid.n, dim), dtype=complex))
 
     @staticmethod
-    def from_function(grid: TimeGrid, fn: Callable, dim: int = 1) -> "Signal":
-        """Sample fn(t) -> scalar or length-dim vector at every node."""
-        rows = np.array([np.broadcast_to(fn(t), (dim,)) for t in grid.times])
-        return Signal(grid, rows.astype(complex))
-
-    @staticmethod
     def indicator(grid: TimeGrid, a: float, b: float, dim: int = 1) -> "Signal":
         """1 on [a, b), 0 elsewhere, in every component."""
         t = grid.times
         mask = ((t >= a) & (t < b)).astype(complex)
         return Signal(grid, np.repeat(mask[:, None], dim, axis=1))
-
-    def with_values(self, values: np.ndarray) -> "Signal":
-        return Signal(self.grid, values)
 
     def support_start(self) -> float:
         """Time of the first nonzero node (window end + dt if identically 0).

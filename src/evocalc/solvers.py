@@ -10,12 +10,13 @@ of the Dirichlet gradient leg).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .signals import Coefficient, Signal, TimeGrid, norm_nu, truncate_before
+from .signals import NORM_FLOOR, Coefficient, Signal, TimeGrid, norm_nu, truncate_before
 from .timecalc import antiderivative, derivative
 
 __all__ = [
@@ -23,7 +24,6 @@ __all__ = [
     "PdeSystem",
     "SpatialOperator",
     "solve_ode_block",
-    "ode_block_solution_map",
     "picard_solve",
     "solve_evo_pde",
     "evo_pde_solution_map",
@@ -35,8 +35,6 @@ __all__ = [
     "staggered_grad0",
     "mean_zero_project",
 ]
-
-NORM_FLOOR = 1e-30
 
 
 # ---------------------------------------------------------------------------
@@ -129,36 +127,70 @@ class SpatialOperator:
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal helper (Thomas algorithm, numpy only)
+# tridiagonal kernel (Thomas algorithm, numpy only) and staggered differences
 # ---------------------------------------------------------------------------
 
-def _tridiag_solve(lower, diag, upper, rhs):
-    """Solve a tridiagonal system; bands given as length-m arrays."""
-    m = len(diag)
-    c = np.empty(m - 1, dtype=complex)
-    d = np.empty(m, dtype=complex)
-    c[0] = upper[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, m):
-        denom = diag[i] - lower[i - 1] * c[i - 1]
-        if i < m - 1:
-            c[i] = upper[i] / denom
-        d[i] = (rhs[i] - lower[i - 1] * d[i - 1]) / denom
-    x = np.empty(m, dtype=complex)
-    x[-1] = d[-1]
-    for i in range(m - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+def _tridiag_factor(lower, diag, upper):
+    """Thomas factors (lower, c, dd) of a tridiagonal matrix whose off bands
+    have length m - 1.
+
+    The loops run over Python lists of numpy scalars: list indexing is
+    cheaper than array indexing, and the arithmetic is the same.
+    """
+    lower, diag, upper = list(lower), list(diag), list(upper)
+    c, dd = [], [diag[0]]
+    for i in range(1, len(diag)):
+        c.append(upper[i - 1] / dd[i - 1])
+        dd.append(diag[i] - lower[i - 1] * c[i - 1])
+    return lower, c, dd
+
+
+def _tridiag_solve(factors, rhs):
+    """Forward and back substitution with `_tridiag_factor` factors; rhs of
+    shape (m,) or (m, K), one system per column."""
+    lower, c, dd = factors
+    x = [rhs[0] / dd[0]]
+    for i in range(1, len(dd)):
+        x.append((rhs[i] - lower[i - 1] * x[i - 1]) / dd[i])
+    for i in range(len(dd) - 2, -1, -1):
+        x[i] = x[i] - c[i] * x[i + 1]
+    return np.array(x, dtype=complex)
 
 
 def _laplacian_bands(g: np.ndarray, weight: np.ndarray):
-    """Bands of G^T diag(weight) G for the staggered gradient G."""
+    """Off and main band of G^T diag(weight) G for the staggered gradient G."""
     m = g.shape[1]
     dx_inv2 = g[0, 0] ** 2  # 1/dx^2
     w = np.asarray(weight, dtype=complex)
-    diag = (w[:m] + w[1 : m + 1]) * dx_inv2
-    off = -w[1:m] * dx_inv2
-    return off, diag, off
+    return -w[1:m] * dx_inv2, (w[:m] + w[1 : m + 1]) * dx_inv2
+
+
+def _scale(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of x times v[i]; x of shape (m,) or (m, K)."""
+    return (v * x.T).T
+
+
+def _g_apply(u: np.ndarray, dx_inv: float) -> np.ndarray:
+    """Staggered gradient: edge_i = (u_i - u_{i-1})/dx with zero boundary."""
+    m = len(u)
+    out = np.empty((m + 1,) + u.shape[1:], dtype=complex)
+    out[0] = u[0]
+    out[1:m] = u[1:] - u[:-1]
+    out[m] = -u[-1]
+    return out * dx_inv
+
+
+def _gt_apply(h: np.ndarray, dx_inv: float) -> np.ndarray:
+    """Transpose of the staggered gradient (minus the divergence)."""
+    return (h[:-1] - h[1:]) * dx_inv
+
+
+def _batch_shape(rows):
+    """Trailing shape of the RHS rows, () or (K,), and an iterator over all
+    of them."""
+    rows = iter(rows)
+    first = next(rows)
+    return first.shape[1:], itertools.chain([first], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +237,11 @@ class OdeBlockSystem:
         return (self.c * ns["N00"] + ns["N01"] * ns["N10"]) / (nu * self.c**2)
 
 
-def _solve_ode_block_stepping(sys: OdeBlockSystem, F: Signal, grid: TimeGrid) -> np.ndarray:
+def _step_ode_block(sys: OdeBlockSystem, rows, grid: TimeGrid):
     """Causal time stepping for (d/dt diag(M,0) + N) U = F, backward
-    difference applied to the product M u."""
-    n, m0, m1 = grid.n, sys.m0, sys.m1
+    difference applied to the product M u; yields U node by node for RHS
+    rows of shape (m,) or (m, K)."""
+    m0, m1 = sys.m0, sys.m1
     dt = grid.dt
     Ms = sys.M.sample_all(grid)
     N00 = sys.N00.sample_all(grid)
@@ -216,19 +249,22 @@ def _solve_ode_block_stepping(sys: OdeBlockSystem, F: Signal, grid: TimeGrid) ->
         N01 = sys.N01.sample_all(grid)
         N10 = sys.N10.sample_all(grid)
         N11 = sys.N11.sample_all(grid)
-    out = np.empty((n, m0 + m1), dtype=complex)
-    mu_prev = np.zeros(m0, dtype=complex)  # (M u) at the previous node
-    for k in range(n):
+    batch, rows = _batch_shape(rows)
+    mu_prev = np.zeros((m0,) + batch, dtype=complex)  # (M u) at the previous node
+    for k, f in enumerate(rows):
         if m1:
             blk = np.block([[Ms[k] / dt + N00[k], N01[k]], [N10[k], N11[k]]])
-            rhs = np.concatenate([F.values[k, :m0] + mu_prev / dt, F.values[k, m0:]])
         else:
             blk = Ms[k] / dt + N00[k]
-            rhs = F.values[k] + mu_prev / dt
+        rhs = np.array(f, dtype=complex)
+        rhs[:m0] += mu_prev / dt
         uk = np.linalg.solve(blk, rhs)
-        out[k] = uk
         mu_prev = Ms[k] @ uk[:m0]
-    return out
+        yield uk
+
+
+def _solve_ode_block_stepping(sys: OdeBlockSystem, F: Signal, grid: TimeGrid) -> np.ndarray:
+    return np.array(list(_step_ode_block(sys, F.values, grid)))
 
 
 def _solve_ode_block_neumann(
@@ -304,14 +340,6 @@ def solve_ode_block(
     if gap > tol:
         raise ValueError(f"route disagreement {gap:.3e} > tol={tol}")
     return sig_step
-
-
-def ode_block_solution_map(sys: OdeBlockSystem, grid: TimeGrid, tol: float = 1e-8):
-    """The solution operator as a plain callable Signal -> Signal."""
-    def act(F: Signal) -> Signal:
-        return solve_ode_block(sys, Signal(grid, F.values), nu=grid.nu, tol=tol)
-
-    return act
 
 
 # ---------------------------------------------------------------------------
@@ -501,108 +529,77 @@ def _pde_check(sys: PdeSystem, grid: TimeGrid, nu: float):
                     )
 
 
-def _step_skew_dense(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    n = grid.n
+def _step_skew_dense(sys: PdeSystem, rows, grid: TimeGrid):
     dt = grid.dt
     A = sys.A.dense()
     Ms = sys.M.sample_all(grid)
     Ns = sys.N.sample_all(grid)
-    out = np.empty_like(F)
-    mu_prev = np.zeros(F.shape[1], dtype=complex)
-    for k in range(n):
-        blk = Ms[k] / dt + Ns[k] + A
-        uk = np.linalg.solve(blk, F[k] + mu_prev / dt)
-        out[k] = uk
+    batch, rows = _batch_shape(rows)
+    mu_prev = np.zeros((A.shape[0],) + batch, dtype=complex)
+    for k, f in enumerate(rows):
+        uk = np.linalg.solve(Ms[k] / dt + Ns[k] + A, f + mu_prev / dt)
         mu_prev = Ms[k] @ uk
-    return out
+        yield uk
 
 
-def _step_grad_div(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     """Implicit step for the (u-leg, flux-leg) systems; flux eliminated per
     node, leaving a tridiagonal solve on the u-leg."""
     m_x = sys.A.m_x
     g = staggered_grad0(m_x, sys.A.length)
     dx_inv = g[0, 0]
     dt = grid.dt
-    n = grid.n
-    out = np.empty((n, 2 * m_x + 1), dtype=complex)
-    u_prev = np.zeros(m_x, dtype=complex)
-    h_prev = np.zeros(m_x + 1, dtype=complex)
     m0p, m1p = sys.m0_profile, sys.m1_profile
     n0p, n1p = sys.n0_profile, sys.n1_profile
     m0_prev = np.asarray(m0p(grid.times[0] - dt), dtype=complex)
     m1_prev = np.asarray(m1p(grid.times[0] - dt), dtype=complex)
-    for k, t in enumerate(grid.times):
+    batch, rows = _batch_shape(rows)
+    u = np.zeros((m_x,) + batch, dtype=complex)
+    h = np.zeros((m_x + 1,) + batch, dtype=complex)
+    for t, f in zip(grid.times, rows):
         m0 = np.asarray(m0p(t), dtype=complex)
         m1 = np.asarray(m1p(t), dtype=complex)
         n0 = np.asarray(n0p(t), dtype=complex)
         n1 = np.asarray(n1p(t), dtype=complex)
-        f0 = F[k, :m_x]
-        f1 = F[k, m_x:]
         d1 = m1 / dt + n1
         if np.any(np.abs(d1) < 1e-300):
             raise ValueError("flux-leg coefficient vanishes; cannot eliminate")
-        rhs1 = f1 + m1_prev * h_prev / dt
+        rhs1 = f[m_x:] + _scale(m1_prev, h) / dt
         # flux-leg: d1 * h + G u = rhs1  ->  h = (rhs1 - G u)/d1
         # u-leg: (m0/dt + n0) u - G^T h = f0 + m0_prev u_prev / dt
         w = 1.0 / d1
-        off_l, diag, off_u = _laplacian_bands(g, w)
-        diag = diag + m0 / dt + n0
-        rhs0 = f0 + m0_prev * u_prev / dt + _gt_apply(w * rhs1, dx_inv)
-        u = _tridiag_solve(off_l, diag, off_u, rhs0)
-        h = (rhs1 - _g_apply(u, dx_inv)) * w
-        out[k, :m_x] = u
-        out[k, m_x:] = h
-        u_prev, h_prev = u, h
+        off, diag = _laplacian_bands(g, w)
+        factors = _tridiag_factor(off, diag + m0 / dt + n0, off)
+        rhs0 = f[:m_x] + _scale(m0_prev, u) / dt + _gt_apply(_scale(w, rhs1), dx_inv)
+        u = _tridiag_solve(factors, rhs0)
+        h = _scale(w, rhs1 - _g_apply(u, dx_inv))
+        yield np.concatenate([u, h])
         m0_prev, m1_prev = m0, m1
-    return out
 
 
-def _g_apply(u: np.ndarray, dx_inv: float) -> np.ndarray:
-    """Staggered gradient: edge_i = (u_i - u_{i-1})/dx with zero boundary."""
-    m = len(u)
-    out = np.empty(m + 1, dtype=complex)
-    out[0] = u[0]
-    out[1:m] = u[1:] - u[:-1]
-    out[m] = -u[-1]
-    return out * dx_inv
-
-
-def _gt_apply(h: np.ndarray, dx_inv: float) -> np.ndarray:
-    """Transpose of the staggered gradient (minus the divergence)."""
-    return (h[:-1] - h[1:]) * dx_inv
-
-
-def _step_wave(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _step_wave(sys: PdeSystem, rows, grid: TimeGrid):
     """Velocity/strain stepping of the projected wave system.
 
     Internally integrates (v, q) with dq = pi grad0 v so that only a
-    constant tridiagonal solve appears; the reported flux p = pi a pi* q is
-    mean-zero by construction.
+    constant tridiagonal solve appears, factored once; the reported flux
+    p = pi a pi* q is mean-zero by construction.
     """
     m_x = sys.A.m_x
     a = sys.wave_coefficient
     g = staggered_grad0(m_x, sys.A.length)
     dx_inv = g[0, 0]
     dt = grid.dt
-    n = grid.n
-    off_l, diag, off_u = _laplacian_bands(g, a)
-    diag = diag * dt + 1.0 / dt
-    off_l, off_u = off_l * dt, off_u * dt
-    out = np.empty((n, 2 * m_x + 1), dtype=complex)
-    v_prev = np.zeros(m_x, dtype=complex)
-    q_prev = np.zeros(m_x + 1, dtype=complex)
-    for k in range(n):
-        fv = F[k, :m_x]
+    off, diag = _laplacian_bands(g, a)
+    factors = _tridiag_factor(off * dt, diag * dt + 1.0 / dt, off * dt)
+    batch, rows = _batch_shape(rows)
+    v = np.zeros((m_x,) + batch, dtype=complex)
+    q = np.zeros((m_x + 1,) + batch, dtype=complex)
+    for f in rows:
         # (1/dt + dt G^T a G) v_k = f + v_prev/dt - G^T a q_prev
-        rhs = fv + v_prev / dt - _gt_apply(a * q_prev, dx_inv)
-        v = _tridiag_solve(off_l, diag, off_u, rhs)
-        q = q_prev + dt * _g_apply(v, dx_inv)
-        p = mean_zero_project((a * q)[:, None])[:, 0]
-        out[k, :m_x] = v
-        out[k, m_x:] = p
-        v_prev, q_prev = v, q
-    return out
+        rhs = f[:m_x] + v / dt - _gt_apply(_scale(a, q), dx_inv)
+        v = _tridiag_solve(factors, rhs)
+        q = q + dt * _g_apply(v, dx_inv)
+        yield np.concatenate([v, mean_zero_project(_scale(a, q))])
 
 
 def solve_evo_pde(
@@ -642,14 +639,20 @@ def solve_evo_pde(
     return u
 
 
-def _dispatch_step(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _pde_steps(sys: PdeSystem, rows, grid: TimeGrid):
+    """Node-by-node states of the stepper for the system's spatial kind, fed
+    RHS rows of shape (m,) or (m, K)."""
     if sys.A.kind == "skew-matrix":
-        return _step_skew_dense(sys, F, grid)
+        return _step_skew_dense(sys, rows, grid)
     if sys.A.kind == "grad0-div-1d":
-        return _step_grad_div(sys, F, grid)
+        return _step_grad_div(sys, rows, grid)
     if sys.A.kind == "grad0-div-1d-projected":
-        return _step_wave(sys, F, grid)
+        return _step_wave(sys, rows, grid)
     raise ValueError(f"unknown spatial kind {sys.A.kind}")
+
+
+def _dispatch_step(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    return np.array(list(_pde_steps(sys, F, grid)))
 
 
 def evo_pde_solution_map(sys: PdeSystem, grid: TimeGrid):

@@ -214,33 +214,16 @@ def shift_multiplier(h: float) -> MultiplierFunction:
     return MultiplierFunction.scalar(lambda z: np.exp(h / z))
 
 
-def edge_mass_ratio(f: Signal, edge_nodes: int = 8) -> float:
-    """Damped mass in the last few nodes relative to the total.
-
-    Multiplier results are certified only when this is tiny (aliasing
-    budget); callers compare against 1e-10.
-    """
-    damped = np.abs(f.values * np.exp(-f.grid.nu * f.grid.times)[:, None]) ** 2
-    total = float(np.sum(damped))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(damped[-edge_nodes:]) / total)
-
-
 def spectrum_of_antiderivative(grid: TimeGrid, kmax: int = 0):
     """Spectral picture of the causal antiderivative on the window.
 
-    Returns (circle_deviation, h_samples, dense_eigenvalues):
-
-    * h_samples are the frequency samples 1/(i xi_j + nu); they lie on the
-      circle |z - r| = r with r = 1/(2 nu) up to roundoff, and
-      circle_deviation is the largest distance observed.
-    * dense_eigenvalues are the eigenvalues of the materialized triangular
-      window operator; finite-section spectra of non-normal operators need
-      not converge to the circle, so they are reported, never gated.
+    Returns (circle_deviation, h_samples): h_samples are the frequency
+    samples 1/(i xi_j + nu); they lie on the circle |z - r| = r with
+    r = 1/(2 nu) up to roundoff, and circle_deviation is the largest
+    distance observed.  (The materialized window operator dt * tril(1) is
+    triangular, so its finite-section eigenvalues are all exactly dt and
+    say nothing about the circle.)
     """
-    if grid.n > 4096:
-        raise ValueError(f"grid too large to materialize densely: n={grid.n}")
     if not grid.nu > 0:
         raise ValueError("spectrum requires nu > 0")
     r = 1.0 / (2.0 * grid.nu)
@@ -248,6 +231,4 @@ def spectrum_of_antiderivative(grid: TimeGrid, kmax: int = 0):
     xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dt)[:n_freq]
     h_samples = 1.0 / (1j * xi + grid.nu)
     circle_deviation = float(np.max(np.abs(np.abs(h_samples - r) - r)))
-    dense = grid.dt * np.tril(np.ones((grid.n, grid.n)))
-    dense_eigenvalues = np.linalg.eigvals(dense)
-    return circle_deviation, h_samples, dense_eigenvalues
+    return circle_deviation, h_samples

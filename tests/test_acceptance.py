@@ -56,7 +56,7 @@ class TestAcceptance:
 
     def test_criterion_02_spectral_circle_and_route_agreement(self):
         grid = TimeGrid(0.0, 0.01, 2048, 1.0)
-        deviation, _, _ = spectrum_of_antiderivative(grid)
+        deviation, _ = spectrum_of_antiderivative(grid)
         circle_ok = deviation <= 1e-12
         fine = TimeGrid(0.0, 1e-3, 30001, 1.0)
         t = fine.times

@@ -88,6 +88,30 @@ class TestOpNorm:
         g = TimeGrid(0.0, 0.01, 3001, 1.0)
         assert op_norm(CausalOp.antiderivative_op(g)) <= 1.02
 
+    def test_dense_power_path(self):
+        # 1024 < n <= 4096 without an adjoint: power iteration on the dense
+        # weighted matrix; a diagonal operator keeps its diagonal there
+        g = TimeGrid(0.0, 0.01, 1100, 1.0)
+        d = np.full(g.n, 0.5)
+        d[7] = 2.0
+        S = CausalOp(grid=g, action=lambda f: Signal(g, d[:, None] * f.values),
+                     dense=np.diag(d))
+        assert op_norm(S) == pytest.approx(2.0, rel=1e-9)
+
+    def test_unsettled_adjoint_iteration_warns_with_its_budget(self):
+        # two top singular values 1 and 1 - 1e-4: the Rayleigh ratio still
+        # moves by far more than 1e-12 per step after 3000 steps
+        g = TimeGrid(0.0, 0.1, 4, 1.0)
+        d = np.array([1.0, 1.0 - 1e-4, 0.5, 0.5])[:, None]
+
+        def scale(f):
+            return Signal(g, d * f.values)
+
+        S = CausalOp(grid=g, action=scale, adjoint_action=scale)
+        with pytest.warns(RuntimeWarning, match="in 3000 iterations"):
+            est = op_norm(S, max_iter=200)
+        assert est == pytest.approx(1.0, abs=1e-4)
+
 
 class TestCausalityDiagnostics:
     def test_antiderivative_defect_all_cuts(self):

@@ -21,6 +21,7 @@ from evocalc.solvers import (
     staggered_grad0,
     wave_1d_solve,
 )
+from evocalc.solvers import _tridiag_factor, _tridiag_solve
 
 
 def rand_skew(rng, dim, scale=1.0):
@@ -50,6 +51,21 @@ class TestSpatialOperator:
     def test_non_skew_rejected(self):
         with pytest.raises(ValueError):
             SpatialOperator.skew_matrix(np.eye(2))
+
+
+class TestTridiagonalKernel:
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    def test_matches_dense_solve_single_and_batched(self, m):
+        rng = np.random.default_rng(m)
+        lower = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
+        upper = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
+        diag = 4.0 + rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        factors = _tridiag_factor(lower, diag, upper)
+        for rhs in (rng.standard_normal(m) + 0j, rng.standard_normal((m, 3)) + 0j):
+            x = _tridiag_solve(factors, rhs)
+            assert x.shape == rhs.shape
+            assert np.linalg.norm(dense @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
 
 class TestOdeBlock:

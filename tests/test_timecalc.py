@@ -212,14 +212,14 @@ class TestMultipliers:
 class TestSpectrum:
     def test_circle_nu_half(self):
         g = TimeGrid(0.0, 0.01, 2048, 0.5)
-        deviation, h_samples, _ = spectrum_of_antiderivative(g)
+        deviation, h_samples = spectrum_of_antiderivative(g)
         r = 1.0  # 1/(2 nu)
         assert deviation <= 1e-12
         assert np.max(np.abs(np.abs(h_samples - r) - r)) <= 1e-12
 
     def test_circle_nu_one(self):
         g = TimeGrid(0.0, 0.01, 2048, 1.0)
-        deviation, h_samples, _ = spectrum_of_antiderivative(g)
+        deviation, h_samples = spectrum_of_antiderivative(g)
         assert deviation <= 1e-12
         # center and radius are both 1/2
         assert np.max(np.abs(np.abs(h_samples - 0.5) - 0.5)) <= 1e-12
@@ -229,7 +229,3 @@ class TestSpectrum:
         for nu in (0.5, 1.0, 2.0):
             r = 1.0 / (2 * nu)
             assert abs(abs(1.0 / nu - r) - r) == 0.0
-
-    def test_oversize_grid_rejected(self):
-        with pytest.raises(ValueError):
-            spectrum_of_antiderivative(TimeGrid(0.0, 0.01, 5000, 1.0))
