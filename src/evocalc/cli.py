@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -46,6 +47,27 @@ def _parse_value(key: str, raw: str):
         return float(raw)
 
 
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+def _range_problem(key: str, value) -> str | None:
+    """What a parsed numeric value violates, or None when it is in range."""
+    if key in ("nu", "dt", "t_end"):
+        return None if _positive(value) else "finite and > 0"
+    if key == "n":
+        return None if isinstance(value, int) and value >= 2 else "an integer >= 2"
+    if key == "m_x":
+        return None if isinstance(value, int) and value > 0 else "an integer > 0"
+    if key in LIST_KEYS:
+        return None if all(_positive(x) for x in value) else "a list of finite values > 0"
+    if key == "tol.slope":
+        return None if math.isfinite(value) and value < 0 else "finite and < 0"
+    if key.startswith("tol."):
+        return None if math.isfinite(value) and value >= 0 else "finite and >= 0"
+    return None
+
+
 def parse_config(path) -> dict:
     """Read a key = value config; validate keys against the experiment."""
     text = Path(path).read_text()
@@ -78,12 +100,19 @@ def parse_config(path) -> dict:
     for key, raw in pairs.items():
         if key not in allowed:
             raise ConfigError(f"{path}: unknown key {key!r} for experiment {name}")
-        cfg[key] = _parse_value(key, raw)
+        try:
+            cfg[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from None
     if name != "suite-all":
         merged = dict(DEFAULTS[name])
         merged.update(cfg)
         if "scales" in merged and not merged["scales"]:
             raise ConfigError(f"{path}: scales must be non-empty")
+        for key, value in merged.items():
+            problem = _range_problem(key, value)
+            if problem:
+                raise ConfigError(f"{path}: {key} must be {problem}, got {value!r}")
         cfg = merged
     expect = cfg.get("expect", "pass")
     if expect not in ("pass", "fail"):
@@ -127,12 +156,16 @@ def run(config_path, out_override=None, verbose=False) -> int:
     else:
         out_base = Path(config_path).with_suffix("")
     t0 = time.time()
-    report = RUNNERS[name](cfg)
+    try:
+        report = RUNNERS[name](cfg)
+    except ValueError as exc:
+        print(f"error: {name}: {exc}", file=sys.stderr)
+        return 1
     summary = _write_outputs(report, out_base, time.time() - t0, cfg.get("seed"))
     if verbose:
         for r in report.rows:
             print(f"  scale={r['scale']} pairing={r['pairing_error']:.3e} "
-                  f"norm={r['norm_error']:.3e} bound={r['bound_rhs']:.3e} "
+                  f"norm={r['norm_error']:.3e} {_bound_text(r, report.metadata)} "
                   f"{'pass' if r['verdict'] else 'FAIL'}")
     ok = report.verdict
     print(f"{name}: {'pass' if ok else 'FAIL'} ({len(report.rows)} rows, "
@@ -142,8 +175,18 @@ def run(config_path, out_override=None, verbose=False) -> int:
             if not r["verdict"]:
                 print(f"  failing row: scale={r['scale']} "
                       f"value={max(r['pairing_error'], r['norm_error']):.4e} "
-                      f"bound={r['bound_rhs']:.4e}", file=sys.stderr)
+                      f"{_bound_text(r, report.metadata)}", file=sys.stderr)
     return 0 if ok else 2
+
+
+def _bound_text(row: dict, metadata: dict) -> str:
+    """The row's bound, or for ladder rows, which carry none, the ladder rule
+    (final value <= tol and log-log slope <= slope_max)."""
+    if not math.isnan(row["bound_rhs"]):
+        return f"bound={row['bound_rhs']:.4e}"
+    nan = float("nan")
+    return (f"tol={metadata.get('tol', nan):.4e} slope={metadata.get('slope', nan):.4f} "
+            f"slope_max={metadata.get('slope_max', nan):.4f}")
 
 
 def suite(configs_dir, out_override=None, verbose=False) -> int:
@@ -164,13 +207,12 @@ def suite(configs_dir, out_override=None, verbose=False) -> int:
             all_ok = False
             continue
         status = run(path, verbose=verbose)
-        raw_pass = status == 0
-        expected_fail = cfg["expect"] == "fail"
-        effective = raw_pass != expected_fail
+        # an error (status 1) is never a success, whatever the expectation
+        effective = status != 1 and (status == 0) != (cfg["expect"] == "fail")
         results.append({
             "config": path.name,
             "experiment": cfg["experiment"],
-            "verdict": "pass" if raw_pass else "fail",
+            "verdict": {0: "pass", 1: "error"}.get(status, "fail"),
             "expect": cfg["expect"],
             "effective": "pass" if effective else "fail",
         })

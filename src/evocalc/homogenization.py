@@ -559,35 +559,43 @@ def eddy_current_experiment(
     report = ConvergenceReport(
         "eddy", metadata={"seed": seed, "c": c, "eta_list": list(eta_list)}
     )
+    # (profile index, eta) -> observed; the eps = 0 solve is shared by every
+    # profile, so it runs once per (eta, probe)
+    observed = {}
+    for eta in eta_list:
+        grid = TimeGrid(0.0, dt, int(round(t_end / dt)) + 1, eta)
+        tset = list(ProbeSet(grid, dim=1, seed=seed))
+        probes = [
+            Signal(grid, np.outer(gsig.values[:, 0], np.sin(np.pi * x)))
+            for gsig in tset[3:7]  # bumps + first random smooth signal
+        ]
+        for J in probes:
+            v1 = maxwell_1d_solve(eps0, mu, sigma, J, nu=eta, m_x=m_x, check=False)
+            v2_sig = antiderivative(Signal(grid, v1.values))
+            # forward operator of the eps = 0 system applied to J v1:
+            # E-row sigma E + D H with D = -G^T, H-row d(mu H) + G E
+            e_part = v2_sig.values[:, :m_x]
+            h_part = v2_sig.values[:, m_x:]
+            dh = np.empty_like(h_part)
+            dh[0] = h_part[0] / dt
+            dh[1:] = (h_part[1:] - h_part[:-1]) / dt
+            y_e = e_part - (g.T @ h_part.T).T
+            y_h = dh + (g @ e_part.T).T
+            y = Signal(grid, np.concatenate([y_e, y_h], axis=1))
+            j_norm = max(norm_nu(J, nu=eta), NORM_FLOOR)
+            for i, (_, eps_n, _, _) in enumerate(eps_scale_profiles):
+                v4 = _maxwell_full_state_solve(eps_n, mu, sigma, y, eta, m_x)
+                diff = Signal(grid, v4.values - v2_sig.values)
+                observed[i, eta] = max(
+                    observed.get((i, eta), 0.0), norm_nu(diff, nu=eta) / j_norm
+                )
     per_eta = {}
-    for label, eps_n, eps_sup, eps_d_sup in eps_scale_profiles:
+    for i, (label, _, eps_sup, eps_d_sup) in enumerate(eps_scale_profiles):
         row_ok = True
         row_obs, row_bound = 0.0, 0.0
         for eta in eta_list:
-            grid = TimeGrid(0.0, dt, int(round(t_end / dt)) + 1, eta)
-            tset = list(ProbeSet(grid, dim=1, seed=seed))
-            probes = [
-                Signal(grid, np.outer(gsig.values[:, 0], np.sin(np.pi * x)))
-                for gsig in tset[3:7]  # bumps + first random smooth signal
-            ]
+            obs = observed[i, eta]
             bound = (1.0 / c**2) * (eps_sup + eps_d_sup / eta)
-            obs = 0.0
-            for J in probes:
-                v1 = maxwell_1d_solve(eps0, mu, sigma, J, nu=eta, m_x=m_x, check=False)
-                v2_sig = antiderivative(Signal(grid, v1.values))
-                # forward operator of the eps = 0 system applied to J v1:
-                # E-row sigma E + D H with D = -G^T, H-row d(mu H) + G E
-                e_part = v2_sig.values[:, :m_x]
-                h_part = v2_sig.values[:, m_x:]
-                dh = np.empty_like(h_part)
-                dh[0] = h_part[0] / dt
-                dh[1:] = (h_part[1:] - h_part[:-1]) / dt
-                y_e = e_part - (g.T @ h_part.T).T
-                y_h = dh + (g @ e_part.T).T
-                y = Signal(grid, np.concatenate([y_e, y_h], axis=1))
-                v4 = _maxwell_full_state_solve(eps_n, mu, sigma, y, eta, m_x)
-                diff = Signal(grid, v4.values - v2_sig.values)
-                obs = max(obs, norm_nu(diff, nu=eta) / max(norm_nu(J, nu=eta), NORM_FLOOR))
             per_eta[(label, eta)] = (obs, bound)
             # absolute floor covers the degenerate zero-dielectricity control
             row_ok = row_ok and (obs <= bound * (1 + slack) + 1e-12)
@@ -723,16 +731,17 @@ def heat_strong_continuity_experiment(
               for g in list(tset)[:4]
               for mode in (np.sin(np.pi * xi), np.sin(2 * np.pi * xi))]
     report = ConvergenceReport("heat", metadata={"seed": seed})
-    for label, a_edge in a_family:
-        worst = 0.0
-        for f in probes:
+    # probes outermost, so the reference b_edge is solved once per probe
+    worst = [0.0] * len(a_family)
+    for f in probes:
+        u_b = heat_1d_solve(b_edge, f, nu=nu)
+        f_norm = max(_space_time_norm(f.values, grid, nu, m_x), NORM_FLOOR)
+        for i, (_, a_edge) in enumerate(a_family):
             u_a = heat_1d_solve(np.asarray(a_edge, dtype=complex), f, nu=nu)
-            u_b = heat_1d_solve(b_edge, f, nu=nu)
-            worst = max(
-                worst,
-                _space_time_norm(u_a.values - u_b.values, grid, nu, m_x)
-                / max(_space_time_norm(f.values, grid, nu, m_x), NORM_FLOOR),
+            worst[i] = max(
+                worst[i], _space_time_norm(u_a.values - u_b.values, grid, nu, m_x) / f_norm
             )
-        report.add_row(label, pairing_error=worst, strong_error=worst, norm_error=worst)
+    for (label, _), w in zip(a_family, worst):
+        report.add_row(label, pairing_error=w, strong_error=w, norm_error=w)
     report.finalize(tol)
     return report

@@ -275,23 +275,35 @@ class Coefficient:
         )
 
     def sample_all(self, grid: TimeGrid) -> np.ndarray:
-        """Stack of matrices, one per grid node, shape (n, dim, dim)."""
-        out = np.empty((grid.n, self.dim, self.dim), dtype=complex)
-        for k, t in enumerate(grid.times):
-            m = np.atleast_2d(np.asarray(self.sampler(t), dtype=complex))
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"sampler returned shape {m.shape} at t={t}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"sampler returned non-finite entries at t={t}")
-            out[k] = m
-        return out
+        """Stack of matrices, one per grid node, shape (n, dim, dim).
+
+        Time-independent kinds are sampled once and broadcast: the stack is
+        then a read-only view.
+        """
+        return self._stack(self.sampler, grid)
 
     def sample_deriv_all(self, grid: TimeGrid) -> np.ndarray:
         if self.deriv_sampler is None:
             raise ValueError("coefficient carries no analytic time derivative")
-        out = np.empty((grid.n, self.dim, self.dim), dtype=complex)
-        for k, t in enumerate(grid.times):
-            out[k] = np.atleast_2d(np.asarray(self.deriv_sampler(t), dtype=complex))
+        return self._stack(self.deriv_sampler, grid)
+
+    def _stack(self, sampler: Callable[[float], np.ndarray], grid: TimeGrid) -> np.ndarray:
+        shape = (self.dim, self.dim)
+
+        def sample(t):
+            m = np.atleast_2d(np.asarray(sampler(t), dtype=complex))
+            if m.shape != shape:
+                raise ValueError(f"sampler returned shape {m.shape} at t={t}")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"sampler returned non-finite entries at t={t}")
+            return m
+
+        times = grid.times
+        if self.kind in ("constant-matrix", "space-profile"):
+            return np.broadcast_to(sample(times[0]), (grid.n,) + shape)
+        out = np.empty((grid.n,) + shape, dtype=complex)
+        for k, t in enumerate(times):
+            out[k] = sample(t)
         return out
 
     def check_positivity(self, grid: TimeGrid, rng=None, n_probes: int = 16) -> float:

@@ -222,8 +222,7 @@ class OdeBlockSystem:
         def sup_norm(c: Coefficient | None) -> float:
             if c is None:
                 return 0.0
-            mats = c.sample_all(grid)
-            return max(float(np.linalg.norm(mats[k], 2)) for k in range(grid.n))
+            return float(np.max(np.linalg.norm(c.sample_all(grid), 2, axis=(1, 2))))
 
         return {
             "N00": sup_norm(self.N00),
@@ -244,21 +243,18 @@ def _step_ode_block(sys: OdeBlockSystem, rows, grid: TimeGrid):
     m0, m1 = sys.m0, sys.m1
     dt = grid.dt
     Ms = sys.M.sample_all(grid)
-    N00 = sys.N00.sample_all(grid)
+    blks = Ms / dt + sys.N00.sample_all(grid)
     if m1:
-        N01 = sys.N01.sample_all(grid)
-        N10 = sys.N10.sample_all(grid)
-        N11 = sys.N11.sample_all(grid)
+        blks = np.concatenate([
+            np.concatenate([blks, sys.N01.sample_all(grid)], axis=2),
+            np.concatenate([sys.N10.sample_all(grid), sys.N11.sample_all(grid)], axis=2),
+        ], axis=1)
     batch, rows = _batch_shape(rows)
     mu_prev = np.zeros((m0,) + batch, dtype=complex)  # (M u) at the previous node
     for k, f in enumerate(rows):
-        if m1:
-            blk = np.block([[Ms[k] / dt + N00[k], N01[k]], [N10[k], N11[k]]])
-        else:
-            blk = Ms[k] / dt + N00[k]
         rhs = np.array(f, dtype=complex)
         rhs[:m0] += mu_prev / dt
-        uk = np.linalg.solve(blk, rhs)
+        uk = np.linalg.solve(blks[k], rhs)
         mu_prev = Ms[k] @ uk[:m0]
         yield uk
 
@@ -533,18 +529,19 @@ def _step_skew_dense(sys: PdeSystem, rows, grid: TimeGrid):
     dt = grid.dt
     A = sys.A.dense()
     Ms = sys.M.sample_all(grid)
-    Ns = sys.N.sample_all(grid)
+    mats = Ms / dt + sys.N.sample_all(grid) + A
     batch, rows = _batch_shape(rows)
     mu_prev = np.zeros((A.shape[0],) + batch, dtype=complex)
     for k, f in enumerate(rows):
-        uk = np.linalg.solve(Ms[k] / dt + Ns[k] + A, f + mu_prev / dt)
+        uk = np.linalg.solve(mats[k], f + mu_prev / dt)
         mu_prev = Ms[k] @ uk
         yield uk
 
 
 def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     """Implicit step for the (u-leg, flux-leg) systems; flux eliminated per
-    node, leaving a tridiagonal solve on the u-leg."""
+    node, leaving a tridiagonal solve on the u-leg.  The legs are sampled at
+    every node, and the matrix is refactored only when one of them changed."""
     m_x = sys.A.m_x
     g = staggered_grad0(m_x, sys.A.length)
     dx_inv = g[0, 0]
@@ -556,20 +553,21 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     batch, rows = _batch_shape(rows)
     u = np.zeros((m_x,) + batch, dtype=complex)
     h = np.zeros((m_x + 1,) + batch, dtype=complex)
+    factored = None  # the legs (m0, m1, n0, n1) behind `w` and `factors`
     for t, f in zip(grid.times, rows):
-        m0 = np.asarray(m0p(t), dtype=complex)
-        m1 = np.asarray(m1p(t), dtype=complex)
-        n0 = np.asarray(n0p(t), dtype=complex)
-        n1 = np.asarray(n1p(t), dtype=complex)
-        d1 = m1 / dt + n1
-        if np.any(np.abs(d1) < 1e-300):
-            raise ValueError("flux-leg coefficient vanishes; cannot eliminate")
+        legs = tuple(np.asarray(p(t), dtype=complex) for p in (m0p, m1p, n0p, n1p))
+        m0, m1, n0, n1 = legs
+        if factored is None or not all(map(np.array_equal, legs, factored)):
+            d1 = m1 / dt + n1
+            if np.any(np.abs(d1) < 1e-300):
+                raise ValueError("flux-leg coefficient vanishes; cannot eliminate")
+            # flux-leg: d1 * h + G u = rhs1  ->  h = (rhs1 - G u)/d1
+            # u-leg: (m0/dt + n0) u - G^T h = f0 + m0_prev u_prev / dt
+            w = 1.0 / d1
+            off, diag = _laplacian_bands(g, w)
+            factors = _tridiag_factor(off, diag + m0 / dt + n0, off)
+            factored = legs
         rhs1 = f[m_x:] + _scale(m1_prev, h) / dt
-        # flux-leg: d1 * h + G u = rhs1  ->  h = (rhs1 - G u)/d1
-        # u-leg: (m0/dt + n0) u - G^T h = f0 + m0_prev u_prev / dt
-        w = 1.0 / d1
-        off, diag = _laplacian_bands(g, w)
-        factors = _tridiag_factor(off, diag + m0 / dt + n0, off)
         rhs0 = f[:m_x] + _scale(m0_prev, u) / dt + _gt_apply(_scale(w, rhs1), dx_inv)
         u = _tridiag_solve(factors, rhs0)
         h = _scale(w, rhs1 - _g_apply(u, dx_inv))

@@ -55,6 +55,40 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="expect"):
             parse_config(p)
 
+    @pytest.mark.parametrize("experiment, line", [
+        ("spectrum", "nu = -1"),
+        ("spectrum", "nu = 0"),
+        ("spectrum", "nu = inf"),
+        ("spectrum", "dt = 0"),
+        ("spectrum", "dt = nan"),
+        ("picard", "t_end = -2.0"),
+        ("spectrum", "n = 1"),
+        ("spectrum", "n = 256.5"),
+        ("heat", "m_x = 0"),
+        ("timprod", "scales = 8, 0"),
+        ("eddy", "eta_list = 1.0, -2.0"),
+        ("spectrum", "tol.circle = -1e-12"),
+        ("spectrum", "tol.circle = nan"),
+        ("timprod", "tol.slope = 0.5"),
+        ("timprod", "tol.slope = 0"),
+    ])
+    def test_out_of_range_value_rejected(self, tmp_path, experiment, line):
+        p = write(tmp_path / "a.cfg", f"experiment = {experiment}\n{line}\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            parse_config(p)
+
+    def test_non_numeric_value_rejected(self, tmp_path):
+        p = write(tmp_path / "a.cfg", "experiment = spectrum\nn = many\n")
+        with pytest.raises(ConfigError, match="n:"):
+            parse_config(p)
+
+    def test_shipped_configs_parse(self):
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+        assert paths
+        for path in paths:
+            parse_config(path)
+
 
 class TestRun:
     def test_run_writes_csv_and_json(self, tmp_path):
@@ -79,6 +113,29 @@ class TestRun:
         p = write(tmp_path / "neg.cfg",
                   "experiment = dbf\nscales = 8\ncontrol = arithmetic\n")
         assert run(p) == 2
+
+    def test_runner_error_exits_1_with_one_line(self, tmp_path, capsys):
+        # t_end below dt / 2 gives a one-node grid, which the runner rejects
+        p = write(tmp_path / "p.cfg", "experiment = picard\nt_end = 0.0005\n")
+        assert run(p) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: picard:") and err.count("\n") == 1
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_negative_nu_exits_1_with_one_line(self, tmp_path, capsys):
+        p = write(tmp_path / "s.cfg", "experiment = spectrum\nnu = -1\n")
+        assert run(p) == 1
+        err = capsys.readouterr().err
+        assert "nu must be" in err and err.count("\n") == 1
+
+    def test_failing_ladder_row_shows_its_rule(self, tmp_path, capsys):
+        p = write(tmp_path / "neg.cfg",
+                  "experiment = dbf\nscales = 64\ncontrol = arithmetic\n")
+        assert run(p) == 2
+        err = capsys.readouterr().err
+        assert "failing row: scale=64" in err
+        assert "tol=2.0000e-02" in err and "slope_max=" in err
+        assert "bound=nan" not in err
 
     def test_csv_bit_identical_across_runs(self, tmp_path):
         p = write(tmp_path / "s.cfg", "experiment = picard\nseed = 42\n")
@@ -106,6 +163,20 @@ class TestSuite:
         assert suite(tmp_path) == 2
         # partial reports are preserved
         assert (tmp_path / "neg.csv").exists()
+
+    def test_runner_error_recorded_and_suite_continues(self, tmp_path):
+        # the erroring config sorts first and expects failure: an error must
+        # still count as a failure, and the later config must still run
+        write(tmp_path / "a_err.cfg",
+              "experiment = picard\nt_end = 0.0005\nexpect = fail\n")
+        write(tmp_path / "b_ok.cfg", "experiment = spectrum\nn = 256\n")
+        assert suite(tmp_path) == 2
+        summary = json.loads((tmp_path / "suite_summary.json").read_text())
+        by_name = {c["config"]: c for c in summary["configs"]}
+        assert by_name["a_err.cfg"]["verdict"] == "error"
+        assert by_name["a_err.cfg"]["effective"] == "fail"
+        assert by_name["b_ok.cfg"]["effective"] == "pass"
+        assert (tmp_path / "b_ok.csv").exists()
 
     def test_empty_directory(self, tmp_path):
         assert suite(tmp_path) == 1

@@ -210,3 +210,20 @@ class TestCoefficient:
         g = small_grid()
         good = Coefficient.constant(2 * np.eye(2), pos_const=2.0)
         assert good.check_positivity(g) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("coef", [
+        Coefficient.constant([[1.0, 0.5], [-0.5, 2.0]]),
+        Coefficient.space_profile([1.0, 2.0, 3.0]),
+    ], ids=["constant-matrix", "space-profile"])
+    def test_time_independent_sampling_is_a_readonly_broadcast(self, coef):
+        g = small_grid(n=7)
+        stacked = np.stack([np.atleast_2d(coef.sampler(t)) for t in g.times])
+        for mats in (coef.sample_all(g), coef.sample_deriv_all(g)):
+            assert mats.shape == stacked.shape
+            assert not mats.flags.writeable
+        assert np.array_equal(coef.sample_all(g), stacked)
+        assert np.array_equal(coef.sample_deriv_all(g), np.zeros_like(stacked))
+
+    def test_non_finite_constant_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Coefficient.constant([[1.0, np.nan], [0.0, 1.0]]).sample_all(small_grid())

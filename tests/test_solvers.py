@@ -3,6 +3,7 @@ the exchange identity, and the elliptic factorization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evocalc.signals import Coefficient, Signal, TimeGrid, inner_nu, norm_nu, truncate_before
 from evocalc.timecalc import antiderivative, derivative, resolvent
@@ -21,6 +22,7 @@ from evocalc.solvers import (
     staggered_grad0,
     wave_1d_solve,
 )
+from evocalc import solvers
 from evocalc.solvers import _tridiag_factor, _tridiag_solve
 
 
@@ -114,6 +116,18 @@ class TestOdeBlock:
         F = Signal(g, rng.standard_normal((g.n, 2 * m)))
         # the call itself asserts the two-route agreement at tol
         solve_ode_block(sysb, F, nu=20.0, tol=1e-6)
+
+    def test_block_norms_match_nodewise_norms(self):
+        g = TimeGrid(0.0, 0.05, 41, 1.0)
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        N00 = Coefficient(dim=2, sampler=lambda t: np.eye(2) + np.sin(t) * skew)
+        N01 = Coefficient.constant([[1.0, 2.0], [0.0, -1.0]])
+        sysb = OdeBlockSystem(M=Coefficient.constant(np.eye(2), 1.0), N00=N00, N01=N01,
+                              N10=N01, N11=Coefficient.constant(np.eye(2), 1.0), c=1.0)
+        norms = sysb.block_norms(g)
+        for name, coef in (("N00", N00), ("N01", N01)):
+            mats = coef.sample_all(g)
+            assert norms[name] == max(np.linalg.norm(mats[k], 2) for k in range(g.n))
 
 
 class TestPicard:
@@ -338,6 +352,73 @@ class TestMaxwell:
         bad_mu = Coefficient.scalar_profile(lambda t: -1.0, deriv=lambda t: 0.0)
         with pytest.raises(ValueError):
             maxwell_1d_solve(self.one(), bad_mu, self.one(), Signal.zero(g, 8), nu=1.0)
+
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_switching_dielectricity_matches_dense_elimination(self, seed):
+        # eps(t) piecewise constant, switching at random nodes: a factor kept
+        # past a switch would show against a fresh dense solve at every node
+        rng = np.random.default_rng(seed)
+        n, m_x, dt = 40, 6, 0.05
+        g = TimeGrid(0.0, dt, n, 1.0)
+        switches = np.sort(rng.choice(np.arange(1, n), size=rng.integers(1, 6), replace=False))
+        levels = rng.choice([0.0, 0.5, 1.0, 2.0], size=len(switches) + 1)
+
+        def eps_at(t):
+            return levels[np.searchsorted(switches, int(round(t / dt)), side="right")]
+
+        eps = Coefficient.scalar_profile(eps_at, deriv=lambda t: 0.0)
+        J = Signal(g, rng.standard_normal((n, m_x)) + 1j * rng.standard_normal((n, m_x)))
+        got = maxwell_1d_solve(eps, self.one(), self.one(), J, nu=1.0, check=False).values
+
+        grad = staggered_grad0(m_x)
+        u, h = np.zeros(m_x, complex), np.zeros(m_x + 1, complex)
+        eps_prev = eps_at(-dt)
+        for k, t in enumerate(g.times):
+            e = eps_at(t)
+            # mu = sigma = 1: the flux leg gives h_k = h_{k-1} - dt G u_k, so
+            # (e/dt + 1 + dt G^T G) u_k = J_k + eps_prev u_{k-1}/dt + G^T h_{k-1}
+            lhs = np.diag(np.full(m_x, e / dt + 1.0)) + dt * grad.T @ grad
+            u = np.linalg.solve(lhs, J.values[k] + eps_prev * u / dt + grad.T @ h)
+            h = h - dt * grad @ u
+            ref = np.concatenate([u, h])
+            assert np.linalg.norm(got[k] - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+            eps_prev = e
+
+
+class TestFactorOnChange:
+    """The grad-div stepper refactors only when a leg profile changes."""
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _tridiag_factor(*args)
+
+        monkeypatch.setattr(solvers, "_tridiag_factor", counting)
+        return calls
+
+    def drive(self, g, m_x):
+        x = np.linspace(0, 1, m_x + 2)[1:-1]
+        return Signal(g, np.outer(np.exp(-(((g.times - 0.5) / 0.2) ** 2)), np.sin(np.pi * x)))
+
+    def test_heat_factors_once(self, factor_calls):
+        g = TimeGrid(0.0, 0.01, 101, 1.0)
+        heat_1d_solve(1.5 + np.cos(np.linspace(0, 3, 17)), self.drive(g, 16), nu=1.0)
+        assert len(factor_calls) == 1
+
+    @pytest.mark.parametrize("eps, factors", [
+        (Coefficient.scalar_profile(lambda t: 0.0, deriv=lambda t: 0.0), 1),
+        (Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t),
+                                    deriv=lambda t: -0.25 * np.sin(t)), 101),
+    ], ids=["eps=0", "eps=1+cos/4"])
+    def test_maxwell_factors_per_change(self, factor_calls, eps, factors):
+        g = TimeGrid(0.0, 0.01, 101, 1.0)
+        one = Coefficient.scalar_profile(lambda t: 1.0, deriv=lambda t: 0.0)
+        maxwell_1d_solve(eps, one, one, self.drive(g, 16), nu=1.0)
+        assert len(factor_calls) == factors
 
 
 class TestElliptic:
