@@ -207,7 +207,8 @@ class Coefficient:
     claimed accretivity constant c with Re <M xi, xi> >= c |xi|^2; it is
     spot-checked, never assumed.  `deriv_sampler`, when present, is the
     analytic time derivative (supplied as data, never obtained by numerical
-    differentiation of samples).
+    differentiation of samples).  `diagonal` holds the cell values of a
+    space profile.
     """
 
     dim: int
@@ -216,6 +217,7 @@ class Coefficient:
     lip_const: float | None = None
     deriv_sampler: Callable[[float], np.ndarray] | None = None
     kind: str = "time-profile"
+    diagonal: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def constant(matrix, pos_const: float | None = None) -> "Coefficient":
@@ -234,26 +236,26 @@ class Coefficient:
     def space_profile(edge_values, pos_const: float | None = None) -> "Coefficient":
         """Time-independent diagonal coefficient sampled on spatial cells.
 
-        The sampler returns the full diagonal matrix; 1D solvers unwrap the
-        diagonal instead of forming it.
+        Only the cell values are stored (O(m)); the sampler builds the full
+        diagonal matrix when called, and 1D solvers read the cells instead.
         """
-        vals = np.asarray(edge_values, dtype=complex)
-        diag = np.diag(vals)
-        zero = np.zeros_like(diag)
+        vals = np.array(edge_values, dtype=complex)
+        vals.setflags(write=False)
         return Coefficient(
             dim=len(vals),
-            sampler=lambda t, _d=diag: _d,
+            sampler=lambda t: np.diag(vals),
             pos_const=pos_const,
             lip_const=0.0,
-            deriv_sampler=lambda t, _z=zero: _z,
+            deriv_sampler=lambda t: np.zeros((len(vals),) * 2, dtype=complex),
             kind="space-profile",
+            diagonal=vals,
         )
 
     def diagonal_values(self) -> np.ndarray:
-        """Diagonal of a space-profile coefficient (its cell samples)."""
+        """Read-only cell values of a space-profile coefficient."""
         if self.kind != "space-profile":
             raise ValueError(f"not a space profile: kind={self.kind}")
-        return np.diag(np.atleast_2d(np.asarray(self.sampler(0.0), dtype=complex)))
+        return self.diagonal
 
     @staticmethod
     def scalar_profile(
@@ -289,22 +291,19 @@ class Coefficient:
 
     def _stack(self, sampler: Callable[[float], np.ndarray], grid: TimeGrid) -> np.ndarray:
         shape = (self.dim, self.dim)
-
-        def sample(t):
+        times = grid.times
+        varying = self.kind not in ("constant-matrix", "space-profile")
+        out = np.empty((grid.n if varying else 1,) + shape, dtype=complex)
+        for k, t in enumerate(times[: len(out)]):
             m = np.atleast_2d(np.asarray(sampler(t), dtype=complex))
             if m.shape != shape:
                 raise ValueError(f"sampler returned shape {m.shape} at t={t}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"sampler returned non-finite entries at t={t}")
-            return m
-
-        times = grid.times
-        if self.kind in ("constant-matrix", "space-profile"):
-            return np.broadcast_to(sample(times[0]), (grid.n,) + shape)
-        out = np.empty((grid.n,) + shape, dtype=complex)
-        for k, t in enumerate(times):
-            out[k] = sample(t)
-        return out
+            out[k] = m
+        finite = np.isfinite(out).all(axis=(1, 2))  # one check for the stack
+        if not finite.all():
+            t = times[np.argmin(finite)]
+            raise ValueError(f"sampler returned non-finite entries at t={t}")
+        return out if varying else np.broadcast_to(out[0], (grid.n,) + shape)
 
     def check_positivity(self, grid: TimeGrid, rng=None, n_probes: int = 16) -> float:
         """Sampled lower bound of Re <M xi, xi> / |xi|^2 over nodes and probes.

@@ -114,15 +114,14 @@ class SpatialOperator:
         g = staggered_grad0(self.m_x, self.length)
         m = self.m_x
         a = np.zeros((2 * m + 1, 2 * m + 1))
-        a[:m, m:] = -g.T
-        a[m:, :m] = g
         if self.kind == "grad0-div-1d-projected":
-            # conjugate the flux leg with the mean-zero projection and flip
-            # sign: the wave system carries minus the heat block
+            # conjugate the gradient leg with the mean-zero projection and
+            # flip sign: the wave system carries minus the heat block
             p = np.eye(m + 1) - np.full((m + 1, m + 1), 1.0 / (m + 1))
-            a[:m, m:] = a[:m, m:] @ p
-            a[m:, :m] = p @ a[m:, :m]
-            a = -a
+            g = -(p @ g)
+        # one leg is built, the other is minus its transpose: exactly skew
+        a[m:, :m] = g
+        a[:m, m:] = -g.T
         return a
 
 
@@ -398,22 +397,19 @@ def picard_solve(
 class PdeSystem:
     """State-space data for (d/dt M + N + A) u = f.
 
-    For the 1D kinds the coefficients are given per leg as time profiles
-    (scalars) or edge-sampled arrays; `c` is the certified accretivity
+    The skew-matrix kind carries full-state blocks `M` and `N`.  The 1D
+    kinds carry one `Coefficient` per leg in `legs`: (m0, m1, n0, n1) for
+    the grad-div kind, (a,) for the wave form.  A leg is a space profile of
+    the leg's length or a dim-1 scalar acting on every cell, and its kind
+    decides how a solve samples it.  `c` is the certified accretivity
     constant of the full system at the working weight.
     """
 
     A: SpatialOperator
     c: float
-    M: Coefficient | None = None       # skew-matrix kind: full-state blocks
+    M: Coefficient | None = None
     N: Coefficient | None = None
-    m0_profile: Callable[[float], np.ndarray] | None = None  # 1d kinds: leg values
-    m1_profile: Callable[[float], np.ndarray] | None = None
-    n0_profile: Callable[[float], np.ndarray] | None = None
-    n1_profile: Callable[[float], np.ndarray] | None = None
-    m0_deriv: Callable[[float], np.ndarray] | None = None
-    m1_deriv: Callable[[float], np.ndarray] | None = None
-    wave_coefficient: np.ndarray | None = None  # edge-sampled a for the wave form
+    legs: tuple[Coefficient, ...] = ()
 
     @property
     def state_dim(self) -> int:
@@ -428,69 +424,72 @@ class PdeSystem:
              nu: float = 1.0) -> "PdeSystem":
         """Heat system: state (theta, flux), M = diag(1, 0), N = diag(0, 1/a)."""
         a_edge = np.asarray(a_edge, dtype=complex)
-        m_x = len(a_edge) - 1
         amin = float(np.min(a_edge.real))
         amax = float(np.max(np.abs(a_edge)))
         if amin <= 0:
             raise ValueError("conductivity must have positive real part")
         c_eff = min(nu, amin / amax**2) if c is None else c
-        ones0 = np.ones(m_x)
-        zeros1 = np.zeros(m_x + 1)
+        one, zero = Coefficient.constant(1.0), Coefficient.constant(0.0)
         return PdeSystem(
-            A=SpatialOperator.grad0_div_1d(m_x, length),
+            A=SpatialOperator.grad0_div_1d(len(a_edge) - 1, length),
             c=c_eff,
-            m0_profile=lambda t: ones0,
-            m1_profile=lambda t: zeros1,
-            n0_profile=lambda t: np.zeros(m_x),
-            n1_profile=lambda t: 1.0 / a_edge,
-            m0_deriv=lambda t: np.zeros(m_x),
-            m1_deriv=lambda t: zeros1,
+            legs=(one, zero, zero, Coefficient.space_profile(1.0 / a_edge)),
         )
 
     @staticmethod
     def maxwell(eps: Coefficient, mu: Coefficient, sigma: Coefficient,
                 m_x: int, length: float = 1.0, c: float = 1.0) -> "PdeSystem":
         """1D Maxwell block: state (E on interior nodes, H on edges)."""
-        ones0, ones1 = np.ones(m_x), np.ones(m_x + 1)
-
-        def scalar(cf: Coefficient, t: float) -> complex:
-            return complex(np.atleast_2d(cf.sampler(t))[0, 0])
-
-        def scalar_d(cf: Coefficient, t: float) -> complex:
-            if cf.deriv_sampler is None:
-                raise ValueError("maxwell coefficients need analytic derivatives")
-            return complex(np.atleast_2d(cf.deriv_sampler(t))[0, 0])
-
         return PdeSystem(
             A=SpatialOperator.grad0_div_1d(m_x, length),
             c=c,
-            m0_profile=lambda t: scalar(eps, t) * ones0,
-            m1_profile=lambda t: scalar(mu, t) * ones1,
-            n0_profile=lambda t: scalar(sigma, t) * ones0,
-            n1_profile=lambda t: np.zeros(m_x + 1),
-            m0_deriv=lambda t: scalar_d(eps, t) * ones0,
-            m1_deriv=lambda t: scalar_d(mu, t) * ones1,
+            legs=(eps, mu, sigma, Coefficient.constant(0.0)),
         )
 
     @staticmethod
     def wave(a_edge: np.ndarray, length: float = 1.0, nu: float = 1.0) -> "PdeSystem":
         """Acoustic wave in first-order form with mean-zero projected flux."""
         a_edge = np.asarray(a_edge, dtype=complex)
-        m_x = len(a_edge) - 1
         amax = float(np.max(np.abs(a_edge)))
         c_eff = nu * min(1.0, 1.0 / amax)
         return PdeSystem(
-            A=SpatialOperator.grad0_div_1d_projected(m_x, length),
+            A=SpatialOperator.grad0_div_1d_projected(len(a_edge) - 1, length),
             c=c_eff,
-            wave_coefficient=a_edge,
+            legs=(Coefficient.space_profile(a_edge),),
         )
 
 
+def _sample_legs(sys: PdeSystem, grid: TimeGrid, deriv: bool = False) -> list:
+    """The 1D legs, or the analytic time derivatives of the M legs (m0, m1),
+    sampled once per solve by kind: a time profile as an (n, 1) series, a
+    space profile as its read-only (1, size) cell values, any other scalar
+    as (1, 1).  A time-independent leg has derivative zero; a time profile
+    without an analytic derivative raises."""
+    m = sys.A.m_x
+    sizes = (m, m + 1, m, m + 1) if sys.A.kind == "grad0-div-1d" else (m + 1,)
+    out = []
+    for leg, size in zip(sys.legs[:2] if deriv else sys.legs, sizes):
+        if leg.dim != 1 and not (leg.kind == "space-profile" and leg.dim == size):
+            raise ValueError(f"a leg of length {size} needs a dim-1 coefficient or a "
+                             f"space profile of that length, got {leg.kind} of dim {leg.dim}")
+        varying = leg.kind == "time-profile"
+        if deriv and not varying:
+            out.append(np.zeros((1, 1)))
+        elif leg.kind == "space-profile":
+            out.append(leg.diagonal_values()[None])
+        else:
+            stack = leg.sample_deriv_all(grid) if deriv else leg.sample_all(grid)
+            out.append(stack[:, :, 0] if varying else stack[:1, :, 0])
+    return out
+
+
 def _pde_check(sys: PdeSystem, grid: TimeGrid, nu: float):
-    """Spot-check the positivity certificate Re(nu M + M'/2) + Re N >= c."""
-    ts = grid.times[:: max(1, grid.n // 7)]
+    """Check the positivity certificate Re(nu M + M'/2) + Re N >= c: spot
+    checks for the skew-matrix kind; per leg pair of the grad-div kind, at
+    every node of a time-profile leg and once for a time-independent one
+    (a time series meets a space profile through the two minima)."""
     if sys.A.kind == "skew-matrix" and sys.M is not None:
-        for t in ts:
+        for t in grid.times[:: max(1, grid.n // 7)]:
             m = np.atleast_2d(sys.M.sampler(t))
             n = np.atleast_2d(sys.N.sampler(t))
             md = (
@@ -505,24 +504,18 @@ def _pde_check(sys: PdeSystem, grid: TimeGrid, nu: float):
                 raise ValueError(
                     f"positivity certificate fails at t={t}: {low:.4f} < c={sys.c}"
                 )
-    elif sys.m0_profile is not None:
-        for t in ts:
-            legs = (
-                (sys.m0_profile, sys.m0_deriv, sys.n0_profile),
-                (sys.m1_profile, sys.m1_deriv, sys.n1_profile),
-            )
-            for prof, dprof, nprof in legs:
-                mv = np.asarray(prof(t))
-                dv = np.zeros_like(mv) if dprof is None else np.asarray(dprof(t))
-                nv = np.asarray(nprof(t))
-                damped = float(np.min((nu * mv + 0.5 * dv).real))
-                if damped < -1e-12:
-                    raise ValueError(f"leg damping fails at t={t}: {damped:.3e} < 0")
-                low = float(np.min((nu * mv + 0.5 * dv + nv).real))
-                if low < sys.c - 1e-9:
-                    raise ValueError(
-                        f"leg positivity fails at t={t}: {low:.4f} < c={sys.c}"
-                    )
+    elif sys.A.kind == "grad0-div-1d":
+        m0, m1, n0, n1 = _sample_legs(sys, grid)
+        dm0, dm1 = _sample_legs(sys, grid, deriv=True)
+        for leg, (m, dm, n) in enumerate(((m0, dm0, n0), (m1, dm1, n1))):
+            damped, n = (nu * m + 0.5 * dm).real, n.real
+            if damped.min() < -1e-12:
+                raise ValueError(f"leg {leg} damping fails: {damped.min():.3e} < 0")
+            if damped.shape[0] != n.shape[0] and damped.shape[1] != n.shape[1]:
+                damped, n = damped.min(), n.min()
+            low = float(np.min(damped + n))
+            if low < sys.c - 1e-9:
+                raise ValueError(f"leg {leg} positivity fails: {low:.4f} < c={sys.c}")
 
 
 def _step_skew_dense(sys: PdeSystem, rows, grid: TimeGrid):
@@ -540,33 +533,39 @@ def _step_skew_dense(sys: PdeSystem, rows, grid: TimeGrid):
 
 def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     """Implicit step for the (u-leg, flux-leg) systems; flux eliminated per
-    node, leaving a tridiagonal solve on the u-leg.  The legs are sampled at
-    every node, and the matrix is refactored only when one of them changed."""
+    node, leaving a tridiagonal solve on the u-leg.  The legs are sampled
+    once per solve, and the matrix is refactored only at the nodes where a
+    time-profile leg moved."""
     m_x = sys.A.m_x
     g = staggered_grad0(m_x, sys.A.length)
     dx_inv = g[0, 0]
     dt = grid.dt
-    m0p, m1p = sys.m0_profile, sys.m1_profile
-    n0p, n1p = sys.n0_profile, sys.n1_profile
-    m0_prev = np.asarray(m0p(grid.times[0] - dt), dtype=complex)
-    m1_prev = np.asarray(m1p(grid.times[0] - dt), dtype=complex)
+    legs = _sample_legs(sys, grid)
+    moved = np.zeros(grid.n, dtype=bool)
+    moved[0] = True
+    for s in legs:
+        if len(s) > 1:
+            moved[1:] |= s[1:, 0] != s[:-1, 0]
+    # the memory term of the first step reads M one step before t0
+    t_before = grid.times[0] - dt
+    m0_prev, m1_prev = (
+        s[0] if len(s) == 1 else np.asarray(leg.sampler(t_before), dtype=complex).reshape(1)
+        for leg, s in zip(sys.legs, legs[:2])
+    )
     batch, rows = _batch_shape(rows)
     u = np.zeros((m_x,) + batch, dtype=complex)
     h = np.zeros((m_x + 1,) + batch, dtype=complex)
-    factored = None  # the legs (m0, m1, n0, n1) behind `w` and `factors`
-    for t, f in zip(grid.times, rows):
-        legs = tuple(np.asarray(p(t), dtype=complex) for p in (m0p, m1p, n0p, n1p))
-        m0, m1, n0, n1 = legs
-        if factored is None or not all(map(np.array_equal, legs, factored)):
+    for k, f in enumerate(rows):
+        if moved[k]:
+            m0, m1, n0, n1 = (s[k] if len(s) > 1 else s[0] for s in legs)
             d1 = m1 / dt + n1
             if np.any(np.abs(d1) < 1e-300):
                 raise ValueError("flux-leg coefficient vanishes; cannot eliminate")
             # flux-leg: d1 * h + G u = rhs1  ->  h = (rhs1 - G u)/d1
             # u-leg: (m0/dt + n0) u - G^T h = f0 + m0_prev u_prev / dt
-            w = 1.0 / d1
+            w = np.broadcast_to(1.0 / d1, (m_x + 1,))
             off, diag = _laplacian_bands(g, w)
             factors = _tridiag_factor(off, diag + m0 / dt + n0, off)
-            factored = legs
         rhs1 = f[m_x:] + _scale(m1_prev, h) / dt
         rhs0 = f[:m_x] + _scale(m0_prev, u) / dt + _gt_apply(_scale(w, rhs1), dx_inv)
         u = _tridiag_solve(factors, rhs0)
@@ -583,7 +582,10 @@ def _step_wave(sys: PdeSystem, rows, grid: TimeGrid):
     p = pi a pi* q is mean-zero by construction.
     """
     m_x = sys.A.m_x
-    a = sys.wave_coefficient
+    (a,) = _sample_legs(sys, grid)
+    if len(a) > 1:
+        raise ValueError("the wave coefficient must not depend on time")
+    a = np.broadcast_to(a[0], (m_x + 1,))
     g = staggered_grad0(m_x, sys.A.length)
     dx_inv = g[0, 0]
     dt = grid.dt
@@ -741,67 +743,43 @@ def maxwell_1d_solve(
 
     J is the current density on the E leg; the returned signal stacks
     (E, H).  The damped-dielectricity inequalities (nu*eps + eps'/2 >= 0,
-    nu*mu + mu'/2 and Re sigma >= c) are spot-checked at sampled times;
-    eps = 0 is admissible (eddy-current regime).
+    nu*mu + mu'/2 >= c and nu*eps + eps'/2 + Re sigma >= c) are checked at
+    every node where a coefficient varies in time; eps = 0 is admissible
+    (eddy-current regime).
     """
     m_x = J.dim if m_x is None else m_x
     grid = J.grid.with_nu(nu)
-    for t in grid.times[:: max(1, grid.n // 11)]:
-        e = complex(np.atleast_2d(eps.sampler(t))[0, 0])
-        ed = 0.0 if eps.deriv_sampler is None else complex(
-            np.atleast_2d(eps.deriv_sampler(t))[0, 0]
-        )
-        m = complex(np.atleast_2d(mu.sampler(t))[0, 0])
-        md = 0.0 if mu.deriv_sampler is None else complex(
-            np.atleast_2d(mu.deriv_sampler(t))[0, 0]
-        )
-        s = complex(np.atleast_2d(sigma.sampler(t))[0, 0])
-        if (nu * e + 0.5 * ed).real < -1e-12:
-            raise ValueError(f"dielectricity inequality fails at t={t}")
-        if (nu * m + 0.5 * md).real < c - 1e-9:
-            raise ValueError(f"permeability inequality fails at t={t}")
-        # the E leg is accretive through damping and conduction combined, so
-        # sigma = 0 is fine whenever nu*eps carries the constant
-        if (nu * e + 0.5 * ed + s).real < c - 1e-9:
-            raise ValueError(f"E-leg accretivity fails at t={t}")
     sys = PdeSystem.maxwell(eps, mu, sigma, m_x, length, c)
+    _pde_check(sys, grid, nu)
     F = np.zeros((grid.n, 2 * m_x + 1), dtype=complex)
     F[:, :m_x] = J.values
-    out = _dispatch_step(sys, F, grid)
-    if check:
-        u = Signal(grid, out)
-        nf = norm_nu(Signal(grid, F))
-        if norm_nu(u) > (1.0 / c) * nf * 1.05 + 1e-14:
-            raise ValueError("maxwell norm bound violated")
-    return Signal(grid, out)
+    u = Signal(grid, _dispatch_step(sys, F, grid))
+    if check and norm_nu(u) > (1.0 / c) * norm_nu(Signal(grid, F)) * 1.05 + 1e-14:
+        raise ValueError("maxwell norm bound violated")
+    return u
 
 
-def heat_1d_solve(
-    a_edge, f: Signal, nu: float, length: float = 1.0
-) -> Signal:
+def _solve_driven_1d(build, a_edge, f: Signal, nu: float, length: float) -> Signal:
+    """Solve the 1D system that `build` makes from edge values (an array or
+    a space-profile Coefficient), driven by f on its u-leg."""
+    if isinstance(a_edge, Coefficient):
+        a_edge = a_edge.diagonal_values()
+    grid = f.grid.with_nu(nu)
+    sys = build(a_edge, length, nu=nu)
+    m_x = sys.A.m_x
+    F = np.zeros((grid.n, 2 * m_x + 1), dtype=complex)
+    F[:, :m_x] = f.values
+    return Signal(grid, _dispatch_step(sys, F, grid))
+
+
+def heat_1d_solve(a_edge, f: Signal, nu: float, length: float = 1.0) -> Signal:
     """Heat flow with edge-sampled conductivity; f drives the theta leg."""
-    if isinstance(a_edge, Coefficient):
-        a_edge = a_edge.diagonal_values()
-    grid = f.grid.with_nu(nu)
-    sys = PdeSystem.heat(a_edge, length, nu=nu)
-    m_x = sys.A.m_x
-    F = np.zeros((grid.n, 2 * m_x + 1), dtype=complex)
-    F[:, :m_x] = f.values
-    return Signal(grid, _dispatch_step(sys, F, grid))
+    return _solve_driven_1d(PdeSystem.heat, a_edge, f, nu, length)
 
 
-def wave_1d_solve(
-    a_edge, f: Signal, nu: float, length: float = 1.0
-) -> Signal:
+def wave_1d_solve(a_edge, f: Signal, nu: float, length: float = 1.0) -> Signal:
     """First-order wave system driven on the velocity leg; returns (v, p)."""
-    if isinstance(a_edge, Coefficient):
-        a_edge = a_edge.diagonal_values()
-    grid = f.grid.with_nu(nu)
-    sys = PdeSystem.wave(a_edge, length, nu=nu)
-    m_x = sys.A.m_x
-    F = np.zeros((grid.n, 2 * m_x + 1), dtype=complex)
-    F[:, :m_x] = f.values
-    return Signal(grid, _dispatch_step(sys, F, grid))
+    return _solve_driven_1d(PdeSystem.wave, a_edge, f, nu, length)
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,11 @@ def derivative(f: Signal) -> Signal:
 def antiderivative(f: Signal) -> Signal:
     """Causal cumulative integral g_k = dt * sum_{j<=k} f_j.
 
-    Exact two-sided inverse of `derivative` on the grid.  Only the damped
-    branch is meaningful: the weight parameter must be positive, otherwise
-    the cumulative sum does not model a bounded operator.
+    Inverse of `derivative` up to the rounding of the cumulative sum: at
+    node k, |derivative(antiderivative(f)) - f| <= 4u(|s_k| + |s_{k-1}| +
+    |f_k|), u the unit roundoff and s the partial sums; bit-exact where every
+    partial sum is exact, such as integers on a dyadic step.  The weight
+    must be positive, else the cumulative sum models no bounded operator.
     """
     if not f.grid.nu > 0:
         raise ValueError(

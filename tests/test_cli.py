@@ -4,8 +4,10 @@ bit-for-bit reproducibility of the CSV reports."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from evocalc import homogenization
 from evocalc.cli import ConfigError, main, parse_config, run, suite
 
 
@@ -113,6 +115,22 @@ class TestRun:
         p = write(tmp_path / "neg.cfg",
                   "experiment = dbf\nscales = 8\ncontrol = arithmetic\n")
         assert run(p) == 2
+
+    def test_wave_premise_failure_fails_the_run(self, tmp_path, monkeypatch):
+        # the elliptic premise ladder gates the run, not only criterion 14:
+        # an oscillatory-coefficient solve that is off by a factor 2 never
+        # converges to the harmonic-mean solution
+        solve = homogenization.elliptic_solve
+
+        def off(a_edge, f):
+            u = solve(a_edge, f)
+            return u if np.ptp(np.asarray(a_edge).real) == 0 else 2 * u
+
+        monkeypatch.setattr(homogenization, "elliptic_solve", off)
+        p = write(tmp_path / "w.cfg", "experiment = wave\nscales = 2,4\n")
+        assert run(p) == 2
+        summary = json.loads((tmp_path / "w.json").read_text())
+        assert summary["metadata"]["elliptic_premise_verdict"] == "fail"
 
     def test_runner_error_exits_1_with_one_line(self, tmp_path, capsys):
         # t_end below dt / 2 gives a one-node grid, which the runner rejects

@@ -227,3 +227,9 @@ class TestCoefficient:
     def test_non_finite_constant_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             Coefficient.constant([[1.0, np.nan], [0.0, 1.0]]).sample_all(small_grid())
+
+    def test_non_finite_time_sample_names_its_time(self):
+        g = TimeGrid(0.0, 0.25, 9, 1.0)
+        c = Coefficient.scalar_profile(lambda t: np.nan if t == 1.5 else 1.0)
+        with pytest.raises(ValueError, match=r"non-finite entries at t=1\.5"):
+            c.sample_all(g)

@@ -1,6 +1,8 @@
 """Evolution solvers: block ODE routes, fixed points, PDE stepping,
 the exchange identity, and the elliptic factorization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,10 +47,12 @@ class TestSpatialOperator:
         for op in (
             SpatialOperator.grad0_div_1d(12),
             SpatialOperator.grad0_div_1d_projected(12),
+            SpatialOperator.grad0_div_1d_projected(16),
+            SpatialOperator.grad0_div_1d_projected(64),
             SpatialOperator.skew_matrix(np.array([[0.0, -2.0], [2.0, 0.0]])),
         ):
             a = op.dense()
-            assert np.linalg.norm(a + a.conj().T, 2) <= 1e-10
+            assert np.array_equal(a, -a.conj().T)
 
     def test_non_skew_rejected(self):
         with pytest.raises(ValueError):
@@ -419,6 +423,86 @@ class TestFactorOnChange:
         one = Coefficient.scalar_profile(lambda t: 1.0, deriv=lambda t: 0.0)
         maxwell_1d_solve(eps, one, one, self.drive(g, 16), nu=1.0)
         assert len(factor_calls) == factors
+
+
+class TestLegCoefficients:
+    """Every 1D leg is a Coefficient, sampled once per solve by its kind."""
+
+    def one(self):
+        return Coefficient.scalar_profile(lambda t: 1.0, deriv=lambda t: 0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda a: Coefficient.space_profile(a).diagonal_values(),
+        lambda a: PdeSystem.heat(a),
+        lambda a: PdeSystem.wave(a),
+    ], ids=["space_profile", "heat", "wave"])
+    def test_space_profile_legs_stay_linear_in_m(self, build):
+        # a dense (2049, 2049) complex diagonal alone would be 64 MB
+        a = np.ones(2049)
+        tracemalloc.start()
+        try:
+            build(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_constant_leg_sampled_independent_of_n(self):
+        calls = []
+
+        def sampler(t):
+            calls.append(t)
+            return np.eye(1)
+
+        mu = Coefficient(dim=1, sampler=sampler, kind="constant-matrix",
+                         deriv_sampler=lambda t: np.zeros((1, 1)))
+        counts = []
+        for n in (51, 501):
+            calls.clear()
+            maxwell_1d_solve(self.one(), mu, self.one(),
+                             Signal.zero(TimeGrid(0.0, 0.01, n, 1.0), 4), nu=1.0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_matrix_leg_rejected(self):
+        g = TimeGrid(0.0, 0.01, 21, 1.0)
+        with pytest.raises(ValueError, match="dim-1"):
+            maxwell_1d_solve(Coefficient.constant(np.eye(2)), self.one(), self.one(),
+                             Signal.zero(g, 4), nu=1.0)
+
+    def test_time_profile_without_derivative_rejected(self):
+        g = TimeGrid(0.0, 0.01, 21, 1.0)
+        eps = Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t))
+        with pytest.raises(ValueError, match="derivative"):
+            maxwell_1d_solve(eps, self.one(), self.one(), Signal.zero(g, 4), nu=1.0)
+
+    @pytest.mark.parametrize("margin, fails", [(-1e-6, False), (1e-6, True)])
+    def test_time_series_meets_space_profile(self, margin, fails):
+        # m1(t) a time profile, n1 a space profile: the check works through
+        # the two minima and must agree with the full (n, m) minimum
+        g = TimeGrid(0.0, 0.01, 301, 1.0)
+        m_x = 8
+        mu = Coefficient.scalar_profile(lambda t: 1.0 + 0.5 * np.sin(3 * t),
+                                        deriv=lambda t: 1.5 * np.cos(3 * t))
+        n1 = 0.3 + 0.2 * np.cos(np.linspace(0.0, 3.0, m_x + 1))
+        damped = 1.0 + 0.5 * np.sin(3 * g.times) + 0.75 * np.cos(3 * g.times)
+        low = np.min(damped[:, None] + n1[None, :])
+        sys = PdeSystem(A=SpatialOperator.grad0_div_1d(m_x), c=low + margin, legs=(
+            Coefficient.constant(1.0), mu, Coefficient.constant(1.0),
+            Coefficient.space_profile(n1)))
+        if fails:
+            with pytest.raises(ValueError, match="leg 1 positivity"):
+                solvers._pde_check(sys, g, g.nu)
+        else:
+            solvers._pde_check(sys, g, g.nu)
+
+    def test_positivity_checked_at_every_node(self):
+        # mu dips below c at a single node that a spot check could skip
+        g = TimeGrid(0.0, 0.01, 301, 1.0)
+        mu = Coefficient.scalar_profile(lambda t: 0.5 if abs(t - 1.37) < 1e-9 else 1.0,
+                                        deriv=lambda t: 0.0)
+        with pytest.raises(ValueError, match="positivity"):
+            maxwell_1d_solve(self.one(), mu, self.one(), Signal.zero(g, 4), nu=1.0)
 
 
 class TestElliptic:

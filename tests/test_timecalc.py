@@ -3,6 +3,7 @@ functional calculus of the causal antiderivative."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evocalc.signals import Signal, TimeGrid, inner_nu, norm_nu, shift, truncate_before
 from evocalc.timecalc import (
@@ -79,6 +80,29 @@ class TestDerivative:
         np.testing.assert_allclose(back.values, f.values, rtol=0, atol=1e-10)
         fwd = antiderivative(derivative(f))
         np.testing.assert_allclose(fwd.values, f.values, rtol=0, atol=1e-10)
+
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 3001),
+           dt=st.sampled_from([1e-3, 0.01, 0.125, 0.3, 7.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_inverse_within_cumsum_rounding(self, seed, n, dt):
+        # each partial sum, the product with dt, the difference and the
+        # division round once: to first order the error at node k is at most
+        # u(2|s_k| + |s_{k-1}| + 2|f_k|) per component; 4u covers the rest
+        rng = np.random.default_rng(seed)
+        g = TimeGrid(0.0, dt, n, 1.0)
+        vals = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        back = derivative(antiderivative(Signal(g, vals))).values
+        s = np.abs(np.cumsum(vals, axis=0))
+        s_prev = np.vstack([np.zeros((1, 2)), s[:-1]])
+        u = np.finfo(float).eps / 2
+        assert np.all(np.abs(back - vals) <= 4 * u * (s + s_prev + np.abs(vals)))
+
+    def test_bit_exact_on_dyadic_integers(self):
+        rng = np.random.default_rng(1)
+        g = TimeGrid(0.0, 2.0 ** -10, 3001, 1.0)
+        f = Signal(g, rng.integers(-1000, 1001, (g.n, 2)).astype(complex))
+        assert np.array_equal(derivative(antiderivative(f)).values, f.values)
+        assert np.array_equal(antiderivative(derivative(f)).values, f.values)
 
     def test_accretivity_identity(self):
         # Re <df, f> = nu <f, f> within 2% on twenty seeded smooth bumps
