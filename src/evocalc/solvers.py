@@ -41,21 +41,20 @@ __all__ = [
 # spatial operators
 # ---------------------------------------------------------------------------
 
+def _dx_inv(m_x: int, length: float) -> float:
+    """1/dx of the staggered grid with m_x interior nodes on (0, length)."""
+    return 1.0 / (length / (m_x + 1))
+
+
 def staggered_grad0(m_x: int, length: float = 1.0) -> np.ndarray:
     """One-sided difference gradient with zero Dirichlet values.
 
     Maps interior node values (m_x of them on (0, L)) to edge values
     (m_x + 1); minus its transpose is the matching divergence, so the block
-    [[0, -G^T], [G, 0]] is skew-symmetric exactly.
+    [[0, -G^T], [G, 0]] is skew-symmetric exactly.  The steppers and the
+    elliptic solve apply it matrix-free (`_g_apply`, `_gt_apply`).
     """
-    dx = length / (m_x + 1)
-    g = np.zeros((m_x + 1, m_x))
-    for i in range(m_x + 1):
-        if i < m_x:
-            g[i, i] = 1.0
-        if i > 0:
-            g[i, i - 1] = -1.0
-    return g / dx
+    return (np.eye(m_x + 1, m_x) - np.eye(m_x + 1, m_x, -1)) * _dx_inv(m_x, length)
 
 
 def mean_zero_project(v: np.ndarray) -> np.ndarray:
@@ -117,8 +116,7 @@ class SpatialOperator:
         if self.kind == "grad0-div-1d-projected":
             # conjugate the gradient leg with the mean-zero projection and
             # flip sign: the wave system carries minus the heat block
-            p = np.eye(m + 1) - np.full((m + 1, m + 1), 1.0 / (m + 1))
-            g = -(p @ g)
+            g = -mean_zero_project(g)
         # one leg is built, the other is minus its transpose: exactly skew
         a[m:, :m] = g
         a[:m, m:] = -g.T
@@ -156,12 +154,12 @@ def _tridiag_solve(factors, rhs):
     return np.array(x, dtype=complex)
 
 
-def _laplacian_bands(g: np.ndarray, weight: np.ndarray):
-    """Off and main band of G^T diag(weight) G for the staggered gradient G."""
-    m = g.shape[1]
-    dx_inv2 = g[0, 0] ** 2  # 1/dx^2
+def _laplacian_bands(dx_inv: float, weight: np.ndarray):
+    """Off and main band of G^T diag(weight) G from the m+1 edge weights,
+    for the staggered gradient G with entries +-dx_inv."""
+    dx_inv2 = dx_inv**2
     w = np.asarray(weight, dtype=complex)
-    return -w[1:m] * dx_inv2, (w[:m] + w[1 : m + 1]) * dx_inv2
+    return -w[1:-1] * dx_inv2, (w[:-1] + w[1:]) * dx_inv2
 
 
 def _scale(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -484,26 +482,21 @@ def _sample_legs(sys: PdeSystem, grid: TimeGrid, deriv: bool = False) -> list:
 
 
 def _pde_check(sys: PdeSystem, grid: TimeGrid, nu: float):
-    """Check the positivity certificate Re(nu M + M'/2) + Re N >= c: spot
-    checks for the skew-matrix kind; per leg pair of the grad-div kind, at
-    every node of a time-profile leg and once for a time-independent one
-    (a time series meets a space profile through the two minima)."""
+    """Check the positivity certificate Re(nu M + M'/2) + Re N >= c: at every
+    node in one batched eigenvalue solve for the skew-matrix kind; per leg
+    pair of the grad-div kind, at every node of a time-profile leg and once
+    for a time-independent one (a time series meets a space profile through
+    the two minima)."""
     if sys.A.kind == "skew-matrix" and sys.M is not None:
-        for t in grid.times[:: max(1, grid.n // 7)]:
-            m = np.atleast_2d(sys.M.sampler(t))
-            n = np.atleast_2d(sys.N.sampler(t))
-            md = (
-                np.zeros_like(m)
-                if sys.M.deriv_sampler is None
-                else np.atleast_2d(sys.M.deriv_sampler(t))
-            )
-            herm = nu * m + 0.5 * md + n
-            herm = 0.5 * (herm + herm.conj().T)
-            low = float(np.linalg.eigvalsh(herm)[0])
-            if low < sys.c - 1e-9:
-                raise ValueError(
-                    f"positivity certificate fails at t={t}: {low:.4f} < c={sys.c}"
-                )
+        herm = nu * sys.M.sample_all(grid)
+        if sys.M.deriv_sampler is not None:
+            herm = herm + 0.5 * sys.M.sample_deriv_all(grid)
+        herm = herm + sys.N.sample_all(grid)
+        low = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(1, 2)))[:, 0]
+        k = int(np.argmax(low < sys.c - 1e-9))  # the first failing node
+        if low[k] < sys.c - 1e-9:
+            raise ValueError(f"positivity certificate fails at t={grid.times[k]}: "
+                             f"{low[k]:.4f} < c={sys.c}")
     elif sys.A.kind == "grad0-div-1d":
         m0, m1, n0, n1 = _sample_legs(sys, grid)
         dm0, dm1 = _sample_legs(sys, grid, deriv=True)
@@ -537,8 +530,7 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     once per solve, and the matrix is refactored only at the nodes where a
     time-profile leg moved."""
     m_x = sys.A.m_x
-    g = staggered_grad0(m_x, sys.A.length)
-    dx_inv = g[0, 0]
+    dx_inv = _dx_inv(m_x, sys.A.length)
     dt = grid.dt
     legs = _sample_legs(sys, grid)
     moved = np.zeros(grid.n, dtype=bool)
@@ -564,7 +556,7 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
             # flux-leg: d1 * h + G u = rhs1  ->  h = (rhs1 - G u)/d1
             # u-leg: (m0/dt + n0) u - G^T h = f0 + m0_prev u_prev / dt
             w = np.broadcast_to(1.0 / d1, (m_x + 1,))
-            off, diag = _laplacian_bands(g, w)
+            off, diag = _laplacian_bands(dx_inv, w)
             factors = _tridiag_factor(off, diag + m0 / dt + n0, off)
         rhs1 = f[m_x:] + _scale(m1_prev, h) / dt
         rhs0 = f[:m_x] + _scale(m0_prev, u) / dt + _gt_apply(_scale(w, rhs1), dx_inv)
@@ -586,10 +578,9 @@ def _step_wave(sys: PdeSystem, rows, grid: TimeGrid):
     if len(a) > 1:
         raise ValueError("the wave coefficient must not depend on time")
     a = np.broadcast_to(a[0], (m_x + 1,))
-    g = staggered_grad0(m_x, sys.A.length)
-    dx_inv = g[0, 0]
+    dx_inv = _dx_inv(m_x, sys.A.length)
     dt = grid.dt
-    off, diag = _laplacian_bands(g, a)
+    off, diag = _laplacian_bands(dx_inv, a)
     factors = _tridiag_factor(off * dt, diag * dt + 1.0 / dt, off * dt)
     batch, rows = _batch_shape(rows)
     v = np.zeros((m_x,) + batch, dtype=complex)
@@ -614,7 +605,7 @@ def solve_evo_pde(
 
     Asserts the accretive norm bound |u| <= (1/c)|f| with 5% discretization
     slack and a spot causality check (three cut times, using f itself as the
-    probe) before returning.
+    probe, run as one batch with the uncut f) before returning.
     """
     grid = f.grid if nu is None else f.grid.with_nu(nu)
     nu = grid.nu
@@ -628,13 +619,14 @@ def solve_evo_pde(
                 f"norm bound violated: |u|={norm_nu(u):.4e} > (1/c)|f|*1.05={bound:.4e}"
             )
     if check_causality:
-        span = grid.t_end - grid.t0
-        for frac in (0.25, 0.5, 0.75):
-            t_cut = grid.t0 + frac * span
-            clipped = truncate_before(Signal(grid, f.values), t_cut)
-            u_clip = Signal(grid, _dispatch_step(sys, clipped.values, grid))
-            defect = norm_nu(truncate_before(u - u_clip, t_cut))
-            if defect > 1e-10 * max(norm_nu(Signal(grid, f.values)), NORM_FLOOR):
+        cuts = [grid.t0 + frac * (grid.t_end - grid.t0) for frac in (0.25, 0.5, 0.75)]
+        # the uncut input and its three truncations run as one (m, 4) batch
+        keep = np.stack([np.ones(grid.n)] + [(grid.times < t).astype(float) for t in cuts], 1)
+        u_cut = _dispatch_step(sys, f.values[:, :, None] * keep[:, None, :], grid)
+        f_norm = max(norm_nu(Signal(grid, f.values)), NORM_FLOOR)
+        for j, t_cut in enumerate(cuts, 1):
+            defect = norm_nu(truncate_before(Signal(grid, u_cut[..., 0] - u_cut[..., j]), t_cut))
+            if defect > 1e-10 * f_norm:
                 raise ValueError(f"causality defect {defect:.2e} at t={t_cut}")
     return u
 
@@ -810,21 +802,22 @@ def elliptic_solve(
     alpha = float(np.min(a_edge.real))
     if alpha <= 0:
         raise ValueError(f"coefficient not uniformly positive: min Re a = {alpha}")
-    g = staggered_grad0(m_x, length)
-
+    dx_inv = _dx_inv(m_x, length)
+    # steps 1 and 3 solve with the Dirichlet Laplacian G^T G, factored once
+    off, diag = _laplacian_bands(dx_inv, np.ones(m_x + 1))
+    lap = _tridiag_factor(off, diag, off)
     # step 1: sigma = (-div pi*)^-1 f, the mean-zero edge field with G^T s = f
-    gtg = g.T @ g
-    y = np.linalg.solve(gtg, f_nodes)
-    sigma = g @ y  # automatically mean-zero
-    # step 2: w = (pi a pi*)^-1 sigma on the mean-zero subspace
-    p = np.eye(m_x + 1) - np.full((m_x + 1, m_x + 1), 1.0 / (m_x + 1))
-    pap = p @ np.diag(a_edge) @ p + np.full((m_x + 1, m_x + 1), 1.0 / (m_x + 1))
-    w = np.linalg.solve(pap, sigma)
-    w = w - w.mean()
+    sigma = _g_apply(_tridiag_solve(lap, f_nodes), dx_inv)
+    # step 2: w = (pi a pi*)^-1 sigma on the mean-zero subspace, i.e.
+    # w = a^-1 (sigma + k) with the constant k that makes w mean-zero
+    a_inv = 1.0 / a_edge
+    s = a_inv * sigma
+    w = s - a_inv * (s.mean() / a_inv.mean())
     # step 3: u = (pi grad0)^-1 w
-    u = np.linalg.solve(gtg, g.T @ w)
+    u = _tridiag_solve(lap, _gt_apply(w, dx_inv))
 
-    direct = np.linalg.solve(g.T @ np.diag(a_edge) @ g, f_nodes)
+    off, diag = _laplacian_bands(dx_inv, a_edge)
+    direct = _tridiag_solve(_tridiag_factor(off, diag, off), f_nodes)
     scale = max(float(np.linalg.norm(direct)), NORM_FLOOR)
     gap = float(np.linalg.norm(u - direct)) / scale
     if gap > cross_check_tol:

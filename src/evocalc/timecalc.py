@@ -1,11 +1,12 @@
 """Discrete causal time calculus: derivative, antiderivative, resolvents,
 the weighted Fourier transform, and spectral multipliers.
 
-The discrete pair is chosen so that the algebra is exact on the lattice:
+The discrete pair is chosen so that the algebra holds on the lattice:
 `derivative` is the backward difference with zero history and
 `antiderivative` is the inclusive cumulative sum scaled by dt.  They are
-mutual inverses bit-for-bit, so solver identities downstream hold exactly
-instead of up to O(dt).
+mutual inverses up to the rounding of the cumulative sum (bit-exact only
+where every partial sum is exact; see `antiderivative`), so solver
+identities downstream hold to roundoff instead of up to O(dt).
 """
 
 from __future__ import annotations

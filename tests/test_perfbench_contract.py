@@ -48,6 +48,15 @@ def test_kernel_operations_build(ev, tmp_path):
     assert all(callable(op.run) and callable(op.check) for op in ops)
 
 
+def test_elliptic_kernels_pass_their_checks(ev, tmp_path):
+    # cheap kernels run here too, so a digest drift fails before the benchmark
+    ops = [op for op in workloads.operations(ev, "kernels", workloads.DEFAULT_SEED, tmp_path)
+           if op.name.startswith("solvers.elliptic_solve.")]
+    assert len(ops) == 2
+    for op in ops:
+        assert op.check(op.run()) is None, op.name
+
+
 def test_ladder_operations_build(ev, tmp_path):
     ops = workloads.operations(ev, "ladders", workloads.DEFAULT_SEED, tmp_path)
     assert sorted(op.name for op in ops) == sorted(

@@ -2,6 +2,7 @@
 the exchange identity, and the elliptic factorization."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,6 +243,57 @@ class TestEvoPde:
         f = Signal(g, np.exp(-(((g.times - 2.0) / 0.5) ** 2)))
         u = solve_evo_pde(sys_pde, f, nu=1.0)
         assert norm_nu(u) <= (1.0 / 2.0) * norm_nu(f) * 1.05
+
+
+class TestPdeChecks:
+    """The positivity certificate and the spot causality check of
+    `solve_evo_pde`."""
+
+    def test_skew_positivity_checked_at_every_node(self):
+        # M dips below c at a single node that a spot check could skip
+        g = TimeGrid(0.0, 0.01, 301, 1.0)
+        M = Coefficient.scalar_profile(lambda t: 0.2 if abs(t - 1.37) < 1e-9 else 1.0,
+                                       deriv=lambda t: 0.0)
+        sys_pde = PdeSystem.dense_small(M, Coefficient.constant([[0.0]]),
+                                        SpatialOperator.skew_matrix([[0.0]]), c=0.9)
+        f = Signal(g, np.exp(-(((g.times - 1.0) / 0.5) ** 2)))
+        with pytest.raises(ValueError, match="positivity certificate fails at t=1.37"):
+            solve_evo_pde(sys_pde, f, nu=1.0)
+
+    @staticmethod
+    def leaking(steps):
+        """A stepper that adds the next node's input to every state."""
+        def leaky(sys, rows, grid):
+            rows = np.asarray(rows)
+            for k, u in enumerate(steps(sys, rows, grid)):
+                yield u + rows[min(k + 1, len(rows) - 1)]
+        return leaky
+
+    def systems(self):
+        m_x = 8
+        heat = PdeSystem.heat(1.5 + np.cos(np.linspace(0.0, 3.0, m_x + 1)))
+        skew = PdeSystem.dense_small(
+            Coefficient.constant(np.eye(2), 1.0), Coefficient.constant(0.2 * np.eye(2)),
+            SpatialOperator.skew_matrix(rand_skew(np.random.default_rng(3), 2)), c=1.0)
+        return [heat, skew]
+
+    def drive(self, g, dim):
+        return Signal(g, np.outer(np.exp(-(((g.times - 1.0) / 0.6) ** 2)), np.ones(dim)))
+
+    def test_causal_systems_pass_and_return_the_single_solve(self):
+        g = TimeGrid(0.0, 0.01, 201, 1.0)
+        for sys_pde in self.systems():
+            f = self.drive(g, sys_pde.state_dim)
+            u = solve_evo_pde(sys_pde, f, nu=1.0)
+            assert np.array_equal(u.values, solvers._dispatch_step(sys_pde, f.values, g))
+
+    def test_leaking_stepper_is_caught(self, monkeypatch):
+        g = TimeGrid(0.0, 0.01, 201, 1.0)
+        monkeypatch.setattr(solvers, "_pde_steps", self.leaking(solvers._pde_steps))
+        for sys_pde in self.systems():
+            with pytest.raises(ValueError, match="causality defect"):
+                solve_evo_pde(sys_pde, self.drive(g, sys_pde.state_dim), nu=1.0,
+                              check_norm=False)
 
 
 class TestCommutatorFormula:
@@ -532,6 +584,32 @@ class TestElliptic:
         with pytest.raises(ValueError):
             elliptic_solve(np.zeros(11), np.ones(10))
 
+    @given(m_x=st.integers(1, 200), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_solve(self, m_x, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.1, 10.0, m_x + 1) + 1j * rng.uniform(-10.0, 10.0, m_x + 1)
+        f = rng.standard_normal(m_x) + 1j * rng.standard_normal(m_x)
+        g = staggered_grad0(m_x)
+        ref = np.linalg.solve(g.T @ np.diag(a) @ g, f)
+        assert np.linalg.norm(elliptic_solve(a, f) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_high_contrast_matches_exact_solution(self):
+        # coefficients drawn from {0.1, 10} at random: a dense LU solve
+        # of G^T a G is off by up to about 1e-11 here, so the reference is
+        # the exact rational solution of the same three-point system
+        m_x = 160
+        rng = np.random.default_rng(4)
+        a = rng.choice([0.1, 10.0], m_x + 1)
+        f = rng.standard_normal(m_x)
+        dx_inv2 = Fraction(1.0 / (1.0 / (m_x + 1))) ** 2
+        a_q, f_q = [Fraction(v) for v in a], [Fraction(v) for v in f]
+        diag = [(a_q[i] + a_q[i + 1]) * dx_inv2 for i in range(m_x)]
+        off = [-a_q[i + 1] * dx_inv2 for i in range(m_x - 1)]
+        # the list kernel is generic: in Fractions it is exact, then rounded
+        ref = _tridiag_solve(_tridiag_factor(off, diag, off), f_q)
+        assert np.linalg.norm(elliptic_solve(a, f) - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_space_profile_coefficient_accepted(self):
         m_x = 40
         x = np.linspace(0, 1, m_x + 2)[1:-1]
@@ -539,6 +617,29 @@ class TestElliptic:
         u = elliptic_solve(a, np.sin(np.pi * x))
         dx = 1.0 / (m_x + 1)
         assert np.max(np.abs(u - np.sin(np.pi * x) / np.pi**2)) <= 6 * dx**2
+
+
+class TestMatrixFreeGradient:
+    """No solver builds the dense staggered gradient."""
+
+    @pytest.mark.parametrize("solve, m_x, limit", [
+        (lambda a, f: elliptic_solve(a, f.values[0]), 1024, 2**20),
+        (lambda a, f: heat_1d_solve(a, f, nu=1.0), 2048, 4 * 2**20),
+        (lambda a, f: wave_1d_solve(a, f, nu=1.0), 2048, 4 * 2**20),
+    ], ids=["elliptic", "heat", "wave"])
+    def test_memory_linear_in_m(self, solve, m_x, limit):
+        # a dense (m+1, m) gradient alone is 33.6 MB at m = 2048
+        g = TimeGrid(0.0, 0.01, 5, 1.0)
+        xi = np.linspace(0.0, 1.0, m_x + 2)[1:-1]
+        f = Signal(g, np.outer(np.ones(g.n), np.sin(np.pi * xi)))
+        a = 1.5 + np.cos(np.linspace(0.0, 3.0, m_x + 1))
+        tracemalloc.start()
+        try:
+            solve(a, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestWaveSolve:
