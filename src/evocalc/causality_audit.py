@@ -67,6 +67,7 @@ def audit_pde(sys: PdeSystem, F: Signal, grid: TimeGrid) -> float:
 
 
 def _audit_skew(sys: PdeSystem, F: Signal, grid: TimeGrid) -> float:
+    # kept for the benchmark's skew-audit operation, which calls it by name
     return audit_pde(sys, F, grid)
 
 

@@ -25,6 +25,7 @@ from .operators import CausalOp, ProbeSet
 from .solvers import (
     OdeBlockSystem,
     PdeSystem,
+    evo_pde_forward,
     evo_pde_solution_map,
     solve_ode_block,
     elliptic_solve,
@@ -79,9 +80,6 @@ class ConvergenceReport:
         })
         self.rows.sort(key=lambda r: r["scale"])
 
-    def column(self, name: str) -> list:
-        return [r[name] for r in self.rows]
-
     def slope(self, column: str = "pairing_error") -> float:
         """Log-log regression slope of a column against the scale."""
         xs = np.array([r["scale"] for r in self.rows], dtype=float)
@@ -133,15 +131,6 @@ class ConvergenceReport:
                     f"{r['bound_rhs']:.12e}",
                     "pass" if r["verdict"] else "fail",
                 ])
-
-    def summary(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.metadata.get("seed"),
-            "rows": len(self.rows),
-            "verdict": "pass" if self.verdict else "fail",
-            "metadata": {k: v for k, v in self.metadata.items() if k != "seed"},
-        }
 
 
 @dataclass(frozen=True)
@@ -533,7 +522,6 @@ def memory_kernel_experiment(
 def eddy_current_experiment(
     eps_scale_profiles: Sequence[tuple],
     eta_list: Sequence[float],
-    nu: float = 1.0,
     t_end: float = 10.0,
     dt: float = 0.01,
     m_x: int = 24,
@@ -555,7 +543,7 @@ def eddy_current_experiment(
     mu = sigma = Coefficient.constant(1.0)
     eps0 = Coefficient.constant(0.0)
     c = 1.0
-    g = staggered_grad0(m_x)
+    sys0 = PdeSystem.maxwell(eps0, mu, sigma, m_x)
     x = np.linspace(0, 1, m_x + 2)[1:-1]
     report = ConvergenceReport(
         "eddy", metadata={"seed": seed, "c": c, "eta_list": list(eta_list)}
@@ -573,16 +561,7 @@ def eddy_current_experiment(
         for J in probes:
             v1 = maxwell_1d_solve(eps0, mu, sigma, J, nu=eta, m_x=m_x, check=False)
             v2_sig = antiderivative(Signal(grid, v1.values))
-            # forward operator of the eps = 0 system applied to J v1:
-            # E-row sigma E + D H with D = -G^T, H-row d(mu H) + G E
-            e_part = v2_sig.values[:, :m_x]
-            h_part = v2_sig.values[:, m_x:]
-            dh = np.empty_like(h_part)
-            dh[0] = h_part[0] / dt
-            dh[1:] = (h_part[1:] - h_part[:-1]) / dt
-            y_e = e_part - (g.T @ h_part.T).T
-            y_h = dh + (g @ e_part.T).T
-            y = Signal(grid, np.concatenate([y_e, y_h], axis=1))
+            y = evo_pde_forward(sys0, v2_sig)  # the eps = 0 operator applied to J v1
             j_norm = max(norm_nu(J, nu=eta), NORM_FLOOR)
             for i, (_, eps_n, _, _) in enumerate(eps_scale_profiles):
                 v4 = evo_pde_solution_map(PdeSystem.maxwell(eps_n, mu, sigma, m_x), grid)(y)
@@ -683,11 +662,11 @@ def wave_g_convergence_experiment(
         g = staggered_grad0(m_x)
         du = (g @ (u_eps - u_0)).real
         dx_e = 1.0 / (m_x + 1)
+        ref = np.sqrt(np.sum(np.abs(g @ u_0) ** 2) * dx_e)
         worst = 0.0
         for hx in (np.sin(np.pi * xe), np.cos(2 * np.pi * xe), ((xe > 0.1) & (xe < 0.6)).astype(float)):
             pair = abs(np.sum(hx * du) * dx_e)
             nh = np.sqrt(np.sum(hx**2) * dx_e)
-            ref = np.sqrt(np.sum(np.abs(g @ u_0) ** 2) * dx_e)
             worst = max(worst, pair / max(nh * ref, NORM_FLOOR))
         l2 = float(np.linalg.norm(u_eps - u_0) / max(np.linalg.norm(u_0), NORM_FLOOR))
         premise.add_row(n, worst, max(worst, l2), max(worst, l2))

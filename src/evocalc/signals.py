@@ -89,14 +89,13 @@ class Signal:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex, order="C")  # a private copy
         if v.ndim == 1:
             v = v[:, None]
         if v.shape[0] != self.grid.n:
             raise ValueError(
                 f"values has {v.shape[0]} rows, grid has {self.grid.n} nodes"
             )
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -214,7 +213,6 @@ class Coefficient:
     dim: int
     sampler: Callable[[float], np.ndarray]
     pos_const: float | None = None
-    lip_const: float | None = None
     deriv_sampler: Callable[[float], np.ndarray] | None = None
     kind: str = "time-profile"
     diagonal: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -227,7 +225,6 @@ class Coefficient:
             dim=m.shape[0],
             sampler=lambda t, _m=m: _m,
             pos_const=pos_const,
-            lip_const=0.0,
             deriv_sampler=lambda t, _z=zero: _z,
             kind="constant-matrix",
         )
@@ -245,7 +242,6 @@ class Coefficient:
             dim=len(vals),
             sampler=lambda t: np.diag(vals),
             pos_const=pos_const,
-            lip_const=0.0,
             deriv_sampler=lambda t: np.zeros((len(vals),) * 2, dtype=complex),
             kind="space-profile",
             diagonal=vals,

@@ -24,9 +24,12 @@ __all__ = [
     "PdeSystem",
     "SpatialOperator",
     "solve_ode_block",
+    "solve_ode_block_stepping",
+    "solve_ode_block_neumann",
     "picard_solve",
     "solve_evo_pde",
     "evo_pde_solution_map",
+    "evo_pde_forward",
     "funid_residual",
     "maxwell_1d_solve",
     "heat_1d_solve",
@@ -233,38 +236,42 @@ class OdeBlockSystem:
         return (self.c * ns["N00"] + ns["N01"] * ns["N10"]) / (nu * self.c**2)
 
 
+def _step_dense(Ms, mats, rows, dt: float):
+    """Backward difference of M u, one dense solve per node: mats[k] u_k =
+    f_k + (M u)_{k-1}/dt with M = Ms[k] on the leading rows (any rows past
+    them are an algebraic leg with no memory).  Yields u node by node for
+    RHS rows of shape (m,) or (m, K)."""
+    m0 = Ms.shape[1]
+    batch, rows = _batch_shape(rows)
+    mu_prev = np.zeros((mats.shape[1],) + batch, dtype=complex)  # (M u) at the previous node
+    for k, f in enumerate(rows):
+        uk = np.linalg.solve(mats[k], f + mu_prev / dt)
+        mu_prev[:m0] = Ms[k] @ uk[:m0]
+        yield uk
+
+
 def _step_ode_block(sys: OdeBlockSystem, rows, grid: TimeGrid):
-    """Causal time stepping for (d/dt diag(M,0) + N) U = F, backward
-    difference applied to the product M u; yields U node by node for RHS
-    rows of shape (m,) or (m, K)."""
-    m0, m1 = sys.m0, sys.m1
-    dt = grid.dt
+    """Stepper of (d/dt diag(M,0) + N) U = F, derivative on the first leg."""
     Ms = sys.M.sample_all(grid)
-    blks = Ms / dt + sys.N00.sample_all(grid)
-    if m1:
+    blks = Ms / grid.dt + sys.N00.sample_all(grid)
+    if sys.m1:
         blks = np.concatenate([
             np.concatenate([blks, sys.N01.sample_all(grid)], axis=2),
             np.concatenate([sys.N10.sample_all(grid), sys.N11.sample_all(grid)], axis=2),
         ], axis=1)
-    batch, rows = _batch_shape(rows)
-    mu_prev = np.zeros((m0,) + batch, dtype=complex)  # (M u) at the previous node
-    for k, f in enumerate(rows):
-        rhs = np.array(f, dtype=complex)
-        rhs[:m0] += mu_prev / dt
-        uk = np.linalg.solve(blks[k], rhs)
-        mu_prev = Ms[k] @ uk[:m0]
-        yield uk
+    return _step_dense(Ms, blks, rows, grid.dt)
 
 
-def _solve_ode_block_stepping(sys: OdeBlockSystem, F: Signal, grid: TimeGrid) -> np.ndarray:
+def solve_ode_block_stepping(sys: OdeBlockSystem, F: Signal, grid: TimeGrid) -> np.ndarray:
+    """Route (b) of `solve_ode_block` alone: causal stepping, values (n, m)."""
     return np.array(list(_step_ode_block(sys, F.values, grid)))
 
 
-def _solve_ode_block_neumann(
+def solve_ode_block_neumann(
     sys: OdeBlockSystem, F: Signal, grid: TimeGrid, nu: float, tol: float
 ) -> np.ndarray:
-    """Geometric-series route through the triangular factorization of the
-    block operator; truncation index fixed a priori from theta."""
+    """Route (a) of `solve_ode_block` alone: the geometric series through the
+    triangular block factorization, truncated a priori from theta."""
     m0, m1 = sys.m0, sys.m1
     Ms = sys.M.sample_all(grid)
     M_inv = np.linalg.inv(Ms)
@@ -325,8 +332,8 @@ def solve_ode_block(
     theta = sys.theta(grid, nu)
     if not theta < 1:
         raise ValueError(f"contraction fails: theta={theta:.3f} >= 1 at nu={nu}")
-    u_step = _solve_ode_block_stepping(sys, F, grid)
-    u_neum = _solve_ode_block_neumann(sys, F, grid, nu, tol)
+    u_step = solve_ode_block_stepping(sys, F, grid)
+    u_neum = solve_ode_block_neumann(sys, F, grid, nu, tol)
     sig_step = Signal(grid, u_step)
     scale = max(norm_nu(sig_step), NORM_FLOOR)
     gap = norm_nu(Signal(grid, u_step - u_neum)) / scale
@@ -512,16 +519,9 @@ def _pde_check(sys: PdeSystem, grid: TimeGrid, nu: float):
 
 
 def _step_skew_dense(sys: PdeSystem, rows, grid: TimeGrid):
-    dt = grid.dt
-    A = sys.A.dense()
     Ms = sys.M.sample_all(grid)
-    mats = Ms / dt + sys.N.sample_all(grid) + A
-    batch, rows = _batch_shape(rows)
-    mu_prev = np.zeros((A.shape[0],) + batch, dtype=complex)
-    for k, f in enumerate(rows):
-        uk = np.linalg.solve(mats[k], f + mu_prev / dt)
-        mu_prev = Ms[k] @ uk
-        yield uk
+    mats = Ms / grid.dt + sys.N.sample_all(grid) + sys.A.dense()
+    return _step_dense(Ms, mats, rows, grid.dt)
 
 
 def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
@@ -597,7 +597,6 @@ def solve_evo_pde(
     sys: PdeSystem,
     f: Signal,
     nu: float | None = None,
-    tol: float = 1e-8,
     check_causality: bool = True,
     check_norm: bool = True,
 ) -> Signal:
@@ -656,6 +655,28 @@ def evo_pde_solution_map(sys: PdeSystem, grid: TimeGrid):
     return act
 
 
+def evo_pde_forward(sys: PdeSystem, u: Signal) -> Signal:
+    """The forward operator (d/dt M + N + A) u on u's grid, d/dt the
+    steppers' backward difference, so that it inverts the solution map to
+    roundoff.  Covers the skew-matrix and grad-div kinds."""
+    grid = u.grid
+    v = u.values
+    if sys.A.kind == "skew-matrix":
+        mu = np.einsum("kab,kb->ka", sys.M.sample_all(grid), v)
+        nv = np.einsum("kab,kb->ka", sys.N.sample_all(grid), v)
+        av = v @ sys.A.dense().T
+    elif sys.A.kind == "grad0-div-1d":
+        m, dx_inv = sys.A.m_x, _dx_inv(sys.A.m_x, sys.A.length)
+        m0, m1, n0, n1 = _sample_legs(sys, grid)
+        e, h = v[:, :m], v[:, m:]
+        mu = np.concatenate([m0 * e, m1 * h], axis=1)
+        nv = np.concatenate([n0 * e, n1 * h], axis=1)
+        av = np.concatenate([-_gt_apply(h.T, dx_inv).T, _g_apply(e.T, dx_inv).T], axis=1)
+    else:
+        raise ValueError(f"no forward operator for spatial kind {sys.A.kind}")
+    return derivative(Signal(grid, mu)) + Signal(grid, nv) + Signal(grid, av)
+
+
 # ---------------------------------------------------------------------------
 # fundamental identity and continuity estimate
 # ---------------------------------------------------------------------------
@@ -685,21 +706,16 @@ def funid_residual(
     sol_mn = evo_pde_solution_map(sys_mn, grid)
     sol_op = evo_pde_solution_map(sys_op, grid)
 
-    fw = Signal(grid, f.values)
-    u = sol_op(fw)
+    u = sol_op(Signal(grid, f.values))
     ju = antiderivative(u)
-    # y = B_OP J u  (forward operator applied to the smoothed state)
+    y = evo_pde_forward(sys_op, ju)  # B_OP J u, the forward map of the smoothed state
     O_mats = O.sample_all(grid)
-    P_mats = P.sample_all(grid)
     M_mats = M.sample_all(grid)
     N_mats = N.sample_all(grid)
-    o_ju = Signal(grid, np.einsum("kab,kb->ka", O_mats, ju.values))
-    y = derivative(o_ju) + Signal(grid, np.einsum("kab,kb->ka", P_mats, ju.values))
-    y = y + Signal(grid, ju.values @ A.dense().T)
     lhs = sol_mn(y) - sol_op(y)
 
     dM = O_mats - M_mats
-    dN = P_mats - N_mats
+    dN = P.sample_all(grid) - N_mats
     dMp = np.zeros_like(dM)
     if O.deriv_sampler is not None or M.deriv_sampler is not None:
         Od = O.sample_deriv_all(grid) if O.deriv_sampler is not None else np.zeros_like(O_mats)
@@ -739,39 +755,32 @@ def maxwell_1d_solve(
     every node where a coefficient varies in time; eps = 0 is admissible
     (eddy-current regime).
     """
-    m_x = J.dim if m_x is None else m_x
-    grid = J.grid.with_nu(nu)
-    sys = PdeSystem.maxwell(eps, mu, sigma, m_x, length, c)
-    _pde_check(sys, grid, nu)
-    F = np.zeros((grid.n, 2 * m_x + 1), dtype=complex)
-    F[:, :m_x] = J.values
-    u = Signal(grid, _dispatch_step(sys, F, grid))
-    if check and norm_nu(u) > (1.0 / c) * norm_nu(Signal(grid, F)) * 1.05 + 1e-14:
-        raise ValueError("maxwell norm bound violated")
-    return u
+    sys = PdeSystem.maxwell(eps, mu, sigma, J.dim if m_x is None else m_x, length, c)
+    return _solve_driven(sys, J, nu, check)
 
 
-def _solve_driven_1d(build, a_edge, f: Signal, nu: float, length: float) -> Signal:
-    """Solve the 1D system that `build` makes from edge values (an array or
-    a space-profile Coefficient), driven by f on its u-leg."""
-    if isinstance(a_edge, Coefficient):
-        a_edge = a_edge.diagonal_values()
-    grid = f.grid.with_nu(nu)
-    sys = build(a_edge, length, nu=nu)
-    m_x = sys.A.m_x
-    F = np.zeros((grid.n, 2 * m_x + 1), dtype=complex)
-    F[:, :m_x] = f.values
-    return Signal(grid, _dispatch_step(sys, F, grid))
+def _solve_driven(sys: PdeSystem, f: Signal, nu: float, check_norm: bool = False) -> Signal:
+    """`solve_evo_pde` of a 1D system driven by f on its u-leg, without the
+    spot causality check."""
+    F = np.zeros((f.grid.n, sys.state_dim), dtype=complex)
+    F[:, :sys.A.m_x] = f.values
+    return solve_evo_pde(sys, Signal(f.grid, F), nu=nu, check_causality=False,
+                         check_norm=check_norm)
+
+
+def _edge_values(a_edge):
+    """Edge values from an array or a space-profile Coefficient."""
+    return a_edge.diagonal_values() if isinstance(a_edge, Coefficient) else a_edge
 
 
 def heat_1d_solve(a_edge, f: Signal, nu: float, length: float = 1.0) -> Signal:
     """Heat flow with edge-sampled conductivity; f drives the theta leg."""
-    return _solve_driven_1d(PdeSystem.heat, a_edge, f, nu, length)
+    return _solve_driven(PdeSystem.heat(_edge_values(a_edge), length, nu=nu), f, nu)
 
 
 def wave_1d_solve(a_edge, f: Signal, nu: float, length: float = 1.0) -> Signal:
     """First-order wave system driven on the velocity leg; returns (v, p)."""
-    return _solve_driven_1d(PdeSystem.wave, a_edge, f, nu, length)
+    return _solve_driven(PdeSystem.wave(_edge_values(a_edge), length, nu=nu), f, nu)
 
 
 # ---------------------------------------------------------------------------

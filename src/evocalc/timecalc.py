@@ -217,7 +217,7 @@ def shift_multiplier(h: float) -> MultiplierFunction:
     return MultiplierFunction.scalar(lambda z: np.exp(h / z))
 
 
-def spectrum_of_antiderivative(grid: TimeGrid, kmax: int = 0):
+def spectrum_of_antiderivative(grid: TimeGrid):
     """Spectral picture of the causal antiderivative on the window.
 
     Returns (circle_deviation, h_samples): h_samples are the frequency
@@ -230,8 +230,7 @@ def spectrum_of_antiderivative(grid: TimeGrid, kmax: int = 0):
     if not grid.nu > 0:
         raise ValueError("spectrum requires nu > 0")
     r = 1.0 / (2.0 * grid.nu)
-    n_freq = grid.n if kmax <= 0 else min(kmax, grid.n)
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dt)[:n_freq]
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dt)
     h_samples = 1.0 / (1j * xi + grid.nu)
     circle_deviation = float(np.max(np.abs(np.abs(h_samples - r) - r)))
     return circle_deviation, h_samples

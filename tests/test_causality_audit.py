@@ -14,8 +14,8 @@ from evocalc.solvers import (
     SpatialOperator,
     _dispatch_step,
     _pde_steps,
-    _solve_ode_block_stepping,
     _step_ode_block,
+    solve_ode_block_stepping,
 )
 
 M_X = 8
@@ -142,7 +142,7 @@ class TestBatchedStepping:
         g = grid(32)
 
         def single(sys, F, g):
-            return _solve_ode_block_stepping(sys, Signal(g, F), g)
+            return solve_ode_block_stepping(sys, Signal(g, F), g)
 
         batched_matches_single(_step_ode_block, single, sys, g, rng, sys.m0 + sys.m1)
 

@@ -90,3 +90,25 @@ def test_tracer_installs_and_uninstalls(ev, tmp_path):
     assert metrics["causality_audit.cuts"] == workloads.AUDIT_N
     assert layer_functions() == before
     assert {kind: pde.__dict__[kind] for kind in layertrace.PDE_KINDS} == constructors
+
+
+def resolves(member: str) -> bool:
+    """Whether a trace-group member names a function the tracer wraps: a
+    layer function `name` or `_name`, a `METHODS` entry, or an audit entry
+    with its PDE-kind label."""
+    entry, _, kind = member.rpartition(".")
+    if entry in layertrace.AUDIT_ENTRIES and kind in layertrace.PDE_KINDS:
+        member = entry
+    layer, _, name = member.partition(".")
+    module = importlib.import_module(f"evocalc.{layer}")
+    for mod_layer, cls_name, meth in layertrace.METHODS:
+        if (mod_layer, meth) == (layer, name):
+            return inspect.isfunction(vars(getattr(module, cls_name)).get(meth))
+    return any(inspect.isfunction(fn) and fn.__module__ == module.__name__
+               for fn in (getattr(module, name, None), getattr(module, f"_{name}", None)))
+
+
+def test_trace_group_members_resolve():
+    # a renamed or merged function would leave its group reading zero
+    members = {m for group in layertrace.GROUPS.values() for m in group}
+    assert sorted(m for m in members if not resolves(m)) == []

@@ -16,6 +16,8 @@ from evocalc.solvers import (
     PdeSystem,
     SpatialOperator,
     elliptic_solve,
+    evo_pde_forward,
+    evo_pde_solution_map,
     funid_residual,
     heat_1d_solve,
     maxwell_1d_solve,
@@ -651,3 +653,61 @@ class TestWaveSolve:
         u = wave_1d_solve(2.0 + np.sin(2 * np.pi * np.linspace(0, 1, m_x + 1)), F, nu=1.0)
         p = u.values[:, m_x:]
         assert np.max(np.abs(p.mean(axis=1))) <= 1e-12 * max(np.max(np.abs(p)), 1.0)
+
+
+class TestForwardMap:
+    """`evo_pde_forward` inverts the solution map, and the 1D wrappers are
+    the solution map of the system they build."""
+
+    M_X = 12
+
+    def systems(self):
+        xe = np.linspace(0.0, 1.0, self.M_X + 1)
+        eps = Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t),
+                                         deriv=lambda t: -0.25 * np.sin(t))
+        one = Coefficient.constant(1.0)
+        M = Coefficient.scalar_profile(lambda t: 1.0 + 0.3 * np.sin(t), dim=3,
+                                       deriv=lambda t: 0.3 * np.cos(t))
+        return {
+            "heat": PdeSystem.heat(1.0 + 0.5 * np.sin(2 * np.pi * xe)),
+            "maxwell": PdeSystem.maxwell(eps, one, one, self.M_X),
+            "maxwell-eps0": PdeSystem.maxwell(Coefficient.constant(0.0), one, one, self.M_X),
+            "skew": PdeSystem.dense_small(
+                M, Coefficient.constant(0.2 * np.eye(3)),
+                SpatialOperator.skew_matrix(rand_skew(np.random.default_rng(2), 3)), c=0.5),
+        }
+
+    @pytest.mark.parametrize("kind", ["heat", "maxwell", "maxwell-eps0", "skew"])
+    def test_inverts_the_solution_map(self, kind):
+        sys_pde = self.systems()[kind]
+        g = TimeGrid(0.0, 0.01, 301, 1.0)
+        rng = np.random.default_rng(7)
+        shape = (g.n, sys_pde.state_dim)
+        f = Signal(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        back = evo_pde_forward(sys_pde, evo_pde_solution_map(sys_pde, g)(f))
+        assert np.linalg.norm(back.values - f.values) <= 1e-12 * np.linalg.norm(f.values)
+
+    def test_wave_kind_rejected(self):
+        g = TimeGrid(0.0, 0.01, 11, 1.0)
+        sys_pde = PdeSystem.wave(np.full(self.M_X + 1, 2.0))
+        with pytest.raises(ValueError, match="no forward operator"):
+            evo_pde_forward(sys_pde, Signal.zero(g, sys_pde.state_dim))
+
+    def test_1d_wrappers_are_the_solution_map(self):
+        g = TimeGrid(0.0, 0.01, 201, 1.0)
+        nu = 1.5
+        a = 1.5 + np.cos(np.linspace(0.0, 3.0, self.M_X + 1))
+        J = Signal(g, np.random.default_rng(8).standard_normal((g.n, self.M_X)))
+        eps = Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t),
+                                         deriv=lambda t: -0.25 * np.sin(t))
+        one = Coefficient.constant(1.0)
+        cases = [
+            (heat_1d_solve(a, J, nu), PdeSystem.heat(a, nu=nu)),
+            (wave_1d_solve(a, J, nu), PdeSystem.wave(a, nu=nu)),
+            (maxwell_1d_solve(eps, one, one, J, nu), PdeSystem.maxwell(eps, one, one, self.M_X)),
+        ]
+        F = np.zeros((g.n, 2 * self.M_X + 1), dtype=complex)
+        F[:, :self.M_X] = J.values
+        for u, sys_pde in cases:
+            ref = evo_pde_solution_map(sys_pde, g.with_nu(nu))(Signal(g, F))
+            assert np.array_equal(u.values, ref.values)
