@@ -133,8 +133,19 @@ def _write_outputs(report: ConvergenceReport, out_base: Path, runtime: float, se
         "metadata": {k: v for k, v in report.metadata.items() if k != "seed"},
     }
     with open(out_base.with_suffix(".json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=str)
+        json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True, default=str,
+                  allow_nan=False)
     return summary
+
+
+def _finite_or_null(obj):
+    """A copy of a summary with every non-finite float as None, so the JSON
+    file is strict RFC 8259 (no bare NaN or Infinity tokens)."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def run(config_path, out_override=None, verbose=False) -> int:

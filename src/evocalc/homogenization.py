@@ -13,7 +13,6 @@ acceptance demands it, a negative control that must fail the same gate.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .signals import NORM_FLOOR, Coefficient, Signal, TimeGrid, inner_nu, norm_nu
 from .timecalc import antiderivative
-from .operators import CausalOp, ProbeSet
+from .operators import CausalOp, ProbeSet, probe_sup, series_terms
 from .solvers import (
     OdeBlockSystem,
     PdeSystem,
@@ -185,11 +184,7 @@ def weak_pairing_error(S_n, S_lim, probes: ProbeSet, nu: float) -> float:
 def strong_error(S_n, S_lim, probes: ProbeSet, nu: float) -> float:
     """Max over probes of |(S_n - S_lim) phi| / |phi|."""
     apply_n, apply_lim = _as_callable(S_n), _as_callable(S_lim)
-    worst = 0.0
-    for phi in probes:
-        nphi = max(norm_nu(phi, nu=nu), NORM_FLOOR)
-        worst = max(worst, norm_nu(apply_n(phi) - apply_lim(phi), nu=nu) / nphi)
-    return worst
+    return probe_sup(lambda phi: apply_n(phi) - apply_lim(phi), probes, nu)
 
 
 def norm_error_estimate(S_n, S_lim, probes: ProbeSet, nu: float) -> float:
@@ -324,21 +319,16 @@ def ode_weak_limit_equation(
     if not theta < 1:
         raise ValueError(f"series certificate fails: theta={theta} >= 1")
     surrogate_bound = theta / (c * (1.0 - theta))
-    worst = 0.0
-    for phi in probes:
-        nphi = max(norm_nu(phi), NORM_FLOOR)
-        acc = Signal.zero(phi.grid, phi.dim)
-        for P in P_seq:
-            acc = acc + P(phi)
-        worst = max(worst, norm_nu(acc) / nphi)
+    worst = probe_sup(
+        lambda phi: sum((P(phi) for P in P_seq), Signal.zero(phi.grid, phi.dim)), probes)
     if worst > surrogate_bound * (1 + 1e-6):
         raise ValueError(
             f"probe surrogate of |sum P_k| = {worst:.3e} exceeds "
             f"theta/(c(1-theta)) = {surrogate_bound:.3e}"
         )
     r_contraction = min(0.5 * max(c, 1e-6), 0.9)
-    l_max = max(1, int(math.ceil(math.log(max(tol, 1e-300) * (1 - r_contraction))
-                                 / math.log(r_contraction))))
+    # remainder r^L / (1 - r) <= tol
+    l_max = max(1, series_terms(r_contraction, 1 / r_contraction, max(tol, 1e-300)))
 
     def r_apply(f: Signal) -> Signal:
         out = Signal.zero(f.grid, f.dim)

@@ -32,6 +32,8 @@ __all__ = [
     "invert_accretive",
     "transfer_function",
     "nu_independence_defect",
+    "probe_sup",
+    "series_terms",
 ]
 
 DENSE_LIMIT = 4096
@@ -290,6 +292,28 @@ def _weight_vector(grid: TimeGrid, nu: float, dim: int) -> np.ndarray:
     return np.repeat(w, dim)
 
 
+def probe_sup(residual: Callable[[Signal], Signal], probes, nu: float | None = None) -> float:
+    """Max over probes f of |residual(f)| / max(|f|, NORM_FLOOR) in the
+    nu-weighted norm, taken in probe order from 0.0."""
+    worst = 0.0
+    for f in probes:
+        worst = max(worst, norm_nu(residual(f), nu=nu) / max(norm_nu(f, nu=nu), NORM_FLOOR))
+    return worst
+
+
+def series_terms(theta: float, prefactor: float, tol: float) -> int:
+    """Smallest K with a-priori geometric remainder theta^(K+1)/(1 - theta)
+    * prefactor <= tol; raises past 10,000 terms."""
+    k_max = 0
+    rem = theta / (1 - theta) * prefactor
+    while rem > tol:
+        k_max += 1
+        rem *= theta
+        if k_max > 10_000:
+            raise ValueError("series truncation index exploded; theta too close to 1")
+    return k_max
+
+
 def _power_norm(normal_map, norm, v, budget: int) -> float:
     """Largest singular value of A by power iteration of `normal_map`
     (v -> A* A v) from v, stopping at relative change 1e-12; warns with the
@@ -325,7 +349,7 @@ def op_norm(
     Dense path (n*dim <= 4096): exact largest singular value of the weighted
     similarity W^(1/2) S W^(-1/2).  Otherwise power iteration on the weighted
     adjoint composition (needs dense anyway for the adjoint) or, as a last
-    resort, the best probe ratio, which is flagged by raising.
+    resort, the best probe ratio (`probe_sup`), which needs `probes`.
     """
     nu = S.grid.nu if nu is None else nu
     size = S.grid.n * S.dim_in
@@ -347,12 +371,7 @@ def op_norm(
     if S.dense is None:
         if probes is None:
             raise ValueError("op_norm without dense materialization needs probes")
-        best = 0.0
-        for f in probes:
-            nf = norm_nu(f, nu=nu)
-            if nf > NORM_FLOOR:
-                best = max(best, norm_nu(S(f), nu=nu) / nf)
-        return best
+        return probe_sup(S, probes, nu)
     w_in = _weight_vector(S.grid, nu, S.dim_in)
     w_out = _weight_vector(S.grid, nu, S.dim_out)
     A = np.sqrt(w_out)[:, None] * S.dense / np.sqrt(w_in)[None, :]
@@ -375,13 +394,10 @@ def causality_defect(
     the cut.
     """
     nu = S.grid.nu if nu is None else nu
-    worst = 0.0
-    for f in probes:
-        nf = max(norm_nu(f, nu=nu), NORM_FLOOR)
-        lhs = truncate_before(S(f), t)
-        rhs = truncate_before(S(truncate_before(f, t)), t)
-        worst = max(worst, norm_nu(lhs - rhs, nu=nu) / nf)
-    return worst
+    return probe_sup(
+        lambda f: truncate_before(S(f), t) - truncate_before(S(truncate_before(f, t)), t),
+        probes, nu,
+    )
 
 
 def strong_causality_constant(
@@ -422,28 +438,15 @@ def neumann_inverse(
     if not theta_bound < 1:
         raise ValueError(f"no contraction: theta_bound={theta_bound} >= 1")
     step = compose(A_inv, N)
+    norm_a = 1.0
     if probes is not None:
-        observed = 0.0
-        for f in probes:
-            nf = norm_nu(f)
-            if nf > NORM_FLOOR:
-                observed = max(observed, norm_nu(step(f)) / nf)
+        observed = probe_sup(step, probes)
         if observed > theta_bound * (1 + 1e-9):
             raise ValueError(
                 f"contraction certificate violated on probes: {observed} > {theta_bound}"
             )
-    norm_a = 1.0 if probes is None else max(
-        (norm_nu(A_inv(f)) / max(norm_nu(f), NORM_FLOOR) for f in probes),
-        default=1.0,
-    )
-    theta = max(theta_bound, 1e-12)
-    k_max = 0
-    rem = theta / (1 - theta) * max(norm_a, 1.0)
-    while rem > tol:
-        k_max += 1
-        rem *= theta
-        if k_max > 10_000:
-            raise ValueError("series truncation index exploded; theta too close to 1")
+        norm_a = probe_sup(A_inv, probes)
+    k_max = series_terms(max(theta_bound, 1e-12), max(norm_a, 1.0), tol)
 
     def act(f: Signal) -> Signal:
         base = A_inv(f)
@@ -554,14 +557,11 @@ def transfer_function(
             "theorem hypothesis (translation invariance) violated"
         )
 
-    def laplace(values: np.ndarray, z: complex) -> np.ndarray:
-        kernel = np.exp(-z * t)
-        w = np.full(grid.n, grid.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return (w * kernel) @ values
+    w = grid.with_nu(0.0).quad_weights()  # plain trapezoid weights
 
-    denom_cache = {}
+    def laplace(values: np.ndarray, z: complex) -> np.ndarray:
+        return (w * np.exp(-z * t)) @ values
+
     out = []
     responses = []
     for j in range(S.dim_in):
@@ -569,9 +569,7 @@ def transfer_function(
         e[:, j] = bump
         responses.append(S(Signal(grid, e)).values)
     for z in z_samples:
-        if z not in denom_cache:
-            denom_cache[z] = laplace(bump[:, None], z)[0]
-        denom = denom_cache[z]
+        denom = laplace(bump[:, None], z)[0]
         if abs(denom) < 1e-14:
             raise ValueError(f"probe transform vanishes at z={z}")
         m = np.empty((S.dim_out, S.dim_in), dtype=complex)
@@ -597,8 +595,4 @@ def nu_independence_defect(
     if not (0 < nu1 < nu2):
         raise ValueError(f"need 0 < nu1 < nu2, got {nu1}, {nu2}")
     S1, S2 = S_builder(nu1), S_builder(nu2)
-    worst = 0.0
-    for f in probes:
-        nf = max(norm_nu(f, nu=0.0), NORM_FLOOR)
-        worst = max(worst, norm_nu(S1(f) - S2(f), nu=0.0) / nf)
-    return worst
+    return probe_sup(lambda f: S1(f) - S2(f), probes, nu=0.0)

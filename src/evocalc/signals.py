@@ -159,8 +159,12 @@ def inner_nu(f: Signal, g: Signal, nu: float | None = None) -> complex:
     """
     _check_compatible(f, g)
     grid = f.grid if nu is None else f.grid.with_nu(nu)
-    w = grid.quad_weights()
-    return complex(np.sum(w * np.sum(np.conj(f.values) * g.values, axis=1)))
+    return _inner_values(grid.quad_weights(), f.values, g.values)
+
+
+def _inner_values(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
+    """The quadrature sum behind `inner_nu` on raw (n, dim) value arrays."""
+    return complex(np.sum(w * np.sum(np.conj(a) * b, axis=1)))
 
 
 def norm_nu(f: Signal, nu: float | None = None) -> float:

@@ -16,8 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .signals import NORM_FLOOR, Coefficient, Signal, TimeGrid, norm_nu, truncate_before
-from .timecalc import antiderivative, derivative
+from .signals import (
+    NORM_FLOOR, Coefficient, Signal, TimeGrid, _inner_values, norm_nu, truncate_before,
+)
+from .timecalc import _cumsum, antiderivative, derivative
+from .operators import series_terms
 
 __all__ = [
     "OdeBlockSystem",
@@ -287,24 +290,16 @@ def solve_ode_block_neumann(
     def apply_nodewise(mats, vals):
         return np.einsum("kab,kb->ka", mats, vals)
 
-    def cum(vals):
-        return grid.dt * np.cumsum(vals, axis=0)
-
     def b_tilde_inv(g: np.ndarray) -> np.ndarray:
         # sum_k T^k (M^-1 J g), T = -(M^-1 J R .), J the causal integral
         theta = sys.theta(grid, nu)
         if not theta < 1:
             raise ValueError(f"series route needs theta < 1, got {theta:.3f} at nu={nu}")
-        base = apply_nodewise(M_inv, cum(g))
-        norm_pref = 1.0 / (sys.c * nu) * 1.05
-        k_max = 0
-        rem = theta / (1 - theta) * norm_pref
-        while rem > tol / 10 and k_max < 10_000:
-            k_max += 1
-            rem *= theta
+        base = apply_nodewise(M_inv, _cumsum(g, grid.dt))
+        k_max = series_terms(theta, 1.0 / (sys.c * nu) * 1.05, tol / 10)
         acc = base.copy()
         for _ in range(k_max):
-            acc = base - apply_nodewise(M_inv, cum(apply_nodewise(R, acc)))
+            acc = base - apply_nodewise(M_inv, _cumsum(apply_nodewise(R, acc), grid.dt))
         return acc
 
     f0 = F.values[:, :m0]
@@ -358,6 +353,8 @@ def picard_solve(
     The working weight is chosen as twice the Lipschitz bound, which makes
     the iteration a 1/2-contraction; the returned signal satisfies the
     backward-difference equation du = F(u) + f nodewise to within 10*tol.
+    `F_rule` maps the whole (n, m) stack of states to an (n, m) array; any
+    other shape raises.
 
     Convergence is in the weighted norm: pointwise accuracy at the window
     tail degrades like exp(2*lip*t) times the iteration gap, so nodal
@@ -367,31 +364,32 @@ def picard_solve(
         raise ValueError(f"Lipschitz bound must be positive, got {lip}")
     nu = 2.0 * lip
     grid = f.grid.with_nu(nu)
-    fv = Signal(grid, f.values)
+    w = grid.quad_weights()
     kappa = 0.5
 
-    def nemitskii(u: Signal) -> Signal:
-        try:  # vectorized rules act on the whole (n, m) stack at once
-            vals = np.asarray(F_rule(u.values), dtype=complex)
-            if vals.shape != u.values.shape:
-                raise ValueError
-        except Exception:
-            vals = np.stack([np.asarray(F_rule(row), dtype=complex) for row in u.values])
-        return Signal(grid, vals)
+    def nemitskii(u: np.ndarray) -> np.ndarray:
+        vals = np.asarray(F_rule(u), dtype=complex)
+        if vals.shape != u.shape:
+            raise ValueError(f"rule mapped the {u.shape} stack to shape {vals.shape}")
+        return vals
 
-    u = Signal.zero(grid, f.dim)
+    u = np.zeros((grid.n, f.dim), dtype=complex)
     for _ in range(max_iter):
-        u_next = antiderivative(nemitskii(u) + fv)
-        gap = norm_nu(u_next - u)
+        u.setflags(write=False)  # a rule that writes to its input raises, not corrupts u
+        u_next = _cumsum(nemitskii(u) + f.values, grid.dt)
+        d = u_next - u
+        gap = float(np.sqrt(max(_inner_values(w, d, d).real, 0.0)))
+        del d  # one (n, m) block fewer alive while the rule runs
         u = u_next
         if gap <= tol * (1 - kappa):
             break
     else:
         raise ValueError(f"fixed point did not reach tol={tol} in {max_iter} iterations")
-    defect = norm_nu(derivative(u) - (nemitskii(u) + fv))
-    if defect > 10 * tol * max(1.0, norm_nu(u)):
+    sol = Signal(grid, u)
+    defect = norm_nu(derivative(sol) - Signal(grid, nemitskii(sol.values) + f.values))
+    if defect > 10 * tol * max(1.0, norm_nu(sol)):
         raise ValueError(f"fixed-point equation defect {defect:.2e} too large")
-    return Signal(f.grid, u.values)
+    return Signal(f.grid, u)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,12 @@ def antiderivative(f: Signal) -> Signal:
         raise ValueError(
             f"antiderivative requires nu > 0 on the grid, got nu={f.grid.nu}"
         )
-    return Signal(f.grid, f.grid.dt * np.cumsum(f.values, axis=0))
+    return Signal(f.grid, _cumsum(f.values, f.grid.dt))
+
+
+def _cumsum(values: np.ndarray, dt: float) -> np.ndarray:
+    """The scaled cumulative sum behind `antiderivative` on raw values."""
+    return dt * np.cumsum(values, axis=0)
 
 
 def resolvent(f: Signal, eps: float) -> Signal:
@@ -86,9 +91,9 @@ def resolvent_series(f: Signal, eps: float, tail: float = 1e-8) -> Signal:
     """Resolvent via the geometric expansion in the causal antiderivative.
 
     Cross-check oracle only: sums c * J * sum_k ((r - J)/(r + eps))^k f with
-    J the antiderivative and r = 1/(2 nu), truncated when the geometric
-    remainder drops below `tail`.  The recursion in `resolvent` is the
-    production path.
+    J the antiderivative and r = 1/(2 nu), truncated at the closed-form index
+    of remainder `tail`, at least 4 terms (`timecalc` sits below
+    `operators.series_terms`).  `resolvent` is the production path.
     """
     nu = f.grid.nu
     if not (nu > 0 and eps > 0):

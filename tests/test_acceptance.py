@@ -19,14 +19,7 @@ from evocalc.timecalc import (
     spectrum_of_antiderivative,
 )
 from evocalc.operators import CausalOp, ProbeSet, op_norm
-from evocalc.homogenization import (
-    dbf_experiment,
-    memory_kernel_experiment,
-    product_mean_limit,
-    strong_error,
-    wave_g_convergence_experiment,
-    weak_pairing_error,
-)
+from evocalc.homogenization import strong_error, weak_pairing_error
 from evocalc.experiments import DEFAULTS, RUNNERS
 
 SEED = 42
@@ -45,6 +38,7 @@ def causality_report():
 
 class TestAcceptance:
     def test_criterion_01_antiderivative_norm_bound(self):
+        """Three weights: spectrum.cfg runs nu = 0.5 alone and perfbench pins its CSV."""
         worst = {}
         for nu in (0.5, 1.0, 2.0):
             grid = TimeGrid(0.0, 0.01, 3001, nu)
@@ -55,6 +49,7 @@ class TestAcceptance:
                + ", ".join(f"{nu}: {e:.4f}<={b:.3f}" for nu, (e, b) in worst.items()))
 
     def test_criterion_02_spectral_circle_and_route_agreement(self):
+        """No shipped config runs the dt = 1e-3 cumsum-vs-spectral agreement."""
         grid = TimeGrid(0.0, 0.01, 2048, 1.0)
         deviation, _ = spectrum_of_antiderivative(grid)
         circle_ok = deviation <= 1e-12
@@ -71,6 +66,7 @@ class TestAcceptance:
                f"cumsum vs spectral antiderivative {rel:.2e} <= 1e-3 (dt=1e-3)")
 
     def test_criterion_03_accretivity_identity(self):
+        """No shipped config computes Re<d phi, phi> = nu <phi, phi>."""
         grid = TimeGrid(**REF)
         rng = np.random.default_rng(SEED)
         worst = 0.0
@@ -121,6 +117,7 @@ class TestAcceptance:
                f"{worst:.2e} <= 10*dt between nu and 2 nu")
 
     def test_criterion_08_topology_separation(self):
+        """No shipped config pairs the weak and strong errors of one operator."""
         grid = TimeGrid(**REF)
         probes = ProbeSet(grid, seed=SEED)
         t = grid.times
@@ -134,8 +131,7 @@ class TestAcceptance:
                f"strong {strong:.4f} within 10% of 1/sqrt(2)")
 
     def test_criterion_09_product_of_means(self):
-        profile = lambda y: np.sin(2 * np.pi * np.asarray(y))
-        rep = product_mean_limit([profile, profile], [8, 16, 32, 64], seed=SEED)
+        rep = RUNNERS["timprod"](dict(DEFAULTS["timprod"]))
         final = rep.rows[-1]["pairing_error"]
         slope = rep.slope()
         ok = final <= 0.02 and slope <= -0.5
@@ -143,12 +139,9 @@ class TestAcceptance:
                f"slope {slope:.2f} <= -0.5")
 
     def test_criterion_10_dbf_harmonic_mean(self):
-        eps = lambda y: 2.0 + np.sin(2 * np.pi * np.asarray(y))
-        mu = lambda y: 2.0 + np.sin(2 * np.pi * np.asarray(y) + 1.0)
-        A = np.array([[0.0, -1.0], [1.0, 0.0]])
-        good = dbf_experiment(eps, mu, A, [64], seed=SEED)
-        straw = dbf_experiment(eps, mu, A, [64], seed=SEED,
-                               limit_coefficients=(2.0, 2.0))
+        cfg = dict(DEFAULTS["dbf"], scales=(64,))
+        good = RUNNERS["dbf"](cfg)
+        straw = RUNNERS["dbf"](dict(cfg, control="arithmetic"))
         g_err = good.rows[-1]["pairing_error"]
         s_err = straw.rows[-1]["pairing_error"]
         ok = g_err <= 0.02 and s_err >= 5 * 0.02
@@ -156,7 +149,7 @@ class TestAcceptance:
                f"arithmetic straw man fails at {s_err:.3f} >= 0.10")
 
     def test_criterion_11_memory_kernel(self):
-        rep = memory_kernel_experiment([8, 16, 32, 64], seed=SEED)
+        rep = RUNNERS["memory-kernel"](dict(DEFAULTS["memory-kernel"]))
         final = rep.rows[-1]["pairing_error"]
         ok = final <= 0.02
         report(11, ok, f"Bessel-kernel convolution limit: pairing {final:.4f} "
@@ -181,8 +174,7 @@ class TestAcceptance:
                f"inverse-coefficient constant verified to {max(gap, 0):.1e}")
 
     def test_criterion_14_wave_g_convergence(self):
-        profile = lambda y: 2.0 + np.sin(2 * np.pi * np.asarray(y))
-        rep = wave_g_convergence_experiment(profile, [8, 16, 32, 64], seed=SEED)
+        rep = RUNNERS["wave"](dict(DEFAULTS["wave"]))
         final = rep.rows[-1]["pairing_error"]
         premise = rep.metadata["elliptic_premise_final"]
         ok = final <= 0.05 and rep.metadata["elliptic_premise_verdict"] == "pass" \

@@ -155,6 +155,17 @@ class TestRun:
         assert "tol=2.0000e-02" in err and "slope_max=" in err
         assert "bound=nan" not in err
 
+    def test_summary_is_strict_json(self, tmp_path):
+        # ladder rows carry no bound: their NaN bound_rhs is written as null
+        p = write(tmp_path / "d.cfg", "experiment = dbf\nscales = 8, 16\n")
+        run(p)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        summary = json.loads((tmp_path / "d.json").read_text(), parse_constant=reject)
+        assert [r["bound_rhs"] for r in summary["rows"]] == [None, None]
+
     def test_csv_bit_identical_across_runs(self, tmp_path):
         p = write(tmp_path / "s.cfg", "experiment = picard\nseed = 42\n")
         run(p, out_override=tmp_path / "r1")

@@ -4,7 +4,7 @@ series inversion, and the transfer-function extraction."""
 import numpy as np
 import pytest
 
-from evocalc.signals import Signal, TimeGrid, norm_nu
+from evocalc.signals import NORM_FLOOR, Signal, TimeGrid, norm_nu
 from evocalc.timecalc import MultiplierFunction, antiderivative, apply_multiplier, derivative
 from evocalc.operators import (
     CausalOp,
@@ -16,6 +16,8 @@ from evocalc.operators import (
     neumann_inverse,
     nu_independence_defect,
     op_norm,
+    probe_sup,
+    series_terms,
     strong_causality_constant,
     transfer_function,
 )
@@ -112,6 +114,44 @@ class TestOpNorm:
             est = op_norm(S, max_iter=200)
         assert est == pytest.approx(1.0, abs=1e-4)
 
+    def test_probe_route_beyond_dense_limit(self):
+        # n * dim > 4096 with neither an adjoint nor a dense matrix: the
+        # estimate is the best probe ratio, and without probes there is none
+        g = TimeGrid(0.0, 0.01, 5000, 1.0)
+        S = CausalOp(grid=g, action=lambda f: 2.0 * f)
+        assert op_norm(S, probes=ProbeSet(g, seed=3)) == pytest.approx(2.0, rel=1e-12)
+        with pytest.raises(ValueError, match="needs probes"):
+            op_norm(S)
+
+
+class TestProbeSup:
+    def test_floored_ratio_at_the_given_weight(self):
+        g = grid_small()
+        probes = list(ProbeSet(g, seed=4)) + [Signal.zero(g)]
+        ramp = np.linspace(0.0, 1.0, g.n)[:, None]
+
+        def residual(f):
+            return Signal(g, ramp * f.values)
+
+        for nu in (None, 0.0, 2.0):
+            expected = max(norm_nu(residual(f), nu=nu) / max(norm_nu(f, nu=nu), NORM_FLOOR)
+                           for f in probes)
+            assert probe_sup(residual, probes, nu) == expected
+        assert probe_sup(residual, []) == 0.0
+
+
+class TestSeriesTerms:
+    @pytest.mark.parametrize("theta", [1e-12, 0.1, 0.5, 0.9, 0.99])
+    def test_smallest_index_meeting_the_remainder(self, theta):
+        pref, tol = 2.0, 1e-10
+        k = series_terms(theta, pref, tol)
+        assert theta ** (k + 1) / (1 - theta) * pref <= tol * (1 + 1e-9)
+        assert k == 0 or theta ** k / (1 - theta) * pref > tol * (1 - 1e-9)
+
+    def test_raises_past_ten_thousand_terms(self):
+        with pytest.raises(ValueError, match="exploded"):
+            series_terms(1 - 1e-6, 1.0, 1e-10)
+
 
 class TestCausalityDiagnostics:
     def test_antiderivative_defect_all_cuts(self):
@@ -185,6 +225,24 @@ class TestNeumannInverse:
         N = CausalOp.identity(g)
         with pytest.raises(ValueError):
             neumann_inverse(A_inv, N, theta_bound=1.0, tol=1e-8)
+
+    def test_theta_near_one_raises(self):
+        g = grid_small(n=64)
+        with pytest.raises(ValueError, match="exploded"):
+            neumann_inverse(CausalOp.identity(g), CausalOp.zero(g),
+                            theta_bound=1 - 1e-6, tol=1e-10)
+
+    def test_probe_certificate_checks_theta(self):
+        # |A_inv N| = 0.5 * 0.8 = 0.4 on every probe
+        g = grid_small(n=128)
+        A_inv = CausalOp.from_matrix(g, [[0.5]])
+        N = CausalOp.from_matrix(g, [[0.8]])
+        probes = ProbeSet(g, seed=12)
+        with pytest.raises(ValueError, match="contraction certificate violated"):
+            neumann_inverse(A_inv, N, theta_bound=0.3, tol=1e-10, probes=probes)
+        inv = neumann_inverse(A_inv, N, theta_bound=0.4, tol=1e-10, probes=probes)
+        f = Signal(g, np.ones(g.n))
+        np.testing.assert_allclose(inv(f).values, np.full((g.n, 1), 1 / 1.2), atol=1e-9)
 
     def test_random_blocks_residual(self):
         # series inverse composed with d(M u) + N u is the identity on probes

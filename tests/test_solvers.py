@@ -24,6 +24,7 @@ from evocalc.solvers import (
     picard_solve,
     solve_evo_pde,
     solve_ode_block,
+    solve_ode_block_neumann,
     staggered_grad0,
     wave_1d_solve,
 )
@@ -102,6 +103,16 @@ class TestOdeBlock:
                               N00=Coefficient.constant([[1.0]]), c=1.0)
         with pytest.raises(ValueError):
             solve_ode_block(sys1, Signal.zero(g), nu=0.5)
+
+    def test_series_route_raises_near_theta_one(self):
+        # theta = 1 - 1e-6 needs millions of terms; the route raises instead
+        # of returning an under-converged series
+        g = TimeGrid(0.0, 0.01, 64, 1.0)
+        sys1 = OdeBlockSystem(M=Coefficient.constant([[1.0]], 1.0),
+                              N00=Coefficient.constant([[1.0 - 1e-6]]), c=1.0)
+        assert sys1.theta(g, 1.0) < 1
+        with pytest.raises(ValueError, match="exploded"):
+            solve_ode_block_neumann(sys1, Signal(g, np.ones(g.n)), g, 1.0, 1e-8)
 
     def test_block_routes_agree(self):
         rng = np.random.default_rng(42)
@@ -183,6 +194,45 @@ class TestPicard:
         g = TimeGrid(0.0, 0.01, 101, 1.0)
         with pytest.raises(ValueError):
             picard_solve(np.sin, lip=0.0, f=Signal.zero(g))
+
+    @pytest.mark.parametrize("case", ["sin", "real-ensemble", "complex-decay"])
+    def test_matches_the_signal_iteration(self, case):
+        # reference: the same iteration with one Signal per intermediate
+        def reference(rule, f, tol):
+            grid = f.grid.with_nu(2.0)
+            fv, u = Signal(grid, f.values), Signal.zero(grid, f.dim)
+            while True:
+                u_next = antiderivative(Signal(grid, rule(u.values)) + fv)
+                gap, u = norm_nu(u_next - u), u_next
+                if gap <= 0.5 * tol:
+                    return u.values
+
+        rng = np.random.default_rng(5)
+        g = TimeGrid(0.0, 0.01, 401, 1.0)
+        if case == "sin":
+            g = TimeGrid(0.0, 1e-3, 2001, 1.0)
+            rule, f, tol = np.sin, Signal(g, np.exp(-(((g.times - 0.75) / 0.2) ** 2))), 1e-12
+        elif case == "real-ensemble":
+            rule, f, tol = np.sin, Signal(g, rng.standard_normal((g.n, 64))), 1e-10
+        else:
+            vals = rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3))
+            rule, f, tol = (lambda v: -v), Signal(g, vals), 1e-12
+        assert np.array_equal(picard_solve(rule, lip=1.0, f=f, tol=tol).values,
+                              reference(rule, f, tol))
+
+    def test_rule_of_the_wrong_shape_raises(self):
+        g = TimeGrid(0.0, 0.01, 101, 1.0)
+        f = Signal(g, np.ones((g.n, 2)))
+        with pytest.raises(ValueError, match=r"\(101, 2\).*\(101,\)"):
+            picard_solve(lambda v: v[:, 0], lip=1.0, f=f)
+
+    def test_per_state_rule_is_not_applied_row_by_row(self):
+        # the rule maps the whole (n, m) stack; a per-state rule A @ u fails
+        # loudly instead of falling back to one call per node
+        g = TimeGrid(0.0, 0.01, 101, 1.0)
+        A = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError):
+            picard_solve(lambda u: A @ u, lip=1.0, f=Signal(g, np.ones((g.n, 2))))
 
 
 class TestEvoPde:
