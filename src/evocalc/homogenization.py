@@ -25,11 +25,9 @@ from .solvers import (
     OdeBlockSystem,
     PdeSystem,
     evo_pde_forward,
-    evo_pde_solution_map,
+    solve_evo_pde_batch,
     solve_ode_block,
     elliptic_solve,
-    maxwell_1d_solve,
-    heat_1d_solve,
     wave_1d_solve,
     staggered_grad0,
 )
@@ -538,27 +536,30 @@ def eddy_current_experiment(
     report = ConvergenceReport(
         "eddy", metadata={"seed": seed, "c": c, "eta_list": list(eta_list)}
     )
-    # (profile index, eta) -> observed; the eps = 0 solve is shared by every
-    # profile, so it runs once per (eta, probe)
+    # (profile index, eta) -> observed; the probes of one eta run as one
+    # batched pass, once for the shared eps = 0 solve and once per profile
     observed = {}
     for eta in eta_list:
         grid = TimeGrid(0.0, dt, int(round(t_end / dt)) + 1, eta)
         tset = list(ProbeSet(grid, dim=1, seed=seed))
         probes = [
-            Signal(grid, np.outer(gsig.values[:, 0], np.sin(np.pi * x)))
+            np.outer(gsig.values[:, 0], np.sin(np.pi * x))
             for gsig in tset[3:7]  # bumps + first random smooth signal
         ]
-        for J in probes:
-            v1 = maxwell_1d_solve(eps0, mu, sigma, J, nu=eta, m_x=m_x, check=False)
-            v2_sig = antiderivative(Signal(grid, v1.values))
-            y = evo_pde_forward(sys0, v2_sig)  # the eps = 0 operator applied to J v1
-            j_norm = max(norm_nu(J, nu=eta), NORM_FLOOR)
-            for i, (_, eps_n, _, _) in enumerate(eps_scale_profiles):
-                v4 = evo_pde_solution_map(PdeSystem.maxwell(eps_n, mu, sigma, m_x), grid)(y)
-                diff = Signal(grid, v4.values - v2_sig.values)
-                observed[i, eta] = max(
-                    observed.get((i, eta), 0.0), norm_nu(diff, nu=eta) / j_norm
-                )
+        J = np.zeros((grid.n, sys0.state_dim, len(probes)), dtype=complex)
+        J[:, :m_x] = np.stack(probes, axis=2)
+        v1 = solve_evo_pde_batch(sys0, J, grid)
+        v2 = [antiderivative(Signal(grid, v1[..., j])) for j in range(len(probes))]
+        # the eps = 0 operator applied to J v1
+        y = np.stack([evo_pde_forward(sys0, v).values for v in v2], axis=2)
+        j_norms = [max(norm_nu(Signal(grid, p), nu=eta), NORM_FLOOR) for p in probes]
+        for i, (_, eps_n, _, _) in enumerate(eps_scale_profiles):
+            v4 = solve_evo_pde_batch(PdeSystem.maxwell(eps_n, mu, sigma, m_x), y, grid,
+                                     check=False)
+            observed[i, eta] = max(
+                norm_nu(Signal(grid, v4[..., j] - v.values), nu=eta) / j_norm
+                for j, (v, j_norm) in enumerate(zip(v2, j_norms))
+            )
     per_eta = {}
     for i, (label, _, eps_sup, eps_d_sup) in enumerate(eps_scale_profiles):
         row_ok = True
@@ -694,17 +695,16 @@ def heat_strong_continuity_experiment(
               for g in list(tset)[:4]
               for mode in (np.sin(np.pi * xi), np.sin(2 * np.pi * xi))]
     report = ConvergenceReport("heat", metadata={"seed": seed})
-    # probes outermost, so the reference b_edge is solved once per probe
-    worst = [0.0] * len(a_family)
-    for f in probes:
-        u_b = heat_1d_solve(b_edge, f, nu=nu)
-        f_norm = max(_space_time_norm(f.values, grid, nu, m_x), NORM_FLOOR)
-        for i, (_, a_edge) in enumerate(a_family):
-            u_a = heat_1d_solve(np.asarray(a_edge, dtype=complex), f, nu=nu)
-            worst[i] = max(
-                worst[i], _space_time_norm(u_a.values - u_b.values, grid, nu, m_x) / f_norm
-            )
-    for (label, _), w in zip(a_family, worst):
+    # every conductivity solves all probes in one batched pass
+    F = np.zeros((grid.n, 2 * m_x + 1, len(probes)), dtype=complex)
+    F[:, :m_x] = np.stack([f.values for f in probes], axis=2)
+    u_b = solve_evo_pde_batch(PdeSystem.heat(b_edge, nu=nu), F, grid)
+    f_norms = [max(_space_time_norm(f.values, grid, nu, m_x), NORM_FLOOR) for f in probes]
+    for label, a_edge in a_family:
+        u_a = solve_evo_pde_batch(PdeSystem.heat(np.asarray(a_edge, dtype=complex), nu=nu),
+                                  F, grid)
+        w = max(_space_time_norm(u_a[..., j] - u_b[..., j], grid, nu, m_x) / f_norm
+                for j, f_norm in enumerate(f_norms))
         report.add_row(label, pairing_error=w, strong_error=w, norm_error=w)
     report.finalize(tol)
     return report

@@ -88,6 +88,17 @@ class TestAudits:
         g = grid()
         assert audit.audit_pde(pde_systems()[kind], pde_drive(g), g) <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    def test_complex_data_audit_exactly_zero(self, kind):
+        # complex conductivity and drive, 65 ensemble columns: the cached
+        # inverse must give equal columns equal bits, as Thomas does
+        g = grid()
+        xe = np.linspace(0.0, 1.0, M_X + 1)
+        a = 1.5 + 0.5 * np.sin(2 * np.pi * xe) + 0.3j * np.cos(3 * np.pi * xe)
+        sys_pde = PdeSystem.heat(a) if kind == "heat" else PdeSystem.wave(a)
+        F = Signal(g, pde_drive(g).values * (1.0 + 0.5j))
+        assert audit.audit_pde(sys_pde, F, g) == 0.0
+
     def test_skew(self):
         g = grid()
         F = Signal(g, np.column_stack([bump(g), bump(g, 1.5, 0.5)]))

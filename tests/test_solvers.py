@@ -77,6 +77,33 @@ class TestTridiagonalKernel:
             assert x.shape == rhs.shape
             assert np.linalg.norm(dense @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, solvers.INVERSE_MAX),
+           nodes=st.integers(1, 3), K=st.integers(1, 9), real=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_route_matches_thomas(self, seed, m, nodes, K, real):
+        # diagonally dominant, complex unless `real`; several matrices in
+        # one batched pass, node axis last
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + (0 if real else 1j) * rng.standard_normal(shape)
+
+        lower, upper = draw(m - 1, nodes), draw(m - 1, nodes)
+        diag = 5.0 + draw(m, nodes)
+        solves = list(solvers._tridiag_solvers(
+            m, lambda idx: (lower[:, idx], diag[:, idx], upper[:, idx]), np.arange(nodes)))
+        assert len(solves) == nodes
+        col = draw(m)
+        for b, solve in enumerate(solves):
+            factors = _tridiag_factor(lower[:, b], diag[:, b], upper[:, b])
+            for rhs in (draw(m), draw(m, K)):
+                x, ref = solve(rhs), _tridiag_solve(factors, rhs)
+                assert x.shape == rhs.shape
+                assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+            # equal columns give equal bits wherever they sit in the block
+            same = solve(np.repeat(col[:, None], K, axis=1))
+            assert (same == same[:, -1:]).all()
+
 
 class TestOdeBlock:
     def test_reduces_to_antiderivative(self):
@@ -495,15 +522,17 @@ class TestMaxwell:
 
 
 class TestFactorOnChange:
-    """The grad-div stepper refactors only when a leg profile changes."""
+    """The grad-div stepper refactors only when a leg profile changes.  The
+    count is of matrices factored, not of calls: the inverses of the moved
+    nodes come from one batched call, bands with the node axis last."""
 
     @pytest.fixture
     def factor_calls(self, monkeypatch):
         calls = []
 
-        def counting(*args):
-            calls.append(1)
-            return _tridiag_factor(*args)
+        def counting(lower, diag, upper):
+            calls.extend([1] * (np.shape(diag)[1] if np.ndim(diag) == 2 else 1))
+            return _tridiag_factor(lower, diag, upper)
 
         monkeypatch.setattr(solvers, "_tridiag_factor", counting)
         return calls
@@ -527,6 +556,94 @@ class TestFactorOnChange:
         one = Coefficient.scalar_profile(lambda t: 1.0, deriv=lambda t: 0.0)
         maxwell_1d_solve(eps, one, one, self.drive(g, 16), nu=1.0)
         assert len(factor_calls) == factors
+
+
+class TestInverseRoute:
+    """Up to INVERSE_MAX the 1D steppers solve with cached explicit
+    inverses: chosen by size, pinned to single-column solves, and built in
+    chunks whose memory does not grow with n."""
+
+    def one(self):
+        return Coefficient.scalar_profile(lambda t: 1.0, deriv=lambda t: 0.0)
+
+    def eps(self):
+        return Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t),
+                                          deriv=lambda t: -0.25 * np.sin(t))
+
+    @pytest.mark.parametrize("m_x, inverses", [
+        (solvers.INVERSE_MAX, 1), (solvers.INVERSE_MAX + 1, 0),
+    ])
+    def test_route_chosen_by_size(self, monkeypatch, m_x, inverses):
+        calls = []
+        build = solvers._tridiag_inverses
+
+        def counting(*bands):
+            calls.append(1)
+            return build(*bands)
+
+        monkeypatch.setattr(solvers, "_tridiag_inverses", counting)
+        g = TimeGrid(0.0, 0.01, 3, 1.0)
+        heat_1d_solve(1.5 + np.zeros(m_x + 1), Signal(g, np.ones((g.n, m_x))), nu=1.0)
+        assert len(calls) == inverses
+
+    @pytest.mark.parametrize("kind", ["heat", "wave", "maxwell"])
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_batch_matches_single_solves(self, kind, seed):
+        # complex conductivities (complex inverses) for heat and wave, a
+        # real eps(t) refactored at every node for Maxwell
+        rng = np.random.default_rng(seed)
+        g = TimeGrid(0.0, 0.01, 101, 1.0)
+        m_x, K = 16, int(rng.integers(2, 8))
+        xe = np.linspace(0.0, 1.0, m_x + 1)
+        a = 1.5 + 0.5 * np.sin(2 * np.pi * xe) + 0.3j * rng.standard_normal(m_x + 1)
+        if kind == "heat":
+            sys_pde, single = PdeSystem.heat(a, nu=1.0), lambda f: heat_1d_solve(a, f, nu=1.0)
+        elif kind == "wave":
+            sys_pde, single = PdeSystem.wave(a, nu=1.0), lambda f: wave_1d_solve(a, f, nu=1.0)
+        else:
+            sys_pde = PdeSystem.maxwell(self.eps(), self.one(), self.one(), m_x)
+
+            def single(f):
+                return maxwell_1d_solve(self.eps(), self.one(), self.one(), f, nu=1.0)
+        J = rng.standard_normal((g.n, m_x, K)) + 1j * rng.standard_normal((g.n, m_x, K))
+        F = np.zeros((g.n, sys_pde.state_dim, K), dtype=complex)
+        F[:, :m_x] = J
+        batch = solvers.solve_evo_pde_batch(sys_pde, F, g)
+        assert batch.shape == F.shape
+        for j in range(K):
+            ref = single(Signal(g, J[:, :, j])).values
+            assert np.linalg.norm(batch[..., j] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_batch_checks_positivity_unless_told_not_to(self):
+        g = TimeGrid(0.0, 0.01, 11, 1.0)
+        weak_mu = Coefficient.scalar_profile(lambda t: 0.5, deriv=lambda t: 0.0)
+        sys_pde = PdeSystem.maxwell(self.one(), weak_mu, self.one(), 4)
+        F = np.zeros((g.n, sys_pde.state_dim, 2), dtype=complex)
+        with pytest.raises(ValueError, match="positivity"):
+            solvers.solve_evo_pde_batch(sys_pde, F, g)
+        assert not solvers.solve_evo_pde_batch(sys_pde, F, g, check=False).any()
+
+    def test_inverse_cache_bounded_in_n(self):
+        # every inverse of a time-varying m = 64 solve at once would take
+        # 49 MB at n = 751 and 197 MB at n = 3001
+        m_x = 64
+        sys_pde = PdeSystem.maxwell(self.eps(), self.one(), self.one(), m_x)
+
+        def peak(n):
+            g = TimeGrid(0.0, 0.01, n, 1.0)
+            rows = (np.ones(sys_pde.state_dim, dtype=complex) for _ in range(n))
+            tracemalloc.start()
+            try:
+                for _ in solvers._pde_steps(sys_pde, rows, g):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(751), peak(3001)
+        assert small < 8 * 2**20
+        assert large <= small + 2**18
 
 
 class TestLegCoefficients:
