@@ -154,8 +154,10 @@ def _tridiag_factor(lower, diag, upper):
 
     The loops run over Python lists of numpy scalars (or of (B,) rows): list
     indexing is cheaper than array indexing, and the arithmetic is the same.
-    The 1D steppers substitute with these factors only above INVERSE_MAX; up
-    to it they apply `_tridiag_inverses`, this kernel run on the identity.
+    Size rule of the 1D steppers: above INVERSE_MAX they substitute with
+    these factors at every node; at m <= INVERSE_MAX they multiply by a
+    cached explicit inverse, which is this kernel applied to the identity
+    (`_tridiag_inverses`), built in chunks of at most INVERSE_CHUNK entries.
     """
     lower, diag, upper = list(lower), list(diag), list(upper)
     c, dd = [], [diag[0]]
@@ -168,7 +170,9 @@ def _tridiag_factor(lower, diag, upper):
 def _tridiag_solve(factors, rhs):
     """Forward and back substitution with `_tridiag_factor` factors; rhs of
     shape (m,) or (m, K), one system per column; with the factors of B
-    matrices, rhs of shape (m, K, B), or (m, K, 1) shared by all B."""
+    matrices, rhs of shape (m, K, B), or (m, K, 1) shared by all B.  The
+    1D steppers call it per node only above INVERSE_MAX; up to it they call
+    it once per chunk of nodes on the identity (see `_tridiag_factor`)."""
     lower, c, dd = factors
     x = [rhs[0] / dd[0]]
     for i in range(1, len(dd)):
