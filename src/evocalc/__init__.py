@@ -53,7 +53,6 @@ from .solvers import (
 )
 from .homogenization import (
     ConvergenceReport,
-    OscillatoryFamily,
     bessel_i0,
     dbf_experiment,
     eddy_current_experiment,

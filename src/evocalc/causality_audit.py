@@ -77,8 +77,11 @@ def audit_picard(F_rule, lip: float, f: Signal) -> float:
     Runs `picard_solve` on blocks of the truncated-input ensemble; the map
     is nonlinear but the defect definition needs no linearity.  Each block
     carries the uncut input as its last column, so the reference and the
-    cut columns go through the same iterations.
+    cut columns go through the same iterations.  The ensemble takes the
+    state columns, so f must have dim 1.
     """
+    if f.dim != 1:
+        raise ValueError(f"the Picard audit needs a dim-1 input, got dim {f.dim}")
     grid = f.grid.with_nu(2.0 * lip)
     n = grid.n
     w = grid.quad_weights()

@@ -43,8 +43,7 @@ DENSE_LIMIT = 4096
 class CausalOp:
     """Linear operator on signals over a fixed grid.
 
-    `action` must be linear; this is spot-checked on random probes when the
-    operator enters a diagnostic, never assumed silently.  `dense`, when
+    `action` must be linear; the diagnostics assume it.  `dense`, when
     present, is the (n*dim_out) x (n*dim_in) matrix acting on stacked node
     values.  The causality/translation-invariance flags record claims that
     the diagnostics in this module test.
@@ -161,23 +160,6 @@ class CausalOp:
             cols[:, j] = self.action(Signal(self.grid, basis)).values.ravel()
             basis.flat[j] = 0.0
         return replace(self, dense=cols)
-
-    def check_linearity(self, rng=None, tol: float = 1e-12) -> float:
-        """Largest relative linearity defect on random probes."""
-        rng = np.random.default_rng(7) if rng is None else rng
-        worst = 0.0
-        for _ in range(3):
-            a = rng.standard_normal((self.grid.n, self.dim_in)) * (1 + 0j)
-            b = rng.standard_normal((self.grid.n, self.dim_in)) * (1 + 0j)
-            alpha = complex(rng.standard_normal(), rng.standard_normal())
-            fa, fb = Signal(self.grid, a), Signal(self.grid, b)
-            lhs = self(Signal(self.grid, alpha * a + b))
-            rhs = alpha * self(fa) + self(fb)
-            scale = max(norm_nu(rhs), NORM_FLOOR)
-            worst = max(worst, norm_nu(lhs - rhs) / scale)
-        if worst > tol:
-            raise ValueError(f"action is not linear: defect {worst:.2e} > {tol}")
-        return worst
 
 
 @dataclass(frozen=True)

@@ -72,14 +72,6 @@ class TimeGrid:
     def with_nu(self, nu: float) -> "TimeGrid":
         return TimeGrid(self.t0, self.dt, self.n, nu)
 
-    def node_index(self, t: float) -> int:
-        """Index of the grid node at time t; t must be grid aligned."""
-        k = (t - self.t0) / self.dt
-        ki = int(round(k))
-        if abs(k - ki) > 1e-9:
-            raise ValueError(f"t={t} is not aligned to the grid (offset {k - ki})")
-        return ki
-
 
 @dataclass(frozen=True)
 class Signal:
@@ -113,18 +105,6 @@ class Signal:
         t = grid.times
         mask = ((t >= a) & (t < b)).astype(complex)
         return Signal(grid, np.repeat(mask[:, None], dim, axis=1))
-
-    def support_start(self) -> float:
-        """Time of the first nonzero node (window end + dt if identically 0).
-
-        Signals produced as "supported from t_s" are bit-exactly zero before
-        t_s, so this is an exact, testable notion on the lattice.
-        """
-        nonzero = np.any(self.values != 0, axis=1)
-        idx = np.argmax(nonzero)
-        if not nonzero[idx]:
-            return self.grid.t_end + self.grid.dt
-        return float(self.grid.times[idx])
 
     def __add__(self, other: "Signal") -> "Signal":
         _check_compatible(self, other)
@@ -207,10 +187,10 @@ class Coefficient:
     """Matrix-valued coefficient acting nodewise on signals.
 
     `sampler(t)` returns the dim x dim matrix at time t.  `pos_const` is a
-    claimed accretivity constant c with Re <M xi, xi> >= c |xi|^2; it is
-    spot-checked, never assumed.  `deriv_sampler`, when present, is the
-    analytic time derivative (supplied as data, never obtained by numerical
-    differentiation of samples).  `diagonal` holds the cell values of a
+    claimed accretivity constant c with Re <M xi, xi> >= c |xi|^2, kept as
+    data; the solvers certify positivity themselves.  `deriv_sampler`, when
+    present, is the analytic time derivative (supplied as data, never
+    obtained by numerical differentiation of samples).  `diagonal` holds the cell values of a
     space profile.
     """
 
@@ -304,30 +284,6 @@ class Coefficient:
             t = times[np.argmin(finite)]
             raise ValueError(f"sampler returned non-finite entries at t={t}")
         return out if varying else np.broadcast_to(out[0], (grid.n,) + shape)
-
-    def check_positivity(self, grid: TimeGrid, rng=None, n_probes: int = 16) -> float:
-        """Sampled lower bound of Re <M xi, xi> / |xi|^2 over nodes and probes.
-
-        Raises if pos_const is claimed but violated beyond roundoff.
-        """
-        rng = np.random.default_rng(0) if rng is None else rng
-        mats = self.sample_all(grid)
-        worst = np.inf
-        # Rayleigh bound of (M + M*)/2 per node is enough; probe a few nodes.
-        idx = np.unique(np.linspace(0, grid.n - 1, min(grid.n, 64)).astype(int))
-        for k in idx:
-            herm = 0.5 * (mats[k] + mats[k].conj().T)
-            worst = min(worst, float(np.linalg.eigvalsh(herm)[0]))
-        for _ in range(n_probes):
-            xi = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            xi /= np.linalg.norm(xi)
-            k = rng.integers(0, grid.n)
-            worst = min(worst, float(np.real(np.vdot(xi, mats[k] @ xi))))
-        if self.pos_const is not None and worst < self.pos_const - 1e-10:
-            raise ValueError(
-                f"claimed positivity {self.pos_const} violated: sampled bound {worst}"
-            )
-        return worst
 
 
 def multiply(c: Coefficient, f: Signal) -> Signal:

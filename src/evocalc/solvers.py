@@ -10,6 +10,7 @@ of the Dirichlet gradient leg).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -33,7 +34,6 @@ __all__ = [
     "picard_solve",
     "solve_evo_pde",
     "solve_evo_pde_batch",
-    "evo_pde_solution_map",
     "evo_pde_forward",
     "funid_residual",
     "maxwell_1d_solve",
@@ -49,20 +49,22 @@ __all__ = [
 # spatial operators
 # ---------------------------------------------------------------------------
 
-def _dx_inv(m_x: int, length: float) -> float:
-    """1/dx of the staggered grid with m_x interior nodes on (0, length)."""
-    return 1.0 / (length / (m_x + 1))
+def _dx_inv(m_x: int) -> float:
+    """1/dx of the staggered grid with m_x interior nodes on (0, 1).  Written
+    as 1/(1/(m_x + 1)), which differs from m_x + 1 in the last bit for some
+    m_x (48, for one)."""
+    return 1.0 / (1.0 / (m_x + 1))
 
 
-def staggered_grad0(m_x: int, length: float = 1.0) -> np.ndarray:
+def staggered_grad0(m_x: int) -> np.ndarray:
     """One-sided difference gradient with zero Dirichlet values.
 
-    Maps interior node values (m_x of them on (0, L)) to edge values
+    Maps interior node values (m_x of them on (0, 1)) to edge values
     (m_x + 1); minus its transpose is the matching divergence, so the block
     [[0, -G^T], [G, 0]] is skew-symmetric exactly.  The steppers and the
     elliptic solve apply it matrix-free (`_g_apply`, `_gt_apply`).
     """
-    return (np.eye(m_x + 1, m_x) - np.eye(m_x + 1, m_x, -1)) * _dx_inv(m_x, length)
+    return (np.eye(m_x + 1, m_x) - np.eye(m_x + 1, m_x, -1)) * _dx_inv(m_x)
 
 
 def mean_zero_project(v: np.ndarray) -> np.ndarray:
@@ -80,14 +82,13 @@ class SpatialOperator:
         three-dimensional curl realizations; only skewness, boundedness and
         commutation with the time operators are ever used).
       * "grad0-div-1d": state (u-leg of size m_x, flux-leg of size m_x+1)
-        with block [[0, -G^T], [G, 0]].
+        with block [[0, -G^T], [G, 0]] on the domain (0, 1).
       * "grad0-div-1d-projected": the same pair conjugated with the
         projection onto mean-zero flux values (acoustic wave form).
     """
 
     kind: str
     m_x: int = 0
-    length: float = 1.0
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     @staticmethod
@@ -99,26 +100,24 @@ class SpatialOperator:
         return SpatialOperator(kind="skew-matrix", m_x=A.shape[0], matrix=A)
 
     @staticmethod
-    def grad0_div_1d(m_x: int, length: float = 1.0) -> "SpatialOperator":
-        return SpatialOperator(kind="grad0-div-1d", m_x=m_x, length=length)
+    def grad0_div_1d(m_x: int) -> "SpatialOperator":
+        return SpatialOperator(kind="grad0-div-1d", m_x=m_x)
 
     @staticmethod
-    def grad0_div_1d_projected(m_x: int, length: float = 1.0) -> "SpatialOperator":
-        return SpatialOperator(kind="grad0-div-1d-projected", m_x=m_x, length=length)
+    def grad0_div_1d_projected(m_x: int) -> "SpatialOperator":
+        return SpatialOperator(kind="grad0-div-1d-projected", m_x=m_x)
 
     @property
     def state_dim(self) -> int:
         if self.kind == "skew-matrix":
             return self.matrix.shape[0]
-        if self.kind == "grad0-div-1d":
-            return 2 * self.m_x + 1
-        return 2 * self.m_x + 1  # v-leg m_x, embedded mean-zero flux m_x+1
+        return 2 * self.m_x + 1  # u-leg m_x, flux-leg m_x+1
 
     def dense(self) -> np.ndarray:
         """Assembled matrix; used by checks and the skew-matrix solve path."""
         if self.kind == "skew-matrix":
             return self.matrix
-        g = staggered_grad0(self.m_x, self.length)
+        g = staggered_grad0(self.m_x)
         m = self.m_x
         a = np.zeros((2 * m + 1, 2 * m + 1))
         if self.kind == "grad0-div-1d-projected":
@@ -482,40 +481,38 @@ class PdeSystem:
         return PdeSystem(A=A, c=c, M=M, N=N)
 
     @staticmethod
-    def heat(a_edge: np.ndarray, length: float = 1.0, c: float | None = None,
-             nu: float = 1.0) -> "PdeSystem":
+    def heat(a_edge: np.ndarray, nu: float = 1.0) -> "PdeSystem":
         """Heat system: state (theta, flux), M = diag(1, 0), N = diag(0, 1/a)."""
         a_edge = np.asarray(a_edge, dtype=complex)
         amin = float(np.min(a_edge.real))
         amax = float(np.max(np.abs(a_edge)))
         if amin <= 0:
             raise ValueError("conductivity must have positive real part")
-        c_eff = min(nu, amin / amax**2) if c is None else c
         one, zero = Coefficient.constant(1.0), Coefficient.constant(0.0)
         return PdeSystem(
-            A=SpatialOperator.grad0_div_1d(len(a_edge) - 1, length),
-            c=c_eff,
+            A=SpatialOperator.grad0_div_1d(len(a_edge) - 1),
+            c=min(nu, amin / amax**2),
             legs=(one, zero, zero, Coefficient.space_profile(1.0 / a_edge)),
         )
 
     @staticmethod
     def maxwell(eps: Coefficient, mu: Coefficient, sigma: Coefficient,
-                m_x: int, length: float = 1.0, c: float = 1.0) -> "PdeSystem":
-        """1D Maxwell block: state (E on interior nodes, H on edges)."""
+                m_x: int) -> "PdeSystem":
+        """1D Maxwell block: state (E on interior nodes, H on edges), c = 1."""
         return PdeSystem(
-            A=SpatialOperator.grad0_div_1d(m_x, length),
-            c=c,
+            A=SpatialOperator.grad0_div_1d(m_x),
+            c=1.0,
             legs=(eps, mu, sigma, Coefficient.constant(0.0)),
         )
 
     @staticmethod
-    def wave(a_edge: np.ndarray, length: float = 1.0, nu: float = 1.0) -> "PdeSystem":
+    def wave(a_edge: np.ndarray, nu: float = 1.0) -> "PdeSystem":
         """Acoustic wave in first-order form with mean-zero projected flux."""
         a_edge = np.asarray(a_edge, dtype=complex)
         amax = float(np.max(np.abs(a_edge)))
         c_eff = nu * min(1.0, 1.0 / amax)
         return PdeSystem(
-            A=SpatialOperator.grad0_div_1d_projected(len(a_edge) - 1, length),
+            A=SpatialOperator.grad0_div_1d_projected(len(a_edge) - 1),
             c=c_eff,
             legs=(Coefficient.space_profile(a_edge),),
         )
@@ -586,9 +583,11 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     node, leaving a tridiagonal solve on the u-leg.  The legs are sampled
     once per solve, and the matrix is refactored only at the nodes where a
     time-profile leg moved (`_tridiag_solvers`: batched inverses up to
-    INVERSE_MAX)."""
+    INVERSE_MAX).  The flux weight w = 1/(m1/dt + n1) of those nodes is
+    computed with their bands, one chunk at a time, and queued for the node
+    loop."""
     m_x = sys.A.m_x
-    dx_inv = _dx_inv(m_x, sys.A.length)
+    dx_inv = _dx_inv(m_x)
     dt = grid.dt
     legs = _sample_legs(sys, grid)
     moved = np.zeros(grid.n, dtype=bool)
@@ -603,6 +602,8 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
         for leg, s in zip(sys.legs, legs[:2])
     )
 
+    weights = collections.deque()  # w of the moved nodes whose bands are built
+
     def bands(nodes):
         # flux-leg: d1 * h + G u = rhs1  ->  h = (rhs1 - G u)/d1
         # u-leg: (m0/dt + n0) u - G^T h = f0 + m0_prev u_prev / dt
@@ -610,7 +611,9 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
         d1 = m1 / dt + n1
         if np.any(np.abs(d1) < 1e-300):
             raise ValueError("flux-leg coefficient vanishes; cannot eliminate")
-        off, diag = _laplacian_bands(dx_inv, np.broadcast_to(1.0 / d1, (len(nodes), m_x + 1)).T)
+        w = np.broadcast_to(1.0 / d1, (len(nodes), m_x + 1))
+        weights.extend(w)
+        off, diag = _laplacian_bands(dx_inv, w.T)
         return off, diag + m0.T / dt + n0.T, off
 
     solves = _tridiag_solvers(m_x, bands, np.flatnonzero(moved))
@@ -619,9 +622,9 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     h = np.zeros((m_x + 1,) + batch, dtype=complex)
     for k, f in enumerate(rows):
         if moved[k]:
-            m0, m1, n0, n1 = (s[k] if len(s) > 1 else s[0] for s in legs)
-            w = np.broadcast_to(1.0 / (m1 / dt + n1), (m_x + 1,))
+            m0, m1 = (s[k] if len(s) > 1 else s[0] for s in legs[:2])
             solve = next(solves)
+            w = weights.popleft()
         rhs1 = f[m_x:] + _scale(m1_prev, h) / dt
         rhs0 = f[:m_x] + _scale(m0_prev, u) / dt + _gt_apply(_scale(w, rhs1), dx_inv)
         u = solve(rhs0)
@@ -642,7 +645,7 @@ def _step_wave(sys: PdeSystem, rows, grid: TimeGrid):
     if len(a) > 1:
         raise ValueError("the wave coefficient must not depend on time")
     a = np.broadcast_to(a[0], (m_x + 1,))
-    dx_inv = _dx_inv(m_x, sys.A.length)
+    dx_inv = _dx_inv(m_x)
     dt = grid.dt
     off, diag = _laplacian_bands(dx_inv, a[:, None])
     (solve,) = _tridiag_solvers(
@@ -672,10 +675,7 @@ def solve_evo_pde(
     probe, run as one batch with the uncut f) before returning.
     """
     grid = f.grid if nu is None else f.grid.with_nu(nu)
-    nu = grid.nu
-    _pde_check(sys, grid, nu)
-    u_vals = _dispatch_step(sys, f.values, grid)
-    u = Signal(grid, u_vals)
+    u = Signal(grid, solve_evo_pde_batch(sys, f.values, grid))
     if check_norm:
         bound = (1.0 / sys.c) * norm_nu(Signal(grid, f.values)) * 1.05
         if norm_nu(u) > bound + 1e-14:
@@ -700,9 +700,10 @@ def solve_evo_pde_batch(
 ) -> np.ndarray:
     """K solves of (d/dt M + N + A) u = f in one stepping pass: F of shape
     (n, state_dim, K) gives the states (n, state_dim, K), column j the
-    solution for F[:, :, j].  With `check` the positivity certificate is
-    checked first at grid.nu, as in `solve_evo_pde` and the 1D wrappers;
-    without it the pass is K calls of `evo_pde_solution_map`'s map."""
+    solution for F[:, :, j]; F of shape (n, state_dim) is one solve.  With
+    `check` the positivity certificate is checked first at grid.nu, as in
+    `solve_evo_pde` and the 1D wrappers; without it this is the unchecked
+    solution map, whose checks diagnostics run on the map as a whole."""
     if check:
         _pde_check(sys, grid, grid.nu)
     return _dispatch_step(sys, F, grid)
@@ -724,15 +725,6 @@ def _dispatch_step(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.array(list(_pde_steps(sys, F, grid)))
 
 
-def evo_pde_solution_map(sys: PdeSystem, grid: TimeGrid):
-    """Solution operator as a callable, with the per-call checks disabled
-    (diagnostics run them on the map as a whole)."""
-    def act(F: Signal) -> Signal:
-        return Signal(grid, _dispatch_step(sys, F.values, grid))
-
-    return act
-
-
 def evo_pde_forward(sys: PdeSystem, u: Signal) -> Signal:
     """The forward operator (d/dt M + N + A) u on u's grid, d/dt the
     steppers' backward difference, so that it inverts the solution map to
@@ -744,7 +736,7 @@ def evo_pde_forward(sys: PdeSystem, u: Signal) -> Signal:
         nv = np.einsum("kab,kb->ka", sys.N.sample_all(grid), v)
         av = v @ sys.A.dense().T
     elif sys.A.kind == "grad0-div-1d":
-        m, dx_inv = sys.A.m_x, _dx_inv(sys.A.m_x, sys.A.length)
+        m, dx_inv = sys.A.m_x, _dx_inv(sys.A.m_x)
         m0, m1, n0, n1 = _sample_legs(sys, grid)
         e, h = v[:, :m], v[:, m:]
         mu = np.concatenate([m0 * e, m1 * h], axis=1)
@@ -781,16 +773,17 @@ def funid_residual(
     grid = f.grid.with_nu(nu)
     sys_mn = PdeSystem.dense_small(M, N, A, c)
     sys_op = PdeSystem.dense_small(O, P, A, c)
-    sol_mn = evo_pde_solution_map(sys_mn, grid)
-    sol_op = evo_pde_solution_map(sys_op, grid)
 
-    u = sol_op(Signal(grid, f.values))
+    def sol(sys: PdeSystem, g: Signal) -> Signal:
+        return Signal(grid, solve_evo_pde_batch(sys, g.values, grid, check=False))
+
+    u = sol(sys_op, f)
     ju = antiderivative(u)
     y = evo_pde_forward(sys_op, ju)  # B_OP J u, the forward map of the smoothed state
     O_mats = O.sample_all(grid)
     M_mats = M.sample_all(grid)
     N_mats = N.sample_all(grid)
-    lhs = sol_mn(y) - sol_op(y)
+    lhs = sol(sys_mn, y) - sol(sys_op, y)
 
     dM = O_mats - M_mats
     dN = P.sample_all(grid) - N_mats
@@ -804,7 +797,7 @@ def funid_residual(
         + np.einsum("kab,kb->ka", dMp, ju.values)
         + np.einsum("kab,kb->ka", dN, ju.values)
     )
-    rhs = sol_mn(Signal(grid, inner))
+    rhs = sol(sys_mn, Signal(grid, inner))
 
     denom = max(norm_nu(lhs), norm_nu(rhs), 1e-8 * max(norm_nu(ju), NORM_FLOOR))
     return norm_nu(lhs - rhs) / denom
@@ -815,26 +808,18 @@ def funid_residual(
 # ---------------------------------------------------------------------------
 
 def maxwell_1d_solve(
-    eps: Coefficient,
-    mu: Coefficient,
-    sigma: Coefficient,
-    J: Signal,
-    nu: float,
-    m_x: int | None = None,
-    length: float = 1.0,
-    c: float = 1.0,
-    check: bool = True,
+    eps: Coefficient, mu: Coefficient, sigma: Coefficient, J: Signal, nu: float
 ) -> Signal:
-    """Solve the 1D Maxwell block with Dirichlet condition on the E leg.
+    """Solve the 1D Maxwell block on (0, 1) with Dirichlet condition on the
+    E leg, and check the norm bound with c = 1.
 
-    J is the current density on the E leg; the returned signal stacks
-    (E, H).  The damped-dielectricity inequalities (nu*eps + eps'/2 >= 0,
-    nu*mu + mu'/2 >= c and nu*eps + eps'/2 + Re sigma >= c) are checked at
-    every node where a coefficient varies in time; eps = 0 is admissible
-    (eddy-current regime).
+    J is the current density on the J.dim interior nodes of the E leg; the
+    returned signal stacks (E, H).  The damped-dielectricity inequalities
+    (nu*eps + eps'/2 >= 0, nu*mu + mu'/2 >= c and nu*eps + eps'/2 + Re sigma
+    >= c) are checked at every node where a coefficient varies in time;
+    eps = 0 is admissible (eddy-current regime).
     """
-    sys = PdeSystem.maxwell(eps, mu, sigma, J.dim if m_x is None else m_x, length, c)
-    return _solve_driven(sys, J, nu, check)
+    return _solve_driven(PdeSystem.maxwell(eps, mu, sigma, J.dim), J, nu, check_norm=True)
 
 
 def _solve_driven(sys: PdeSystem, f: Signal, nu: float, check_norm: bool = False) -> Signal:
@@ -846,42 +831,39 @@ def _solve_driven(sys: PdeSystem, f: Signal, nu: float, check_norm: bool = False
                          check_norm=check_norm)
 
 
-def _edge_values(a_edge):
-    """Edge values from an array or a space-profile Coefficient."""
-    return a_edge.diagonal_values() if isinstance(a_edge, Coefficient) else a_edge
+def _edge_values(a_edge) -> np.ndarray:
+    """Complex edge values from an array or a space-profile Coefficient."""
+    if isinstance(a_edge, Coefficient):
+        a_edge = a_edge.diagonal_values()
+    return np.asarray(a_edge, dtype=complex)
 
 
-def heat_1d_solve(a_edge, f: Signal, nu: float, length: float = 1.0) -> Signal:
-    """Heat flow with edge-sampled conductivity; f drives the theta leg."""
-    return _solve_driven(PdeSystem.heat(_edge_values(a_edge), length, nu=nu), f, nu)
+def heat_1d_solve(a_edge, f: Signal, nu: float) -> Signal:
+    """Heat flow on (0, 1) with edge-sampled conductivity; f drives the
+    theta leg."""
+    return _solve_driven(PdeSystem.heat(_edge_values(a_edge), nu=nu), f, nu)
 
 
-def wave_1d_solve(a_edge, f: Signal, nu: float, length: float = 1.0) -> Signal:
-    """First-order wave system driven on the velocity leg; returns (v, p)."""
-    return _solve_driven(PdeSystem.wave(_edge_values(a_edge), length, nu=nu), f, nu)
+def wave_1d_solve(a_edge, f: Signal, nu: float) -> Signal:
+    """First-order wave system on (0, 1) driven on the velocity leg;
+    returns (v, p)."""
+    return _solve_driven(PdeSystem.wave(_edge_values(a_edge), nu=nu), f, nu)
 
 
 # ---------------------------------------------------------------------------
 # elliptic divergence-form solve via the three-factor formula
 # ---------------------------------------------------------------------------
 
-def elliptic_solve(
-    a_edge,
-    f_nodes: np.ndarray,
-    length: float = 1.0,
-    cross_check_tol: float = 1e-8,
-) -> np.ndarray:
-    """Solve -(a u')' = f with zero boundary values in one dimension.
+def elliptic_solve(a_edge, f_nodes: np.ndarray) -> np.ndarray:
+    """Solve -(a u')' = f on (0, 1) with zero boundary values.
 
     Uses the factorization of the inverse into (projected gradient)^-1,
     (projected coefficient)^-1 and (projected divergence)^-1 and
     cross-checks against the direct three-point solve; the two must agree
-    to `cross_check_tol` since the discrete factorization is exact.  The
-    coefficient may be an edge-sampled array or a space-profile Coefficient.
+    to 1e-8 since the discrete factorization is exact.  The coefficient may
+    be an edge-sampled array or a space-profile Coefficient.
     """
-    if isinstance(a_edge, Coefficient):
-        a_edge = a_edge.diagonal_values()
-    a_edge = np.asarray(a_edge, dtype=complex)
+    a_edge = _edge_values(a_edge)
     f_nodes = np.asarray(f_nodes, dtype=complex)
     m_x = len(f_nodes)
     if len(a_edge) != m_x + 1:
@@ -889,7 +871,7 @@ def elliptic_solve(
     alpha = float(np.min(a_edge.real))
     if alpha <= 0:
         raise ValueError(f"coefficient not uniformly positive: min Re a = {alpha}")
-    dx_inv = _dx_inv(m_x, length)
+    dx_inv = _dx_inv(m_x)
     # steps 1 and 3 solve with the Dirichlet Laplacian G^T G, factored once
     off, diag = _laplacian_bands(dx_inv, np.ones(m_x + 1))
     lap = _tridiag_factor(off, diag, off)
@@ -907,6 +889,6 @@ def elliptic_solve(
     direct = _tridiag_solve(_tridiag_factor(off, diag, off), f_nodes)
     scale = max(float(np.linalg.norm(direct)), NORM_FLOOR)
     gap = float(np.linalg.norm(u - direct)) / scale
-    if gap > cross_check_tol:
+    if gap > 1e-8:
         raise ValueError(f"three-factor route disagrees with direct solve: {gap:.2e}")
     return u

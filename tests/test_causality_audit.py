@@ -108,6 +108,14 @@ class TestAudits:
         g = grid()
         assert audit.audit_picard(np.sin, 1.0, Signal(g, bump(g))) <= 1e-10
 
+    def test_picard_rejects_multi_column_input(self):
+        # the ensemble takes the state columns: a second column would be
+        # dropped from the audit, not certified
+        g = grid()
+        f = Signal(g, np.column_stack([bump(g), bump(g, 1.5, 0.5)]))
+        with pytest.raises(ValueError, match="dim-1"):
+            audit.audit_picard(np.sin, 1.0, f)
+
     def test_heat_and_picard_span_several_blocks(self):
         g = long_grid()
         assert audit.audit_pde(pde_systems()["heat"], pde_drive(g), g) <= 1e-10

@@ -1,12 +1,16 @@
-"""Command line harness: config validation, outputs, exit codes, and the
-bit-for-bit reproducibility of the CSV reports."""
+"""Command line harness: config validation, outputs, exit codes, the
+bit-for-bit reproducibility of the CSV reports, and the package's export
+lists."""
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evocalc
 from evocalc import homogenization
 from evocalc.cli import ConfigError, main, parse_config, run, suite
 
@@ -222,3 +226,10 @@ class TestSuite:
         p = write(tmp_path / "all.cfg",
                   f"experiment = suite-all\nconfigs_dir = {sub}\n")
         assert run(p) == 0
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(evocalc.__path__)))
+def test_export_lists_resolve(module):
+    # a name left in __all__ after its definition is gone breaks `import *`
+    mod = importlib.import_module(f"evocalc.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

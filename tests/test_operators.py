@@ -50,12 +50,6 @@ class TestAlgebra:
         f = Signal(g, rng.standard_normal(g.n))
         np.testing.assert_allclose(C(f).values, f.values, rtol=0, atol=1e-12)
 
-    def test_linearity_check_flags_nonlinear(self):
-        g = grid_small()
-        bad = CausalOp(grid=g, action=lambda f: Signal(g, f.values**2))
-        with pytest.raises(ValueError):
-            bad.check_linearity()
-
     def test_materialized_dense_matches_action(self):
         g = grid_small(n=64)
         S = CausalOp.antiderivative_op(g).materialize()

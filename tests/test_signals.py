@@ -28,12 +28,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 0.1, 1, 1.0)
 
-    def test_node_alignment(self):
-        g = small_grid()
-        assert g.node_index(0.25) == 5
-        with pytest.raises(ValueError):
-            g.node_index(0.26)
-
 
 class TestInnerProduct:
     def test_zero_signal(self):
@@ -127,9 +121,9 @@ class TestShift:
     def test_pulse_translation(self):
         g = TimeGrid(0.0, 0.01, 501, 1.0)
         pulse = np.zeros(g.n)
-        pulse[g.node_index(1.0)] = 1.0
+        pulse[100] = 1.0  # t = 1.0
         out = shift(Signal(g, pulse), -1.0)
-        assert out.values[g.node_index(2.0), 0] == 1.0
+        assert out.values[200, 0] == 1.0
         assert np.sum(np.abs(out.values)) == 1.0
 
     def test_non_aligned_rejected(self):
@@ -187,30 +181,7 @@ class TestMultiplication:
             multiply(Coefficient.constant(np.eye(3)), Signal.zero(g, 2))
 
 
-class TestSupport:
-    def test_support_start_exact(self):
-        g = TimeGrid(0.0, 0.01, 201, 1.0)
-        f = Signal.indicator(g, 0.5, 1.0)
-        assert f.support_start() == 0.5
-        assert np.all(f.values[: g.node_index(0.5)] == 0)
-
-    def test_zero_signal_support(self):
-        g = small_grid()
-        assert Signal.zero(g).support_start() > g.t_end
-
-
 class TestCoefficient:
-    def test_positivity_claim_checked(self):
-        g = small_grid()
-        bad = Coefficient.constant(-np.eye(2), pos_const=1.0)
-        with pytest.raises(ValueError):
-            bad.check_positivity(g)
-
-    def test_positivity_bound_estimate(self):
-        g = small_grid()
-        good = Coefficient.constant(2 * np.eye(2), pos_const=2.0)
-        assert good.check_positivity(g) == pytest.approx(2.0, abs=1e-12)
-
     @pytest.mark.parametrize("coef", [
         Coefficient.constant([[1.0, 0.5], [-0.5, 2.0]]),
         Coefficient.space_profile([1.0, 2.0, 3.0]),
