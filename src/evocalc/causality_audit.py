@@ -78,7 +78,9 @@ def audit_picard(F_rule, lip: float, f: Signal) -> float:
     is nonlinear but the defect definition needs no linearity.  Each block
     carries the uncut input as its last column, so the reference and the
     cut columns go through the same iterations.  The ensemble takes the
-    state columns, so f must have dim 1.
+    state columns, so f must have dim 1 and the rule must act column by
+    column: on the stack [f, f/2] it must agree with its action on each
+    column alone to 1e-12 relative.
     """
     if f.dim != 1:
         raise ValueError(f"the Picard audit needs a dim-1 input, got dim {f.dim}")
@@ -86,6 +88,13 @@ def audit_picard(F_rule, lip: float, f: Signal) -> float:
     n = grid.n
     w = grid.quad_weights()
     fv = f.values[:, 0]
+    pair = np.column_stack([fv, fv / 2])
+    joint = np.asarray(F_rule(pair), dtype=complex)
+    alone = np.column_stack([np.asarray(F_rule(pair[:, j:j + 1]), dtype=complex) for j in (0, 1)])
+    gap = np.linalg.norm(joint - alone) / max(np.linalg.norm(alone), NORM_FLOOR)
+    if gap > 1e-12:
+        raise ValueError(f"the Picard audit needs a column-wise rule: on two columns "
+                         f"it differs from one column at a time by {gap:.2e}")
     acc = np.zeros(n)
     for start in range(0, n, BLOCK - 1):
         cuts = np.arange(start, min(start + BLOCK - 1, n))

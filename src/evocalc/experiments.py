@@ -36,7 +36,7 @@ from .solvers import (
     evo_pde_forward,
     funid_residual,
     picard_solve,
-    solve_evo_pde_batch,
+    solve_evo_pde,
     solve_ode_block_neumann,
     solve_ode_block_stepping,
 )
@@ -323,7 +323,7 @@ def run_causality_suite(cfg: dict) -> ConvergenceReport:
         def act(f: Signal) -> Signal:
             F = np.zeros((grid.n, 2 * m_x + 1), dtype=complex)
             F[:, :m_x] = np.outer(f.values[:, 0], mode)
-            out = solve_evo_pde_batch(sysh, F, grid.with_nu(nu_b), check=False)
+            out = solve_evo_pde(sysh, F, grid.with_nu(nu_b), check=False)
             return Signal(grid, out[:, :1])
 
         return CausalOp(grid=grid, action=act)
@@ -484,7 +484,7 @@ def run_funid(cfg: dict) -> ConvergenceReport:
     sys_op = PdeSystem.dense_small(Oi, Pi, A, c_pos)
 
     def sol(sys_pde: PdeSystem, g: Signal) -> Signal:
-        return Signal(grid, solve_evo_pde_batch(sys_pde, g.values, grid, check=False))
+        return Signal(grid, solve_evo_pde(sys_pde, g.values, grid, check=False))
 
     O_m = Oi.sample_all(grid)
     M_m = Mi.sample_all(grid)

@@ -25,7 +25,7 @@ from .solvers import (
     OdeBlockSystem,
     PdeSystem,
     evo_pde_forward,
-    solve_evo_pde_batch,
+    solve_evo_pde,
     solve_ode_block,
     elliptic_solve,
     wave_1d_solve,
@@ -520,14 +520,13 @@ def eddy_current_experiment(
         ]
         J = np.zeros((grid.n, sys0.state_dim, len(probes)), dtype=complex)
         J[:, :m_x] = np.stack(probes, axis=2)
-        v1 = solve_evo_pde_batch(sys0, J, grid)
+        v1 = solve_evo_pde(sys0, J, grid)
         v2 = [antiderivative(Signal(grid, v1[..., j])) for j in range(len(probes))]
         # the eps = 0 operator applied to J v1
         y = np.stack([evo_pde_forward(sys0, v).values for v in v2], axis=2)
         j_norms = [max(norm_nu(Signal(grid, p), nu=eta), NORM_FLOOR) for p in probes]
         for i, (_, eps_n, _, _) in enumerate(eps_scale_profiles):
-            v4 = solve_evo_pde_batch(PdeSystem.maxwell(eps_n, mu, sigma, m_x), y, grid,
-                                     check=False)
+            v4 = solve_evo_pde(PdeSystem.maxwell(eps_n, mu, sigma, m_x), y, grid, check=False)
             observed[i, eta] = max(
                 norm_nu(Signal(grid, v4[..., j] - v.values), nu=eta) / j_norm
                 for j, (v, j_norm) in enumerate(zip(v2, j_norms))
@@ -670,11 +669,10 @@ def heat_strong_continuity_experiment(
     # every conductivity solves all probes in one batched pass
     F = np.zeros((grid.n, 2 * m_x + 1, len(probes)), dtype=complex)
     F[:, :m_x] = np.stack([f.values for f in probes], axis=2)
-    u_b = solve_evo_pde_batch(PdeSystem.heat(b_edge, nu=nu), F, grid)
+    u_b = solve_evo_pde(PdeSystem.heat(b_edge, nu=nu), F, grid)
     f_norms = [max(_space_time_norm(f.values, grid, nu, m_x), NORM_FLOOR) for f in probes]
     for label, a_edge in a_family:
-        u_a = solve_evo_pde_batch(PdeSystem.heat(np.asarray(a_edge, dtype=complex), nu=nu),
-                                  F, grid)
+        u_a = solve_evo_pde(PdeSystem.heat(np.asarray(a_edge, dtype=complex), nu=nu), F, grid)
         w = max(_space_time_norm(u_a[..., j] - u_b[..., j], grid, nu, m_x) / f_norm
                 for j, f_norm in enumerate(f_norms))
         report.add_row(label, pairing_error=w, strong_error=w, norm_error=w)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .signals import (
-    NORM_FLOOR, Coefficient, Signal, TimeGrid, _inner_values, norm_nu, truncate_before,
+    NORM_FLOOR, Coefficient, Signal, TimeGrid, _inner_values, norm_nu,
 )
 from .timecalc import _cumsum, antiderivative, derivative
 from .operators import series_terms
@@ -33,7 +33,6 @@ __all__ = [
     "solve_ode_block_neumann",
     "picard_solve",
     "solve_evo_pde",
-    "solve_evo_pde_batch",
     "evo_pde_forward",
     "funid_residual",
     "maxwell_1d_solve",
@@ -662,48 +661,15 @@ def _step_wave(sys: PdeSystem, rows, grid: TimeGrid):
 
 
 def solve_evo_pde(
-    sys: PdeSystem,
-    f: Signal,
-    nu: float | None = None,
-    check_causality: bool = True,
-    check_norm: bool = True,
-) -> Signal:
-    """Implicit causal step for (d/dt M + N + A) u = f.
-
-    Asserts the accretive norm bound |u| <= (1/c)|f| with 5% discretization
-    slack and a spot causality check (three cut times, using f itself as the
-    probe, run as one batch with the uncut f) before returning.
-    """
-    grid = f.grid if nu is None else f.grid.with_nu(nu)
-    u = Signal(grid, solve_evo_pde_batch(sys, f.values, grid))
-    if check_norm:
-        bound = (1.0 / sys.c) * norm_nu(Signal(grid, f.values)) * 1.05
-        if norm_nu(u) > bound + 1e-14:
-            raise ValueError(
-                f"norm bound violated: |u|={norm_nu(u):.4e} > (1/c)|f|*1.05={bound:.4e}"
-            )
-    if check_causality:
-        cuts = [grid.t0 + frac * (grid.t_end - grid.t0) for frac in (0.25, 0.5, 0.75)]
-        # the uncut input and its three truncations run as one (m, 4) batch
-        keep = np.stack([np.ones(grid.n)] + [(grid.times < t).astype(float) for t in cuts], 1)
-        u_cut = _dispatch_step(sys, f.values[:, :, None] * keep[:, None, :], grid)
-        f_norm = max(norm_nu(Signal(grid, f.values)), NORM_FLOOR)
-        for j, t_cut in enumerate(cuts, 1):
-            defect = norm_nu(truncate_before(Signal(grid, u_cut[..., 0] - u_cut[..., j]), t_cut))
-            if defect > 1e-10 * f_norm:
-                raise ValueError(f"causality defect {defect:.2e} at t={t_cut}")
-    return u
-
-
-def solve_evo_pde_batch(
     sys: PdeSystem, F: np.ndarray, grid: TimeGrid, check: bool = True
 ) -> np.ndarray:
-    """K solves of (d/dt M + N + A) u = f in one stepping pass: F of shape
-    (n, state_dim, K) gives the states (n, state_dim, K), column j the
-    solution for F[:, :, j]; F of shape (n, state_dim) is one solve.  With
-    `check` the positivity certificate is checked first at grid.nu, as in
-    `solve_evo_pde` and the 1D wrappers; without it this is the unchecked
-    solution map, whose checks diagnostics run on the map as a whole."""
+    """The solution map of (d/dt M + N + A) u = f, K solves in one stepping
+    pass: F of shape (n, state_dim, K) gives the states (n, state_dim, K),
+    column j the solution for F[:, :, j]; F of shape (n, state_dim) is one
+    solve.  With `check` the positivity certificate is checked first at
+    grid.nu; without it this is the unchecked map, whose checks diagnostics
+    run on the map as a whole.  The 1D wrappers add the norm bound; the
+    all-cuts audits of `causality_audit` certify causality."""
     if check:
         _pde_check(sys, grid, grid.nu)
     return _dispatch_step(sys, F, grid)
@@ -775,7 +741,7 @@ def funid_residual(
     sys_op = PdeSystem.dense_small(O, P, A, c)
 
     def sol(sys: PdeSystem, g: Signal) -> Signal:
-        return Signal(grid, solve_evo_pde_batch(sys, g.values, grid, check=False))
+        return Signal(grid, solve_evo_pde(sys, g.values, grid, check=False))
 
     u = sol(sys_op, f)
     ju = antiderivative(u)
@@ -811,7 +777,7 @@ def maxwell_1d_solve(
     eps: Coefficient, mu: Coefficient, sigma: Coefficient, J: Signal, nu: float
 ) -> Signal:
     """Solve the 1D Maxwell block on (0, 1) with Dirichlet condition on the
-    E leg, and check the norm bound with c = 1.
+    E leg (c = 1), through the gates of `_solve_driven`.
 
     J is the current density on the J.dim interior nodes of the E leg; the
     returned signal stacks (E, H).  The damped-dielectricity inequalities
@@ -819,35 +785,35 @@ def maxwell_1d_solve(
     >= c) are checked at every node where a coefficient varies in time;
     eps = 0 is admissible (eddy-current regime).
     """
-    return _solve_driven(PdeSystem.maxwell(eps, mu, sigma, J.dim), J, nu, check_norm=True)
+    return _solve_driven(PdeSystem.maxwell(eps, mu, sigma, J.dim), J, nu)
 
 
-def _solve_driven(sys: PdeSystem, f: Signal, nu: float, check_norm: bool = False) -> Signal:
-    """`solve_evo_pde` of a 1D system driven by f on its u-leg, without the
-    spot causality check."""
-    F = np.zeros((f.grid.n, sys.state_dim), dtype=complex)
+def _solve_driven(sys: PdeSystem, f: Signal, nu: float) -> Signal:
+    """The checked `solve_evo_pde` of a 1D system driven by f on its u-leg,
+    at weight nu, followed by the accretive norm bound |u| <= (1/c)|f| with
+    5% discretization slack.  Every 1D wrapper runs these two gates."""
+    grid = f.grid.with_nu(nu)
+    F = np.zeros((grid.n, sys.state_dim), dtype=complex)
     F[:, :sys.A.m_x] = f.values
-    return solve_evo_pde(sys, Signal(f.grid, F), nu=nu, check_causality=False,
-                         check_norm=check_norm)
-
-
-def _edge_values(a_edge) -> np.ndarray:
-    """Complex edge values from an array or a space-profile Coefficient."""
-    if isinstance(a_edge, Coefficient):
-        a_edge = a_edge.diagonal_values()
-    return np.asarray(a_edge, dtype=complex)
+    u = Signal(grid, solve_evo_pde(sys, F, grid))
+    bound = (1.0 / sys.c) * norm_nu(Signal(grid, F)) * 1.05
+    if norm_nu(u) > bound + 1e-14:
+        raise ValueError(
+            f"norm bound violated: |u|={norm_nu(u):.4e} > (1/c)|f|*1.05={bound:.4e}"
+        )
+    return u
 
 
 def heat_1d_solve(a_edge, f: Signal, nu: float) -> Signal:
-    """Heat flow on (0, 1) with edge-sampled conductivity; f drives the
-    theta leg."""
-    return _solve_driven(PdeSystem.heat(_edge_values(a_edge), nu=nu), f, nu)
+    """Heat flow on (0, 1) with edge-sampled conductivity (an array of the
+    m_x + 1 edge values); f drives the theta leg.  Gated by `_solve_driven`."""
+    return _solve_driven(PdeSystem.heat(a_edge, nu=nu), f, nu)
 
 
 def wave_1d_solve(a_edge, f: Signal, nu: float) -> Signal:
-    """First-order wave system on (0, 1) driven on the velocity leg;
-    returns (v, p)."""
-    return _solve_driven(PdeSystem.wave(_edge_values(a_edge), nu=nu), f, nu)
+    """First-order wave system on (0, 1) driven on the velocity leg, a_edge
+    the m_x + 1 edge values; returns (v, p).  Gated by `_solve_driven`."""
+    return _solve_driven(PdeSystem.wave(a_edge, nu=nu), f, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -860,10 +826,10 @@ def elliptic_solve(a_edge, f_nodes: np.ndarray) -> np.ndarray:
     Uses the factorization of the inverse into (projected gradient)^-1,
     (projected coefficient)^-1 and (projected divergence)^-1 and
     cross-checks against the direct three-point solve; the two must agree
-    to 1e-8 since the discrete factorization is exact.  The coefficient may
-    be an edge-sampled array or a space-profile Coefficient.
+    to 1e-8 since the discrete factorization is exact.  The coefficient is
+    an array of the m_x + 1 edge values.
     """
-    a_edge = _edge_values(a_edge)
+    a_edge = np.asarray(a_edge, dtype=complex)
     f_nodes = np.asarray(f_nodes, dtype=complex)
     m_x = len(f_nodes)
     if len(a_edge) != m_x + 1:

@@ -1,6 +1,6 @@
-"""All-cuts causality audits on short grids: the six production audits, an
-anti-causal control for the ensemble driver, and batched stepping pinned to
-single-RHS stepping."""
+"""All-cuts causality audits on short grids: the six production audits,
+anti-causal controls for the ensemble driver and the production steppers,
+and batched stepping pinned to single-RHS stepping."""
 
 import numpy as np
 import pytest
@@ -116,6 +116,14 @@ class TestAudits:
         with pytest.raises(ValueError, match="dim-1"):
             audit.audit_picard(np.sin, 1.0, f)
 
+    def test_picard_rejects_row_coupling_rule(self):
+        # the rule mixes the state columns, which the ensemble fills with
+        # cuts: its audit would read 0.0 without certifying anything
+        g = grid()
+        rule = lambda u: np.sin(u.sum(axis=1, keepdims=True)) * np.ones_like(u) / u.shape[1]
+        with pytest.raises(ValueError, match="column-wise rule"):
+            audit.audit_picard(rule, 1.0, Signal(g, bump(g)))
+
     def test_heat_and_picard_span_several_blocks(self):
         g = long_grid()
         assert audit.audit_pde(pde_systems()["heat"], pde_drive(g), g) <= 1e-10
@@ -140,6 +148,23 @@ class TestAntiCausalControl:
         g = long_grid()
         F = Signal(g, bump(g, centre=g.times[-6], width=0.05))
         assert audit._ensemble_defect(reads_ahead, None, F, g) > 0.1
+
+    @staticmethod
+    def leaking(steps):
+        """A stepper that adds the next node's input row to every state."""
+        def leaky(sys, rows, g):
+            rows = list(rows)
+            for k, u in enumerate(steps(sys, rows, g)):
+                yield u + rows[min(k + 1, len(rows) - 1)]
+        return leaky
+
+    @pytest.mark.parametrize("kind", ["heat", "skew"])
+    def test_leaking_production_stepper_is_caught(self, kind, monkeypatch):
+        g = grid()
+        sys = pde_systems()[kind]
+        F = pde_drive(g) if kind == "heat" else Signal(g, np.column_stack([bump(g)] * 2))
+        monkeypatch.setattr(audit, "_pde_steps", self.leaking(audit._pde_steps))
+        assert audit.audit_pde(sys, F, g) > 1e-10
 
 
 def batched_matches_single(stepper, single, sys, g, rng, m):
