@@ -91,6 +91,8 @@ def audit_picard(F_rule, lip: float, f: Signal) -> float:
     pair = np.column_stack([fv, fv / 2])
     joint = np.asarray(F_rule(pair), dtype=complex)
     alone = np.column_stack([np.asarray(F_rule(pair[:, j:j + 1]), dtype=complex) for j in (0, 1)])
+    if joint.shape != alone.shape:
+        raise ValueError(f"rule mapped the {pair.shape} stack to shape {joint.shape}")
     gap = np.linalg.norm(joint - alone) / max(np.linalg.norm(alone), NORM_FLOOR)
     if gap > 1e-12:
         raise ValueError(f"the Picard audit needs a column-wise rule: on two columns "

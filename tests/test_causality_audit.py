@@ -116,13 +116,16 @@ class TestAudits:
         with pytest.raises(ValueError, match="dim-1"):
             audit.audit_picard(np.sin, 1.0, f)
 
-    def test_picard_rejects_row_coupling_rule(self):
-        # the rule mixes the state columns, which the ensemble fills with
-        # cuts: its audit would read 0.0 without certifying anything
+    def test_picard_rule_checked_on_two_columns(self):
+        # a rule that mixes the state columns, which the ensemble fills with
+        # cuts, would audit to 0.0 without certifying anything; a rule of
+        # the wrong shape is named as such
         g = grid()
         rule = lambda u: np.sin(u.sum(axis=1, keepdims=True)) * np.ones_like(u) / u.shape[1]
         with pytest.raises(ValueError, match="column-wise rule"):
             audit.audit_picard(rule, 1.0, Signal(g, bump(g)))
+        with pytest.raises(ValueError, match=r"\(64, 2\) stack to shape \(64,\)"):
+            audit.audit_picard(lambda u: u[:, 0], 1.0, Signal(g, bump(g)))
 
     def test_heat_and_picard_span_several_blocks(self):
         g = long_grid()
