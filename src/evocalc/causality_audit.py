@@ -5,8 +5,12 @@ for input truncated before t, at every cut.  Running a fresh solve per cut
 is quadratic in the node count, so the audits feed the production steppers
 of `solvers` the ensemble of truncated inputs (one column per cut, the uncut
 input last), one stepping pass per block of columns, and accumulate the
-weighted defect of each column online.  The Picard audit runs `picard_solve`
-itself on the same blocks.
+weighted defect of each column online.  Before a block's first cut every
+column carries F, so a pass steps that shared past as one column and widens
+to the block's columns at its first cut; a stepper that reads ahead of the
+node it yields meets the wide rows as early as it reads them, so its leak
+still shows.  The Picard audit runs `picard_solve` itself on the same
+blocks.
 
 All audits return max over cuts of |Q_t S f - Q_t S Q_t f| / |f| in the
 weighted norm of the grid.
@@ -27,7 +31,11 @@ __all__ = [
 
 # Ensemble columns per pass, the uncut one included; bounds the memory of
 # the stepper audits at O(m * BLOCK) and of the Picard audit at O(n * BLOCK).
-BLOCK = 256
+# A stepper audit costs about n * BLOCK column steps plus n^2 / (2 * BLOCK)
+# one-column steps of the blocks' shared pasts.  At n = 401 every audit is
+# faster at 128 than at 256; at n = 3001 the stepper audits are slower and
+# the Picard audit faster, about even in total.
+BLOCK = 128
 
 
 def _finish(acc: np.ndarray, f_norm2: float) -> float:
@@ -38,10 +46,15 @@ def _ensemble_defect(stepper, sys, F: Signal, grid: TimeGrid) -> float:
     """All-cuts defect of a per-node stepper.
 
     `stepper(sys, rows, grid)` must yield the state at each node for RHS rows
-    of shape (m, K).  The cuts go in blocks of BLOCK - 1; in a block's pass,
-    the column of cut j carries F_k in row k when k < j, so it is F
-    truncated before cut j, and the last column carries F itself.  Node k
-    counts only for the cuts after it, so a pass ends at its last cut.
+    of shape (m, K), and keep its state one column wide while the rows it
+    has read are (m, 1), widening when they widen.  The cuts go in blocks of
+    BLOCK - 1; in a block's pass, the column of cut j carries F_k in row k
+    when k < j, so it is F truncated before cut j, and the last column
+    carries F itself.  Rows before the block's first cut are the same in
+    every column and go in as the one column F_k; a node whose state is
+    still one column wide has equal columns by construction and adds
+    nothing.  Node k counts only for the cuts after it, so a pass ends at
+    its last cut.
     """
     n = grid.n
     w = grid.quad_weights()
@@ -49,8 +62,11 @@ def _ensemble_defect(stepper, sys, F: Signal, grid: TimeGrid) -> float:
     for start in range(0, n, BLOCK - 1):
         stop = min(start + BLOCK - 1, n)
         cols = np.append(np.arange(start, stop), n)
-        rows = (f[:, None] * (k < cols) for k, f in enumerate(F.values))
+        rows = (f[:, None] if k < start else f[:, None] * (k < cols)
+                for k, f in enumerate(F.values))
         for k, u in zip(range(stop - 1), stepper(sys, rows, grid)):
+            if u.shape[1] == 1:
+                continue
             i = max(k + 1, start)
             acc[i:stop] += w[k] * np.sum(np.abs(u[:, i - start:-1] - u[:, -1:]) ** 2, axis=0)
     return _finish(acc, float(w @ np.sum(np.abs(F.values) ** 2, axis=1)))

@@ -136,6 +136,21 @@ def _as_callable(op):
     return op if callable(op) else op.action
 
 
+def _probe_errors(S_n, S_lim, probes: ProbeSet, nu: float) -> tuple[float, float]:
+    """The weak pairing error and the strong error of S_n against S_lim,
+    from one evaluation of (S_n - S_lim) phi per probe."""
+    apply_n, apply_lim = _as_callable(S_n), _as_callable(S_lim)
+    diffs = [apply_n(phi) - apply_lim(phi) for phi in probes]
+    norms = [max(norm_nu(phi, nu=nu), NORM_FLOOR) for phi in probes]
+    weak = strong = 0.0
+    for d, nphi in zip(diffs, norms):
+        strong = max(strong, norm_nu(d, nu=nu) / nphi)
+        for psi, npsi in zip(probes, norms):
+            if psi.dim == d.dim:
+                weak = max(weak, abs(inner_nu(psi, d, nu=nu)) / (nphi * npsi))
+    return weak, strong
+
+
 def weak_pairing_error(S_n, S_lim, probes: ProbeSet, nu: float) -> float:
     """Max over probe pairs of |<psi, (S_n - S_lim) phi>| / (|phi| |psi|).
 
@@ -143,21 +158,7 @@ def weak_pairing_error(S_n, S_lim, probes: ProbeSet, nu: float) -> float:
     reweighting the pairing changes none of the verdicts for compactly
     supported probes, so `nu` just fixes the bookkeeping.
     """
-    apply_n, apply_lim = _as_callable(S_n), _as_callable(S_lim)
-    diffs = []
-    for phi in probes:
-        d = apply_n(phi) - apply_lim(phi)
-        diffs.append((phi, d))
-    worst = 0.0
-    for phi, d in diffs:
-        nphi = max(norm_nu(phi, nu=nu), NORM_FLOOR)
-        for psi in probes:
-            npsi = max(norm_nu(psi, nu=nu), NORM_FLOOR)
-            if psi.dim != d.dim:
-                continue
-            val = abs(inner_nu(psi, d, nu=nu)) / (nphi * npsi)
-            worst = max(worst, val)
-    return worst
+    return _probe_errors(S_n, S_lim, probes, nu)[0]
 
 
 def strong_error(S_n, S_lim, probes: ProbeSet, nu: float) -> float:
@@ -248,8 +249,7 @@ def product_mean_limit(
                 out = antiderivative(out)
             return out
 
-        pe = weak_pairing_error(osc_op, limit_op, probes, nu)
-        se = strong_error(osc_op, limit_op, probes, nu)
+        pe, se = _probe_errors(osc_op, limit_op, probes, nu)
         # operator-norm estimate: the strong error over the base probes plus
         # an enriched seeded dictionary, so it dominates se by construction
         enriched = ProbeSet(grid, dim=1, seed=seed + 1, n_random=8)

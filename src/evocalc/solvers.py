@@ -300,12 +300,15 @@ def _step_dense(Ms, mats, rows, dt: float):
     """Backward difference of M u, one dense solve per node: mats[k] u_k =
     f_k + (M u)_{k-1}/dt with M = Ms[k] on the leading rows (any rows past
     them are an algebraic leg with no memory).  Yields u node by node for
-    RHS rows of shape (m,) or (m, K)."""
+    RHS rows of shape (m,) or (m, K); rows may widen from (m, 1) to (m, K)
+    at any node, and the states widen with them."""
     m0 = Ms.shape[1]
     batch, rows = _batch_shape(rows)
     mu_prev = np.zeros((mats.shape[1],) + batch, dtype=complex)  # (M u) at the previous node
     for k, f in enumerate(rows):
         uk = np.linalg.solve(mats[k], f + mu_prev / dt)
+        if mu_prev.shape != uk.shape:
+            mu_prev = np.zeros_like(uk)
         mu_prev[:m0] = Ms[k] @ uk[:m0]
         yield uk
 
@@ -677,7 +680,9 @@ def solve_evo_pde(
 
 def _pde_steps(sys: PdeSystem, rows, grid: TimeGrid):
     """Node-by-node states of the stepper for the system's spatial kind, fed
-    RHS rows of shape (m,) or (m, K)."""
+    RHS rows of shape (m,) or (m, K).  Rows may widen from (m, 1) to (m, K)
+    at any node: the states stay one column wide up to it and then match
+    the states of full-width rows, as the causality audits require."""
     if sys.A.kind == "skew-matrix":
         return _step_skew_dense(sys, rows, grid)
     if sys.A.kind == "grad0-div-1d":

@@ -1,6 +1,9 @@
 """All-cuts causality audits on short grids: the six production audits,
 anti-causal controls for the ensemble driver and the production steppers,
-and batched stepping pinned to single-RHS stepping."""
+the ensemble driver pinned to its full-width form, and batched stepping
+pinned to single-RHS stepping."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -133,13 +136,15 @@ class TestAudits:
         assert audit.audit_picard(np.sin, 1.0, Signal(g, bump(g))) <= 1e-10
 
 
-def reads_ahead(sys, rows, g):
-    # the state at node k is the input row of node k + 1
+def reads_ahead(sys, rows, g, d=1):
+    # the state at node k is the input row of node k + d
     rows = iter(rows)
-    next(rows)
+    for _ in range(d):
+        next(rows)
     for row in rows:
         yield row
-    yield np.zeros_like(row)
+    for _ in range(d):
+        yield np.zeros_like(row)
 
 
 class TestAntiCausalControl:
@@ -151,6 +156,20 @@ class TestAntiCausalControl:
         g = long_grid()
         F = Signal(g, bump(g, centre=g.times[-6], width=0.05))
         assert audit._ensemble_defect(reads_ahead, None, F, g) > 0.1
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("width", ["cut", "cut+d"])
+    def test_caught_at_a_block_boundary(self, d, width):
+        # the drive sits on the second block's first cut s (and the d nodes
+        # after it): the leak shows only at nodes before s, which step the
+        # block's shared past, so the rows must widen at s and a node must
+        # count as soon as its state is wide
+        g = long_grid()
+        s = audit.BLOCK - 1
+        F = np.zeros((g.n, 1))
+        F[s:s + (1 if width == "cut" else d + 1)] = 1.0
+        stepper = functools.partial(reads_ahead, d=d)
+        assert audit._ensemble_defect(stepper, None, Signal(g, F), g) > 0.1
 
     @staticmethod
     def leaking(steps):
@@ -171,12 +190,25 @@ class TestAntiCausalControl:
 
 
 def batched_matches_single(stepper, single, sys, g, rng, m):
+    """K-column rows give the K single solves.  Rows that are one column
+    wide up to a node s and K columns from s on give one-column states up
+    to s and then the states of the full-width rows (the audits' shared
+    past)."""
     K = int(rng.integers(1, 5))
     F = rng.standard_normal((g.n, m, K)) + 1j * rng.standard_normal((g.n, m, K))
     batched = np.array(list(stepper(sys, F, g)))
     for j in range(K):
         ref = single(sys, F[:, :, j], g)
         assert np.linalg.norm(batched[:, :, j] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    s = int(rng.integers(1, g.n))
+    F[:s] = F[:s, :, :1]
+    full = np.array(list(stepper(sys, F, g)))
+    rows = [f[:, :1] if k < s else f for k, f in enumerate(F)]
+    widening = list(stepper(sys, rows, g))
+    assert [u.shape[1] for u in widening] == [1] * s + [K] * (g.n - s)
+    widening = np.array([np.broadcast_to(u, (m, K)) for u in widening])
+    assert np.linalg.norm(widening - full) <= 1e-13 * np.linalg.norm(full)
 
 
 class TestBatchedStepping:
@@ -200,3 +232,56 @@ class TestBatchedStepping:
         sys = pde_systems()[kind]
         batched_matches_single(_pde_steps, _dispatch_step, sys, grid(32),
                                np.random.default_rng(seed), sys.state_dim)
+
+
+def full_width_defect(stepper, sys, F: Signal, grid: TimeGrid) -> float:
+    """The ensemble driver as it was before the shared past went in as one
+    column: every pass steps every node at full width.  The reference the
+    driver is pinned to."""
+    BLOCK, _finish = audit.BLOCK, audit._finish
+    n = grid.n
+    w = grid.quad_weights()
+    acc = np.zeros(n)
+    for start in range(0, n, BLOCK - 1):
+        stop = min(start + BLOCK - 1, n)
+        cols = np.append(np.arange(start, stop), n)
+        rows = (f[:, None] * (k < cols) for k, f in enumerate(F.values))
+        for k, u in zip(range(stop - 1), stepper(sys, rows, grid)):
+            i = max(k + 1, start)
+            acc[i:stop] += w[k] * np.sum(np.abs(u[:, i - start:-1] - u[:, -1:]) ** 2, axis=0)
+    return _finish(acc, float(w @ np.sum(np.abs(F.values) ** 2, axis=1)))
+
+
+def audited(kind, g):
+    """(stepper, system, drive) of one production audit on grid g."""
+    two = np.column_stack([bump(g), bump(g, 1.5, 0.5)])
+    if kind == "ode-block":
+        # coupled: an algebraic leg past the memory rows of M
+        sys = ode_system(np.random.default_rng(3), True)
+        return _step_ode_block, sys, Signal(g, np.hstack([two, two[:, ::-1]]))
+    sys = pde_systems()[kind]
+    return _pde_steps, sys, Signal(g, two) if kind == "skew" else pde_drive(g)
+
+
+class TestSharedPast:
+    """The driver steps each block's shared past as one column; on three
+    blocks it must give the full-width driver's defect."""
+
+    KINDS = ["ode-block", "heat", "maxwell", "wave", "skew"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_leaking_stepper_matches_full_width(self, kind):
+        g = long_grid()
+        stepper, sys, F = audited(kind, g)
+        leaky = TestAntiCausalControl.leaking(stepper)
+        fast = audit._ensemble_defect(leaky, sys, F, g)
+        ref = full_width_defect(leaky, sys, F, g)
+        assert ref > 0.1
+        assert abs(fast - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_causal_stepper_passes_on_both(self, kind):
+        g = long_grid()
+        stepper, sys, F = audited(kind, g)
+        assert audit._ensemble_defect(stepper, sys, F, g) <= 1e-10
+        assert full_width_defect(stepper, sys, F, g) <= 1e-10

@@ -8,8 +8,11 @@ import pytest
 from evocalc.signals import Coefficient, Signal, TimeGrid, inner_nu, norm_nu, truncate_before
 from evocalc.timecalc import antiderivative
 from evocalc.operators import CausalOp, ProbeSet
+from evocalc import homogenization
+from evocalc.experiments import DEFAULTS, RUNNERS
 from evocalc.homogenization import (
     ConvergenceReport,
+    _probe_errors,
     arithmetic_mean,
     bessel_i0,
     dbf_experiment,
@@ -53,6 +56,8 @@ class TestTopologyDiagnostics:
         strong = strong_error(sin_mult(g, 64), zero_op(g), probes, 1.0)
         assert weak <= 0.02
         assert strong == pytest.approx(1 / np.sqrt(2), rel=0.1)
+        # the joint pass of `product_mean_limit` gives both, bit for bit
+        assert _probe_errors(sin_mult(g, 64), zero_op(g), probes, 1.0) == (weak, strong)
 
     def test_mean_shift_matches_oscillation_decay(self):
         # 2 + sin oscillation against the constant 2: same decay as pure sin
@@ -123,6 +128,22 @@ class TestProductMeanLimit:
         rep = product_mean_limit([a1, a2], [16, 64])
         assert rep.metadata["mean_product"] == pytest.approx(1.0, abs=1e-12)
         assert rep.rows[-1]["pairing_error"] <= 0.02
+
+    def test_timprod_evaluates_each_probe_once_per_scale(self, monkeypatch):
+        # 4 scales, 10 base and 14 enriched probes; each difference
+        # (S_n - S_lim) phi takes one antiderivative in the chain and one in
+        # the limit.  Evaluating the base probes for the weak and the strong
+        # error apart made it 34 differences per scale, 272 calls.
+        calls = 0
+
+        def counted(f):
+            nonlocal calls
+            calls += 1
+            return antiderivative(f)
+
+        monkeypatch.setattr(homogenization, "antiderivative", counted)
+        RUNNERS["timprod"](dict(DEFAULTS["timprod"]))
+        assert calls == 4 * (10 + 14) * 2
 
 
 class TestWeakLimitEquation:
