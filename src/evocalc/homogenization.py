@@ -75,21 +75,21 @@ class ConvergenceReport:
         })
         self.rows.sort(key=lambda r: r["scale"])
 
-    def slope(self, column: str = "pairing_error") -> float:
-        """Log-log regression slope of a column against the scale."""
+    def slope(self) -> float:
+        """Log-log regression slope of the pairing error against the scale."""
         xs = np.array([r["scale"] for r in self.rows], dtype=float)
-        ys = np.array([max(r[column], 1e-300) for r in self.rows], dtype=float)
+        ys = np.array([max(r["pairing_error"], 1e-300) for r in self.rows], dtype=float)
         if len(xs) < 2:
             return 0.0
         return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
-    def finalize(self, tol: float, slope_max: float = -0.5,
-                 column: str = "pairing_error") -> bool:
-        """Apply the fixed ladder rule and stamp verdicts onto the rows."""
+    def finalize(self, tol: float, slope_max: float = -0.5) -> bool:
+        """Apply the fixed ladder rule to the pairing error and stamp verdicts
+        onto the rows."""
         if not self.rows:
             return False
-        slope = self.slope(column)
-        final = self.rows[-1][column]
+        slope = self.slope()
+        final = self.rows[-1]["pairing_error"]
         ok = (final <= tol) and (slope <= slope_max)
         self.metadata["tol"] = tol
         self.metadata["slope"] = slope
@@ -101,14 +101,15 @@ class ConvergenceReport:
     def verdict(self) -> bool:
         return bool(self.rows) and all(r["verdict"] for r in self.rows)
 
-    def assert_topology_ordering(self, rel_slack: float = 1e-9):
-        """Norm >= strong >= weak pairing on every row (embedding chain)."""
+    def assert_topology_ordering(self):
+        """Norm >= strong >= weak pairing on every row (embedding chain), to
+        a relative slack of 1e-9."""
         for r in self.rows:
-            if r["strong_error"] > r["norm_error"] * (1 + rel_slack) + 1e-15:
+            if r["strong_error"] > r["norm_error"] * (1 + 1e-9) + 1e-15:
                 raise AssertionError(
                     f"ordering violated at scale {r['scale']}: strong > norm"
                 )
-            if r["pairing_error"] > r["strong_error"] * (1 + rel_slack) + 1e-15:
+            if r["pairing_error"] > r["strong_error"] * (1 + 1e-9) + 1e-15:
                 raise AssertionError(
                     f"ordering violated at scale {r['scale']}: weak > strong"
                 )
@@ -132,15 +133,10 @@ class ConvergenceReport:
 # topology diagnostics
 # ---------------------------------------------------------------------------
 
-def _as_callable(op):
-    return op if callable(op) else op.action
-
-
 def _probe_errors(S_n, S_lim, probes: ProbeSet, nu: float) -> tuple[float, float]:
     """The weak pairing error and the strong error of S_n against S_lim,
     from one evaluation of (S_n - S_lim) phi per probe."""
-    apply_n, apply_lim = _as_callable(S_n), _as_callable(S_lim)
-    diffs = [apply_n(phi) - apply_lim(phi) for phi in probes]
+    diffs = [S_n(phi) - S_lim(phi) for phi in probes]
     norms = [max(norm_nu(phi, nu=nu), NORM_FLOOR) for phi in probes]
     weak = strong = 0.0
     for d, nphi in zip(diffs, norms):
@@ -163,8 +159,7 @@ def weak_pairing_error(S_n, S_lim, probes: ProbeSet, nu: float) -> float:
 
 def strong_error(S_n, S_lim, probes: ProbeSet, nu: float) -> float:
     """Max over probes of |(S_n - S_lim) phi| / |phi|."""
-    apply_n, apply_lim = _as_callable(S_n), _as_callable(S_lim)
-    return probe_sup(lambda phi: apply_n(phi) - apply_lim(phi), probes, nu)
+    return probe_sup(lambda phi: S_n(phi) - S_lim(phi), probes, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +184,16 @@ def bessel_i0(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def harmonic_mean(profile: Callable[[np.ndarray], np.ndarray], n_quad: int = 4096) -> complex:
-    """(integral of 1/a over one period)^{-1} by midpoint quadrature."""
-    y = (np.arange(n_quad) + 0.5) / n_quad
+def harmonic_mean(profile: Callable[[np.ndarray], np.ndarray]) -> complex:
+    """(integral of 1/a over one period)^{-1} by midpoint quadrature on
+    4096 nodes."""
+    y = (np.arange(4096) + 0.5) / 4096
     vals = np.asarray(profile(y), dtype=complex)
     return 1.0 / np.mean(1.0 / vals)
 
 
-def arithmetic_mean(profile: Callable[[np.ndarray], np.ndarray], n_quad: int = 4096) -> complex:
-    y = (np.arange(n_quad) + 0.5) / n_quad
+def arithmetic_mean(profile: Callable[[np.ndarray], np.ndarray]) -> complex:
+    y = (np.arange(4096) + 0.5) / 4096
     return complex(np.mean(np.asarray(profile(y), dtype=complex)))
 
 
@@ -205,12 +201,18 @@ def arithmetic_mean(profile: Callable[[np.ndarray], np.ndarray], n_quad: int = 4
 # oscillatory product of means
 # ---------------------------------------------------------------------------
 
+def _resolving_grid(n: int, nu: float) -> TimeGrid:
+    """The window [0, 4] with dt = 1/(16 n), 16 steps per period of the
+    oscillation at frequency n: a lattice that does not resolve the
+    oscillation cannot see it average out."""
+    dt = 1.0 / (16 * n)
+    return TimeGrid(0.0, dt, int(round(4.0 / dt)) + 1, nu)
+
+
 def product_mean_limit(
     a_profiles: Sequence[Callable],
     scales: Sequence[int],
     nu: float = 1.0,
-    t_end: float = 4.0,
-    steps_per_period: int = 16,
     seed: int = 42,
     tol: float = 0.02,
     slope_max: float = -0.5,
@@ -218,9 +220,8 @@ def product_mean_limit(
     """Alternating multiplication/integration chain against its mean limit.
 
     Builds T_n = a_1(n.) J a_2(n.) J ... J a_k(n.) and compares in weak
-    pairing with J^{k-1} times the product of the period means.  The grid is
-    refined with the scale (dt = 1/(steps_per_period n)): a lattice that
-    does not resolve the oscillation cannot see it average out.
+    pairing with J^{k-1} times the product of the period means, on the
+    scale's `_resolving_grid`.
     """
     k = len(a_profiles)
     if k < 1:
@@ -231,8 +232,7 @@ def product_mean_limit(
         "timprod", metadata={"seed": seed, "k": k, "mean_product": complex(mean_prod).real}
     )
     for n in scales:
-        dt = 1.0 / (steps_per_period * n)
-        grid = TimeGrid(0.0, dt, int(round(t_end / dt)) + 1, nu)
+        grid = _resolving_grid(n, nu)
         probes = ProbeSet(grid, dim=1, seed=seed)
         diags = [np.asarray(a((n * grid.times) % 1.0), dtype=complex) for a in a_profiles]
 
@@ -341,8 +341,6 @@ def dbf_experiment(
     A_skew,
     scales: Sequence[int],
     nu: float = 2.0,
-    t_end: float = 4.0,
-    steps_per_period: int = 16,
     seed: int = 42,
     tol: float = 0.02,
     slope_max: float = -0.5,
@@ -351,8 +349,7 @@ def dbf_experiment(
     """Oscillatory two-leg block system against its constant-coefficient limit.
 
     For each frequency n the system (d/dt diag(eps(n.), mu(n.)) + A) U = F is
-    solved on a grid resolving the oscillation (dt = 1/(steps_per_period n))
-    for a fixed driving pulse, and the solution field is paired against the
+    solved on the scale's `_resolving_grid` for a fixed driving pulse, and the solution field is paired against the
     solve with the limit coefficients (harmonic means unless a straw-man
     pair is supplied for the negative control).  Pairings are normalized by
     the limit solution: the quantity reported is the relative weak defect of
@@ -375,8 +372,7 @@ def dbf_experiment(
         },
     )
     for n in scales:
-        dt = 1.0 / (steps_per_period * n)
-        grid = TimeGrid(0.0, dt, int(round(t_end / dt)) + 1, nu)
+        grid = _resolving_grid(n, nu)
 
         def msamp(t, n=n):
             return np.diag([complex(eps_profile(np.array(n * t))),
@@ -417,22 +413,21 @@ def memory_kernel_experiment(
     scales: Sequence[int],
     nu: float = 2.0,
     t_end: float = 4.0,
-    dt: float = 0.001,
-    cells_per_period: int = 16,
     seed: int = 42,
     tol: float = 0.02,
     slope_max: float = -0.5,
 ) -> ConvergenceReport:
     """Oscillatory-in-space relaxation against the Bessel-kernel convolution.
 
-    Solves du/dt + sin(2 pi x / eps) u = f cellwise for eps = 1/n and pairs
+    Solves du/dt + sin(2 pi x / eps) u = f cellwise (dt = 0.001, 16 cells
+    per period) for eps = 1/n and pairs
     the field against the memory solution u(t) = int_{-inf}^t I0(t-s) f(s) ds,
     which is what the spatial average of exp(-(t-s) sin(2 pi y)) produces.
     The x-probe blocks are deliberately not aligned with the oscillation
     period: partial-period boundary mass is exactly what decays with eps.
     """
-    grid = TimeGrid(0.0, dt, int(round(t_end / dt)) + 1, nu)
-    t = grid.times
+    grid = TimeGrid(0.0, 0.001, int(round(t_end / 0.001)) + 1, nu)
+    t, dt = grid.times, grid.dt
     f_t = ((t >= 0.0) & (t < 1.0)).astype(float)  # unit forcing pulse
 
     # limit oracle: causal convolution with the I0 kernel, trapezoid in s
@@ -447,7 +442,7 @@ def memory_kernel_experiment(
     )
     x_blocks = ((0.11, 0.53), (0.27, 0.81), (0.07, 0.96))
     for n in scales:
-        m_cells = cells_per_period * n
+        m_cells = 16 * n
         x = (np.arange(m_cells) + 0.5) / m_cells
         s = np.sin(2 * np.pi * n * x)
         u = np.zeros((grid.n, m_cells))
@@ -483,7 +478,6 @@ def eddy_current_experiment(
     eps_scale_profiles: Sequence[tuple],
     eta_list: Sequence[float],
     t_end: float = 10.0,
-    dt: float = 0.01,
     m_x: int = 24,
     seed: int = 42,
     slack: float = 0.10,
@@ -493,7 +487,9 @@ def eddy_current_experiment(
     eps_scale_profiles is a list of (scale_label, eps Coefficient,
     sup |eps|, sup |eps'|); for each entry and each weight eta the observed
     probe norm of (S(eps) S(0)^{-1} - 1) J S(0) is compared against
-    (1/c^2)(|eps| + |eps'|/eta) with the declared slack.
+    (1/c^2)(|eps| + |eps'|/eta) with the declared slack, on a lattice with
+    dt = 0.01.  Every solve is certified (`solve_evo_pde`), so an eps whose
+    damping nu*eps + eps'/2 fails raises.
 
     The observed column is a norm-type estimate, so it is maximized over the
     smooth members of the probe dictionary (bumps and random smooth
@@ -512,7 +508,7 @@ def eddy_current_experiment(
     # batched pass, once for the shared eps = 0 solve and once per profile
     observed = {}
     for eta in eta_list:
-        grid = TimeGrid(0.0, dt, int(round(t_end / dt)) + 1, eta)
+        grid = TimeGrid(0.0, 0.01, int(round(t_end / 0.01)) + 1, eta)
         tset = list(ProbeSet(grid, dim=1, seed=seed))
         probes = [
             np.outer(gsig.values[:, 0], np.sin(np.pi * x))
@@ -526,7 +522,7 @@ def eddy_current_experiment(
         y = np.stack([evo_pde_forward(sys0, v).values for v in v2], axis=2)
         j_norms = [max(norm_nu(Signal(grid, p), nu=eta), NORM_FLOOR) for p in probes]
         for i, (_, eps_n, _, _) in enumerate(eps_scale_profiles):
-            v4 = solve_evo_pde(PdeSystem.maxwell(eps_n, mu, sigma, m_x), y, grid, check=False)
+            v4 = solve_evo_pde(PdeSystem.maxwell(eps_n, mu, sigma, m_x), y, grid)
             observed[i, eta] = max(
                 norm_nu(Signal(grid, v4[..., j] - v.values), nu=eta) / j_norm
                 for j, (v, j_norm) in enumerate(zip(v2, j_norms))
@@ -553,23 +549,20 @@ def wave_g_convergence_experiment(
     a_profile: Callable,
     scales: Sequence[int],
     nu: float = 1.0,
-    t_end: float = 3.0,
-    dt: float = 0.01,
-    cells_per_period: int = 16,
     seed: int = 42,
     tol: float = 0.05,
     slope_max: float = -0.5,
-    limit_coefficient: float | None = None,
 ) -> ConvergenceReport:
     """First-order wave system with a(x/eps) against the one-dimensional
-    G-limit (the harmonic mean of the profile).
+    G-limit (the harmonic mean of the profile), on [0, 3] with dt = 0.01
+    and 16 cells per period.
 
     Also certifies the elliptic premise: static solutions with the
     oscillatory coefficient converge, weakly in the gradient pairing, to the
     harmonic-mean solution.
     """
-    b = float(np.real(harmonic_mean(a_profile))) if limit_coefficient is None else limit_coefficient
-    grid = TimeGrid(0.0, dt, int(round(t_end / dt)) + 1, nu)
+    b = float(np.real(harmonic_mean(a_profile)))
+    grid = TimeGrid(0.0, 0.01, 301, nu)
     t = grid.times
     drive_t = ((t >= 0.0) & (t < 0.5)).astype(float)
     t_probes = [np.exp(-(((t - c) / 0.4) ** 2)) for c in (0.8, 1.6)]
@@ -577,7 +570,7 @@ def wave_g_convergence_experiment(
 
     report = ConvergenceReport("wave", metadata={"seed": seed, "g_limit": b})
     for n in scales:
-        m_x = cells_per_period * n
+        m_x = 16 * n
         xe = np.linspace(0.0, 1.0, m_x + 1)
         xi = np.linspace(0.0, 1.0, m_x + 2)[1:-1]
         a_edge = np.asarray(a_profile((n * xe) % 1.0), dtype=complex)
@@ -589,7 +582,7 @@ def wave_g_convergence_experiment(
         x_tests = [np.sin(np.pi * xi), np.sin(2 * np.pi * xi), ((xi > 0.2) & (xi < 0.7)).astype(float)]
         x_tests_e = [np.sin(np.pi * xe), np.cos(np.pi * xe), ((xe > 0.3) & (xe < 0.8)).astype(float)]
         vq_n, vq_b = u_n.values, u_b.values
-        norm_ref = _space_time_norm(vq_b, grid, nu, m_x)
+        norm_ref = norm_nu(u_b) * np.sqrt(dx_i)
         worst = 0.0
         for gt in t_probes:
             ngt = np.sqrt(np.sum(grid.quad_weights() * gt**2))
@@ -607,16 +600,15 @@ def wave_g_convergence_experiment(
                 )
                 nh = np.sqrt(np.sum(hx**2) * dx_i)
                 worst = max(worst, abs(pair) / max(ngt * nh * norm_ref, NORM_FLOOR))
-        bulk = _space_time_norm(vq_n - vq_b, grid, nu, m_x) / max(norm_ref, NORM_FLOOR)
+        bulk = norm_nu(u_n - u_b) * np.sqrt(dx_i) / max(norm_ref, NORM_FLOOR)
         report.add_row(n, worst, bulk, bulk)
     report.finalize(tol, slope_max)
 
     # elliptic premise ladder (G-convergence definition)
     premise = ConvergenceReport("wave-elliptic-premise", metadata={"seed": seed, "g_limit": b})
     for n in scales:
-        m_x = cells_per_period * n
+        m_x = 16 * n
         xe = np.linspace(0.0, 1.0, m_x + 1)
-        xi = np.linspace(0.0, 1.0, m_x + 2)[1:-1]
         a_edge = np.asarray(a_profile((n * xe) % 1.0), dtype=complex)
         f = np.ones(m_x)
         u_eps = elliptic_solve(a_edge, f)
@@ -640,26 +632,21 @@ def wave_g_convergence_experiment(
     return report
 
 
-def _space_time_norm(vals: np.ndarray, grid: TimeGrid, nu: float, m_x: int) -> float:
-    w = grid.with_nu(nu).quad_weights()
-    dx = 1.0 / (m_x + 1)
-    return float(np.sqrt(np.sum(w[:, None] * np.abs(vals) ** 2) * dx))
-
-
 def heat_strong_continuity_experiment(
     a_family: Sequence[tuple],
     b_edge: np.ndarray,
     nu: float = 1.0,
-    t_end: float = 2.0,
-    dt: float = 0.01,
     seed: int = 42,
     tol: float = 0.02,
 ) -> ConvergenceReport:
     """Strong convergence of heat solution maps for pointwise-convergent
-    conductivities; a_family is a list of (scale_label, a_edge)."""
+    conductivities on [0, 2] with dt = 0.01; a_family is a list of
+    (scale_label, a_edge).  Errors are in the space-time norm: the weighted
+    norm times sqrt(dx)."""
     b_edge = np.asarray(b_edge, dtype=complex)
     m_x = len(b_edge) - 1
-    grid = TimeGrid(0.0, dt, int(round(t_end / dt)) + 1, nu)
+    grid = TimeGrid(0.0, 0.01, 201, nu)
+    sqrt_dx = np.sqrt(1.0 / (m_x + 1))
     xi = np.linspace(0.0, 1.0, m_x + 2)[1:-1]
     tset = ProbeSet(grid, dim=1, seed=seed)
     probes = [Signal(grid, np.outer(g.values[:, 0], mode))
@@ -670,10 +657,10 @@ def heat_strong_continuity_experiment(
     F = np.zeros((grid.n, 2 * m_x + 1, len(probes)), dtype=complex)
     F[:, :m_x] = np.stack([f.values for f in probes], axis=2)
     u_b = solve_evo_pde(PdeSystem.heat(b_edge, nu=nu), F, grid)
-    f_norms = [max(_space_time_norm(f.values, grid, nu, m_x), NORM_FLOOR) for f in probes]
+    f_norms = [max(norm_nu(f) * sqrt_dx, NORM_FLOOR) for f in probes]
     for label, a_edge in a_family:
         u_a = solve_evo_pde(PdeSystem.heat(np.asarray(a_edge, dtype=complex), nu=nu), F, grid)
-        w = max(_space_time_norm(u_a[..., j] - u_b[..., j], grid, nu, m_x) / f_norm
+        w = max(norm_nu(Signal(grid, u_a[..., j] - u_b[..., j])) * sqrt_dx / f_norm
                 for j, f_norm in enumerate(f_norms))
         report.add_row(label, pairing_error=w, strong_error=w, norm_error=w)
     report.finalize(tol)

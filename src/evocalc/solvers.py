@@ -406,7 +406,6 @@ def picard_solve(
     lip: float,
     f: Signal,
     tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> Signal:
     """Fixed point of u = J(F(u) + f) with J the causal integral.
 
@@ -434,7 +433,7 @@ def picard_solve(
         return vals
 
     u = np.zeros((grid.n, f.dim), dtype=complex)
-    for _ in range(max_iter):
+    for _ in range(200):
         u.setflags(write=False)  # a rule that writes to its input raises, not corrupts u
         u_next = _cumsum(nemitskii(u) + f.values, grid.dt)
         d = u_next - u
@@ -444,7 +443,7 @@ def picard_solve(
         if gap <= tol * (1 - kappa):
             break
     else:
-        raise ValueError(f"fixed point did not reach tol={tol} in {max_iter} iterations")
+        raise ValueError(f"fixed point did not reach tol={tol} in 200 iterations")
     sol = Signal(grid, u)
     defect = norm_nu(derivative(sol) - Signal(grid, nemitskii(sol.values) + f.values))
     if defect > 10 * tol * max(1.0, norm_nu(sol)):
@@ -545,16 +544,18 @@ def _sample_legs(sys: PdeSystem, grid: TimeGrid, deriv: bool = False) -> list:
 
 
 def _pde_check(sys: PdeSystem, grid: TimeGrid, nu: float):
-    """Check the positivity certificate Re(nu M + M'/2) + Re N >= c: at every
-    node in one batched eigenvalue solve for the skew-matrix kind; per leg
-    pair of the grad-div kind, at every node of a time-profile leg and once
-    for a time-independent one (a time series meets a space profile through
-    the two minima)."""
+    """Check the positivity certificate Re(nu M + M'/2) + Re N >= c: for the
+    skew-matrix kind in one batched eigenvalue solve, at every node when M or
+    N is a time profile and at one node otherwise; per leg pair of the
+    grad-div kind, at every node of a time-profile leg and once for a
+    time-independent one (a time series meets a space profile through the
+    two minima)."""
     if sys.A.kind == "skew-matrix" and sys.M is not None:
-        herm = nu * sys.M.sample_all(grid)
+        nodes = slice(None) if "time-profile" in (sys.M.kind, sys.N.kind) else slice(1)
+        herm = nu * sys.M.sample_all(grid)[nodes]
         if sys.M.deriv_sampler is not None:
-            herm = herm + 0.5 * sys.M.sample_deriv_all(grid)
-        herm = herm + sys.N.sample_all(grid)
+            herm = herm + 0.5 * sys.M.sample_deriv_all(grid)[nodes]
+        herm = herm + sys.N.sample_all(grid)[nodes]
         low = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(1, 2)))[:, 0]
         k = int(np.argmax(low < sys.c - 1e-9))  # the first failing node
         if low[k] < sys.c - 1e-9:
@@ -663,18 +664,14 @@ def _step_wave(sys: PdeSystem, rows, grid: TimeGrid):
         yield np.concatenate([v, mean_zero_project(_scale(a, q))])
 
 
-def solve_evo_pde(
-    sys: PdeSystem, F: np.ndarray, grid: TimeGrid, check: bool = True
-) -> np.ndarray:
+def solve_evo_pde(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """The solution map of (d/dt M + N + A) u = f, K solves in one stepping
     pass: F of shape (n, state_dim, K) gives the states (n, state_dim, K),
     column j the solution for F[:, :, j]; F of shape (n, state_dim) is one
-    solve.  With `check` the positivity certificate is checked first at
-    grid.nu; without it this is the unchecked map, whose checks diagnostics
-    run on the map as a whole.  The 1D wrappers add the norm bound; the
+    solve.  The positivity certificate is checked first at grid.nu, so every
+    solve is of a certified system.  The 1D wrappers add the norm bound; the
     all-cuts audits of `causality_audit` certify causality."""
-    if check:
-        _pde_check(sys, grid, grid.nu)
+    _pde_check(sys, grid, grid.nu)
     return _dispatch_step(sys, F, grid)
 
 
@@ -746,7 +743,7 @@ def funid_residual(
     sys_op = PdeSystem.dense_small(O, P, A, c)
 
     def sol(sys: PdeSystem, g: Signal) -> Signal:
-        return Signal(grid, solve_evo_pde(sys, g.values, grid, check=False))
+        return Signal(grid, solve_evo_pde(sys, g.values, grid))
 
     u = sol(sys_op, f)
     ju = antiderivative(u)
@@ -794,17 +791,19 @@ def maxwell_1d_solve(
 
 
 def _solve_driven(sys: PdeSystem, f: Signal, nu: float) -> Signal:
-    """The checked `solve_evo_pde` of a 1D system driven by f on its u-leg,
-    at weight nu, followed by the accretive norm bound |u| <= (1/c)|f| with
+    """`solve_evo_pde` of a 1D system driven by f on its u-leg, at weight
+    nu, followed by the accretive norm bound |u| <= (1/c)|f| with
     5% discretization slack.  Every 1D wrapper runs these two gates."""
     grid = f.grid.with_nu(nu)
     F = np.zeros((grid.n, sys.state_dim), dtype=complex)
     F[:, :sys.A.m_x] = f.values
     u = Signal(grid, solve_evo_pde(sys, F, grid))
-    bound = (1.0 / sys.c) * norm_nu(Signal(grid, F)) * 1.05
-    if norm_nu(u) > bound + 1e-14:
+    # f is F without its zero columns, so it has F's norm
+    bound = (1.0 / sys.c) * norm_nu(f, nu=nu) * 1.05
+    norm_u = norm_nu(u)
+    if norm_u > bound + 1e-14:
         raise ValueError(
-            f"norm bound violated: |u|={norm_nu(u):.4e} > (1/c)|f|*1.05={bound:.4e}"
+            f"norm bound violated: |u|={norm_u:.4e} > (1/c)|f|*1.05={bound:.4e}"
         )
     return u
 

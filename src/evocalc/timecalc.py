@@ -30,10 +30,13 @@ __all__ = [
     "apply_multiplier",
     "shift_multiplier",
     "spectrum_of_antiderivative",
-    "DEFAULT_PAD_FACTOR",
 ]
 
-DEFAULT_PAD_FACTOR = 4
+# Zero padding of the weighted transform: the window is extended to
+# PAD_FACTOR times its length, so multiplier application is a linear (not
+# circular) convolution for signals whose damped mass at the window edge is
+# negligible.
+PAD_FACTOR = 4
 
 
 def derivative(f: Signal) -> Signal:
@@ -87,12 +90,12 @@ def resolvent(f: Signal, eps: float) -> Signal:
     return Signal(f.grid, out)
 
 
-def resolvent_series(f: Signal, eps: float, tail: float = 1e-8) -> Signal:
+def resolvent_series(f: Signal, eps: float) -> Signal:
     """Resolvent via the geometric expansion in the causal antiderivative.
 
     Cross-check oracle only: sums c * J * sum_k ((r - J)/(r + eps))^k f with
     J the antiderivative and r = 1/(2 nu), truncated at the closed-form index
-    of remainder `tail`, at least 4 terms (`timecalc` sits below
+    of remainder 1e-8, at least 4 terms (`timecalc` sits below
     `operators.series_terms`).  `resolvent` is the production path.
     """
     nu = f.grid.nu
@@ -102,7 +105,7 @@ def resolvent_series(f: Signal, eps: float, tail: float = 1e-8) -> Signal:
     ratio = r / (r + eps)  # sup_{z on the circle} |(r - z)/eps| / (1 + r/eps)
     if not ratio < 1:
         raise ValueError("series does not contract")
-    n_terms = max(4, int(np.ceil(np.log(tail * (1 - ratio)) / np.log(ratio))))
+    n_terms = max(4, int(np.ceil(np.log(1e-8 * (1 - ratio)) / np.log(ratio))))
     scale = 1.0 / (eps * (1.0 + r / eps))
     denom = r + eps
     # Horner form: acc <- f + ((r - J)/denom) acc
@@ -117,19 +120,18 @@ class SpectrumSignal:
     """Frequency-side picture of a Signal under the weighted transform.
 
     values[j] is (dt / sqrt(2 pi)) times the DFT of exp(-nu t) f(t) on the
-    zero-padded window; `freqs` are the matching angular frequencies.  With
+    window zero-padded to PAD_FACTOR times its length, nu = grid.nu; `freqs`
+    are the matching angular frequencies.  With
     this normalization the discrete Parseval identity reproduces the weighted
     norm of the originating signal exactly (rectangle rule).
     """
 
     grid: TimeGrid
-    nu: float
-    pad_factor: int
     values: np.ndarray = field(repr=False)
 
     @property
     def freqs(self) -> np.ndarray:
-        n_pad = self.grid.n * self.pad_factor
+        n_pad = self.grid.n * PAD_FACTOR
         return 2.0 * np.pi * np.fft.fftfreq(n_pad, d=self.grid.dt)
 
     @property
@@ -137,33 +139,29 @@ class SpectrumSignal:
         return self.values.shape[1]
 
     def norm(self) -> float:
-        n_pad = self.grid.n * self.pad_factor
+        n_pad = self.grid.n * PAD_FACTOR
         dxi = 2.0 * np.pi / (n_pad * self.grid.dt)
         total = np.sum(np.abs(self.values) ** 2) * dxi
         return float(np.sqrt(total))
 
 
-def fourier_laplace(f: Signal, pad_factor: int = DEFAULT_PAD_FACTOR) -> SpectrumSignal:
-    """Weighted Fourier transform: damp by exp(-nu t), then DFT.
-
-    The window is zero-padded by `pad_factor` so multiplier application is a
-    linear (not circular) convolution for signals whose damped mass at the
-    window edge is negligible.
-    """
+def fourier_laplace(f: Signal) -> SpectrumSignal:
+    """Weighted Fourier transform: damp by exp(-nu t), then DFT on the window
+    zero-padded by PAD_FACTOR."""
     grid = f.grid
     damped = f.values * np.exp(-grid.nu * grid.times)[:, None]
-    n_pad = grid.n * pad_factor
+    n_pad = grid.n * PAD_FACTOR
     spec = np.fft.fft(damped, n=n_pad, axis=0) * (grid.dt / np.sqrt(2.0 * np.pi))
-    return SpectrumSignal(grid=grid, nu=grid.nu, pad_factor=pad_factor, values=spec)
+    return SpectrumSignal(grid=grid, values=spec)
 
 
 def inverse_fourier_laplace(F: SpectrumSignal) -> Signal:
     """Invert `fourier_laplace`: inverse DFT, drop padding, undo the damping."""
     grid = F.grid
-    n_pad = grid.n * F.pad_factor
+    n_pad = grid.n * PAD_FACTOR
     damped = np.fft.ifft(F.values, n=n_pad, axis=0) / (grid.dt / np.sqrt(2.0 * np.pi))
     damped = damped[: grid.n]
-    return Signal(grid, damped * np.exp(F.nu * grid.times)[:, None])
+    return Signal(grid, damped * np.exp(grid.nu * grid.times)[:, None])
 
 
 @dataclass(frozen=True)
@@ -195,9 +193,7 @@ class MultiplierFunction:
         return out
 
 
-def apply_multiplier(
-    M: MultiplierFunction, f: Signal, pad_factor: int = DEFAULT_PAD_FACTOR
-) -> Signal:
+def apply_multiplier(M: MultiplierFunction, f: Signal) -> Signal:
     """Apply the operator function M of the inverse time derivative.
 
     Computes the conjugation of pointwise multiplication by M(h(xi)) with the
@@ -209,12 +205,11 @@ def apply_multiplier(
     nu = f.grid.nu
     if not nu > 0:
         raise ValueError("apply_multiplier requires nu > 0")
-    F = fourier_laplace(f, pad_factor=pad_factor)
+    F = fourier_laplace(f)
     h = 1.0 / (1j * F.freqs + nu)
     mats = M.sample(h)
     out_spec = np.einsum("jab,jb->ja", mats, F.values)
-    G = SpectrumSignal(grid=F.grid, nu=F.nu, pad_factor=F.pad_factor, values=out_spec)
-    return inverse_fourier_laplace(G)
+    return inverse_fourier_laplace(SpectrumSignal(grid=F.grid, values=out_spec))
 
 
 def shift_multiplier(h: float) -> MultiplierFunction:

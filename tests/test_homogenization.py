@@ -275,6 +275,13 @@ class TestExperiments:
         assert rep.rows[0]["pairing_error"] <= 1e-12
         assert rep.rows[0]["verdict"]
 
+    def test_eddy_rejects_uncertified_dielectricity(self):
+        # nu*eps + eps'/2 = -eta < 0: the eps_n solve is not certified
+        bad = Coefficient.scalar_profile(lambda t: -1.0, deriv=lambda t: 0.0)
+        with pytest.raises(ValueError, match="leg 0 damping fails"):
+            eddy_current_experiment([(1, bad, 1.0, 0.0)], eta_list=[1.0],
+                                    t_end=4.0, m_x=12)
+
 
 class TestConvergenceReport:
     def test_csv_roundtrip_and_verdict(self, tmp_path):

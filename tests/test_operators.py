@@ -105,7 +105,7 @@ class TestOpNorm:
 
         S = CausalOp(grid=g, action=scale, adjoint_action=scale)
         with pytest.warns(RuntimeWarning, match="in 3000 iterations"):
-            est = op_norm(S, max_iter=200)
+            est = op_norm(S)
         assert est == pytest.approx(1.0, abs=1e-4)
 
     def test_probe_route_beyond_dense_limit(self):

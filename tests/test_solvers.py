@@ -439,6 +439,16 @@ class TestFundamentalIdentity:
             P = Coefficient.constant(0.3 * rand_skew(rng, 2) + 0.2 * np.eye(2))
             assert funid_residual(M, N, O, P, A, f, nu=1.0, c=0.5) <= 1e-6
 
+    def test_uncertified_constant_rejected(self):
+        # Re(nu M) + Re N = 1 at every node: the identity is only evaluated
+        # for a c the positivity certificate backs
+        g = self.grid()
+        A = SpatialOperator.skew_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        M = Coefficient.constant(np.eye(2), 1.0)
+        N = Coefficient.constant(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="positivity certificate fails at t=0.0"):
+            funid_residual(M, N, M, N, A, self.probe(g), nu=1.0, c=1.5)
+
 
 class TestMaxwell:
     def one(self):
@@ -612,14 +622,13 @@ class TestInverseRoute:
             ref = single(Signal(g, J[:, :, j])).values
             assert np.linalg.norm(batch[..., j] - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    def test_batch_checks_positivity_unless_told_not_to(self):
+    def test_batch_checks_positivity(self):
         g = TimeGrid(0.0, 0.01, 11, 1.0)
         weak_mu = Coefficient.scalar_profile(lambda t: 0.5, deriv=lambda t: 0.0)
         sys_pde = PdeSystem.maxwell(self.one(), weak_mu, self.one(), 4)
         F = np.zeros((g.n, sys_pde.state_dim, 2), dtype=complex)
         with pytest.raises(ValueError, match="positivity"):
             solvers.solve_evo_pde(sys_pde, F, g)
-        assert not solvers.solve_evo_pde(sys_pde, F, g, check=False).any()
 
     def test_inverse_cache_bounded_in_n(self):
         # every inverse of a time-varying m = 64 solve at once would take
@@ -840,7 +849,7 @@ class TestForwardMap:
         rng = np.random.default_rng(7)
         shape = (g.n, sys_pde.state_dim)
         f = Signal(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        u = Signal(g, solve_evo_pde(sys_pde, f.values, g, check=False))
+        u = Signal(g, solve_evo_pde(sys_pde, f.values, g))
         back = evo_pde_forward(sys_pde, u)
         assert np.linalg.norm(back.values - f.values) <= 1e-12 * np.linalg.norm(f.values)
 
@@ -866,5 +875,5 @@ class TestForwardMap:
         F = np.zeros((g.n, 2 * self.M_X + 1), dtype=complex)
         F[:, :self.M_X] = J.values
         for u, sys_pde in cases:
-            ref = solve_evo_pde(sys_pde, F, g.with_nu(nu), check=False)
+            ref = solve_evo_pde(sys_pde, F, g.with_nu(nu))
             assert np.array_equal(u.values, ref)

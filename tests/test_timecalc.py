@@ -143,7 +143,7 @@ class TestResolvent:
         g = ref_grid()
         f = gaussian(g, 4.0, 0.8)
         direct = resolvent(f, 0.1)
-        series = resolvent_series(f, 0.1, tail=1e-8)
+        series = resolvent_series(f, 0.1)
         assert norm_nu(direct - series) / norm_nu(direct) <= 1e-6
 
 
