@@ -121,9 +121,9 @@ class SpectrumSignal:
 
     values[j] is (dt / sqrt(2 pi)) times the DFT of exp(-nu t) f(t) on the
     window zero-padded to PAD_FACTOR times its length, nu = grid.nu; `freqs`
-    are the matching angular frequencies.  With
-    this normalization the discrete Parseval identity reproduces the weighted
-    norm of the originating signal exactly (rectangle rule).
+    are the matching angular frequencies.  With this normalization the
+    discrete Parseval identity reproduces the weighted norm of the
+    originating signal exactly (rectangle rule).
     """
 
     grid: TimeGrid
