@@ -152,7 +152,7 @@ def run_ode_block(cfg: dict) -> ConvergenceReport:
     # residual estimate: |B^-1 diag(d,1) - [[M^-1,0],[-N11^-1 N10 M^-1, N11^-1]]|
     ns = sysb.block_norms(grid)
     c0 = c1 = 1.0
-    theta = (c1 * ns["N00"] + ns["N01"] * ns["N10"]) / (nu * c0 * c1)
+    theta = sysb.theta(grid, nu)
     rhs_bound = (c1 * ns["N01"] + ns["N01"] * ns["N10"]) / (c0 * c1**2 * nu) + (
         theta / (1 - theta)
     ) * (
@@ -242,7 +242,7 @@ def run_transfer(cfg: dict) -> ConvergenceReport:
 
 def run_causality_suite(cfg: dict) -> ConvergenceReport:
     """All-cuts causality audit of every solution operator, the anti-causal
-    control, and the weight-independence defects of the solver builders."""
+    control, and the weight-independence defects of four solution maps."""
     nu = cfg["nu"]
     seed = cfg["seed"]
     grid = TimeGrid(0.0, cfg["dt"], int(cfg["n"]), nu)
@@ -300,7 +300,7 @@ def run_causality_suite(cfg: dict) -> ConvergenceReport:
                 verdict=bad > cfg["tol.anticausal_min"])
     rep.metadata["anticausal-control"] = bad
 
-    # weight independence of the solver builders on compactly supported data.
+    # weight independence of the solution maps on compactly supported data.
     # Stepping engines are compared on the reference grid; the series and
     # multiplier routes use a window with nu * T moderate, because their
     # weighted-norm truncation tails blow up by exp(2 nu T) when re-measured
@@ -309,57 +309,29 @@ def run_causality_suite(cfg: dict) -> ConvergenceReport:
     grid_short = TimeGrid(0.0, grid.dt, min(grid.n, 1001), nu)
     probes_short = ProbeSet(grid_short, dim=1, seed=seed)
 
-    def stepping_builder(nu_b: float):
-        sysn = OdeBlockSystem(M=Coefficient.constant([[1.0]], 1.0),
-                              N00=Coefficient.constant([[0.5]]), c=1.0)
+    # one scalar relaxation for stepping and series; N00 = 1/2 keeps the
+    # series contraction at both weights nu and 2 nu
+    sysn = OdeBlockSystem(M=Coefficient.constant([[1.0]], 1.0),
+                          N00=Coefficient.constant([[0.5]]), c=1.0)
 
-        def act(f: Signal) -> Signal:
-            g = grid.with_nu(nu_b)
-            return Signal(grid, solve_ode_block_stepping(sysn, Signal(g, f.values), g))
-
-        return CausalOp(grid=grid, action=act)
-
-    def heat_builder(nu_b: float):
-        sysh = PdeSystem.heat(a_edge, nu=nu_b)
-
-        def act(f: Signal) -> Signal:
-            F = np.zeros((grid.n, 2 * m_x + 1), dtype=complex)
-            F[:, :m_x] = np.outer(f.values[:, 0], mode)
-            out = solve_evo_pde(sysh, F, grid.with_nu(nu_b))
-            return Signal(grid, out[:, :1])
-
-        return CausalOp(grid=grid, action=act)
-
-    def neumann_builder(nu_b: float):
-        g = grid_short.with_nu(nu_b)
-        # N00 = 1/2 keeps the series contraction at both weights nu and 2 nu
-        sys1 = OdeBlockSystem(M=Coefficient.constant([[1.0]], 1.0),
-                              N00=Coefficient.constant([[0.5]]), c=1.0)
-
-        def act(f: Signal) -> Signal:
-            return Signal(grid_short,
-                          solve_ode_block_neumann(sys1, Signal(g, f.values), g, nu_b, 1e-10))
-
-        return CausalOp(grid=grid_short, action=act)
-
-    def multiplier_builder(nu_b: float):
-        def act(f: Signal) -> Signal:
-            g = Signal(grid_short.with_nu(nu_b), f.values)
-            out = apply_multiplier(MultiplierFunction.scalar(lambda z: z), g)
-            return Signal(grid_short, out.values)
-
-        return CausalOp(grid=grid_short, action=act)
+    def heat_solve(v: np.ndarray, g: TimeGrid) -> np.ndarray:
+        F = np.zeros((g.n, 2 * m_x + 1), dtype=complex)
+        F[:, :m_x] = np.outer(v[:, 0], mode)
+        return solve_evo_pde(PdeSystem.heat(a_edge, nu=g.nu), F, g)[:, :1]
 
     # the multiplier route is certified on smooth interior probes only: the
     # exp(+nu t) undamping amplifies the spectral tail of non-smooth inputs
     cases = (
-        ("stepping", stepping_builder, probes),
-        ("heat", heat_builder, probes),
-        ("neumann", neumann_builder, probes_short),
-        ("multiplier", multiplier_builder, probes_short.smooth_only()),
+        ("stepping", lambda v, g: solve_ode_block_stepping(sysn, Signal(g, v), g), probes),
+        ("heat", heat_solve, probes),
+        ("neumann", lambda v, g: solve_ode_block_neumann(sysn, Signal(g, v), g, g.nu, 1e-10),
+         probes_short),
+        ("multiplier", lambda v, g: apply_multiplier(MultiplierFunction.scalar(lambda z: z),
+                                                     Signal(g, v)).values,
+         probes_short.smooth_only()),
     )
-    for row, (name, builder, pset) in enumerate(cases, start=len(defects) + 1):
-        defect = nu_independence_defect(builder, nu, 2 * nu, pset)
+    for row, (name, solve, pset) in enumerate(cases, start=len(defects) + 1):
+        defect = nu_independence_defect(solve, nu, 2 * nu, pset)
         rep.add_row(row, norm_error=defect, bound_rhs=nu_tol, verdict=defect <= nu_tol)
         rep.metadata[f"nu-indep-{name}"] = defect
     return rep

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,16 +45,14 @@ class CausalOp:
 
     `action` must be linear; the diagnostics assume it.  `dense`, when
     present, is the (n*dim_out) x (n*dim_in) matrix acting on stacked node
-    values.  The causality/translation-invariance flags record claims that
-    the diagnostics in this module test.
+    values.  An operator declares neither causality nor translation
+    invariance: the diagnostics in this module measure both.
     """
 
     grid: TimeGrid
     action: Callable[[Signal], Signal]
     dim_in: int = 1
     dim_out: int = 1
-    claims_causal: bool = True
-    claims_translation_invariant: bool = False
     dense: np.ndarray | None = field(default=None, repr=False)
     # adjoint with respect to the nu-weighted product at grid.nu, when known
     # analytically; lets op_norm power-iterate without materializing
@@ -73,42 +71,35 @@ class CausalOp:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def identity(grid: TimeGrid, dim: int = 1) -> "CausalOp":
-        return CausalOp(
-            grid=grid, action=lambda f: f, dim_in=dim, dim_out=dim,
-            claims_translation_invariant=True,
-        )
+    def identity(grid: TimeGrid) -> "CausalOp":
+        return CausalOp(grid=grid, action=lambda f: f)
 
     @staticmethod
-    def zero(grid: TimeGrid, dim: int = 1) -> "CausalOp":
-        return CausalOp(
-            grid=grid, action=lambda f: Signal.zero(f.grid, dim),
-            dim_in=dim, dim_out=dim, claims_translation_invariant=True,
-        )
+    def zero(grid: TimeGrid) -> "CausalOp":
+        return CausalOp(grid=grid, action=lambda f: Signal.zero(f.grid))
 
     @staticmethod
-    def from_matrix(grid: TimeGrid, matrix, dim: int = 1) -> "CausalOp":
+    def from_matrix(grid: TimeGrid, matrix) -> "CausalOp":
         """Constant (in time) matrix acting nodewise; causal and TI."""
         m = np.atleast_2d(np.asarray(matrix, dtype=complex))
         return CausalOp(
             grid=grid,
             action=lambda f: Signal(f.grid, f.values @ m.T),
             dim_in=m.shape[1], dim_out=m.shape[0],
-            claims_translation_invariant=True,
         )
 
     @staticmethod
-    def multiplication(grid: TimeGrid, profile: Callable[[float], complex], dim: int = 1) -> "CausalOp":
+    def multiplication(grid: TimeGrid, profile: Callable[[float], complex]) -> "CausalOp":
         """Scalar time profile acting nodewise; causal, not TI in general."""
         diag = np.array([profile(t) for t in grid.times], dtype=complex)
 
         def act(f: Signal) -> Signal:
             return Signal(f.grid, f.values * diag[:, None])
 
-        return CausalOp(grid=grid, action=act, dim_in=dim, dim_out=dim)
+        return CausalOp(grid=grid, action=act)
 
     @staticmethod
-    def antiderivative_op(grid: TimeGrid, dim: int = 1) -> "CausalOp":
+    def antiderivative_op(grid: TimeGrid) -> "CausalOp":
         w = np.exp(-2.0 * grid.nu * grid.times)
 
         def adj(f: Signal) -> Signal:
@@ -117,31 +108,21 @@ class CausalOp:
             rev = grid.dt * np.cumsum(damped[::-1], axis=0)[::-1]
             return Signal(grid, rev / w[:, None])
 
-        return CausalOp(
-            grid=grid, action=antiderivative, dim_in=dim, dim_out=dim,
-            claims_translation_invariant=True, adjoint_action=adj,
-        )
+        return CausalOp(grid=grid, action=antiderivative, adjoint_action=adj)
 
     @staticmethod
-    def derivative_op(grid: TimeGrid, dim: int = 1) -> "CausalOp":
-        return CausalOp(
-            grid=grid, action=derivative, dim_in=dim, dim_out=dim,
-            claims_translation_invariant=True,
-        )
+    def derivative_op(grid: TimeGrid) -> "CausalOp":
+        return CausalOp(grid=grid, action=derivative)
 
     @staticmethod
-    def shift_op(grid: TimeGrid, h: float, dim: int = 1) -> "CausalOp":
+    def shift_op(grid: TimeGrid, h: float) -> "CausalOp":
         # weighted adjoint of translation: opposite shift scaled by exp(2 h nu)
         scale = np.exp(2.0 * h * grid.nu)
 
         def adj(f: Signal) -> Signal:
             return scale * shift(f, -h)
 
-        return CausalOp(
-            grid=grid, action=lambda f: shift(f, h), dim_in=dim, dim_out=dim,
-            claims_causal=h <= 0, claims_translation_invariant=True,
-            adjoint_action=adj,
-        )
+        return CausalOp(grid=grid, action=lambda f: shift(f, h), adjoint_action=adj)
 
     # -- materialization ----------------------------------------------------
 
@@ -175,11 +156,10 @@ class ProbeSet:
     dim: int = 1
     seed: int = 42
     n_random: int = 4
-    signals: tuple = field(default=(), repr=False)
+    signals: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.signals:
-            object.__setattr__(self, "signals", tuple(self._build()))
+        object.__setattr__(self, "signals", tuple(self._build()))
 
     def _build(self):
         grid, dim = self.grid, self.dim
@@ -217,17 +197,15 @@ class ProbeSet:
     def __len__(self):
         return len(self.signals)
 
-    def smooth_only(self) -> "ProbeSet":
-        """The dictionary without the indicator members (bumps and random
-        smooth signals only); for diagnostics whose error budget assumes
-        spectral decay of the inputs."""
-        trimmed = ProbeSet(self.grid, dim=self.dim, seed=self.seed,
-                           n_random=self.n_random, signals=self.signals[3:])
-        return trimmed
+    def smooth_only(self) -> tuple:
+        """The members other than the indicators (bumps and random smooth
+        signals only); for diagnostics whose error budget assumes spectral
+        decay of the inputs."""
+        return self.signals[3:]
 
 
 def compose(S: CausalOp, T: CausalOp) -> CausalOp:
-    """Operator S after T; causality flags propagate through composition."""
+    """Operator S after T."""
     if S.dim_in != T.dim_out:
         raise GridMismatchError(f"compose: S expects dim {S.dim_in}, T yields {T.dim_out}")
     dense = None
@@ -238,10 +216,6 @@ def compose(S: CausalOp, T: CausalOp) -> CausalOp:
         action=lambda f: S(T(f)),
         dim_in=T.dim_in,
         dim_out=S.dim_out,
-        claims_causal=S.claims_causal and T.claims_causal,
-        claims_translation_invariant=(
-            S.claims_translation_invariant and T.claims_translation_invariant
-        ),
         dense=dense,
     )
 
@@ -258,19 +232,15 @@ def add(S: CausalOp, T: CausalOp, alpha: complex = 1.0) -> CausalOp:
         action=lambda f: S(f) + alpha * T(f),
         dim_in=S.dim_in,
         dim_out=S.dim_out,
-        claims_causal=S.claims_causal and T.claims_causal,
-        claims_translation_invariant=(
-            S.claims_translation_invariant and T.claims_translation_invariant
-        ),
         dense=dense,
     )
 
 
-def _weight_vector(grid: TimeGrid, nu: float, dim: int) -> np.ndarray:
+def _weight_vector(grid: TimeGrid, dim: int) -> np.ndarray:
     # Rectangle weights, not trapezoid: the similarity then reduces to the
     # pure exponential diag(exp(-nu t_k)), under which grid translations have
     # their exact continuum norm (no spurious sqrt(2) from half end-weights).
-    w = grid.dt * np.exp(-2.0 * nu * grid.times)
+    w = grid.dt * np.exp(-2.0 * grid.nu * grid.times)
     return np.repeat(w, dim)
 
 
@@ -320,24 +290,19 @@ def _power_norm(normal_map, norm, v, budget: int) -> float:
     return sigma
 
 
-def op_norm(
-    S: CausalOp,
-    nu: float | None = None,
-    probes: ProbeSet | None = None,
-) -> float:
-    """Estimated operator norm of S on the nu-weighted space.
+def op_norm(S: CausalOp, probes: ProbeSet | None = None) -> float:
+    """Estimated operator norm of S on the space weighted at S.grid.nu.
 
-    With an analytic adjoint at the grid weight: power iteration on S* S, at
-    most 3000 steps.  Otherwise, when S materializes (n*dim <= 4096): the
-    largest singular value of the weighted similarity W^(1/2) S W^(-1/2),
-    exact up to 1024 columns and by power iteration (at most 200 steps)
-    above.  As a last resort, the best probe ratio (`probe_sup`), which
+    With an analytic adjoint: power iteration on S* S, at most 3000 steps.
+    Otherwise, when S materializes (n*dim <= 4096): the largest singular
+    value of the weighted similarity W^(1/2) S W^(-1/2), exact up to 1024
+    columns and by power iteration (at most 200 steps) above.  As a last resort, the best probe ratio (`probe_sup`), which
     needs `probes`.
     """
-    nu = S.grid.nu if nu is None else nu
+    nu = S.grid.nu
     size = S.grid.n * S.dim_in
 
-    if S.adjoint_action is not None and nu == S.grid.nu:
+    if S.adjoint_action is not None:
         # matvec-only power iteration on S* S; iterations are O(n), so a
         # deeper budget than the dense path costs nothing
         rng = np.random.default_rng(11)
@@ -355,8 +320,8 @@ def op_norm(
         if probes is None:
             raise ValueError("op_norm without dense materialization needs probes")
         return probe_sup(S, probes, nu)
-    w_in = _weight_vector(S.grid, nu, S.dim_in)
-    w_out = _weight_vector(S.grid, nu, S.dim_out)
+    w_in = _weight_vector(S.grid, S.dim_in)
+    w_out = _weight_vector(S.grid, S.dim_out)
     A = np.sqrt(w_out)[:, None] * S.dense / np.sqrt(w_in)[None, :]
     if size <= 1024:
         return float(np.linalg.norm(A, 2))
@@ -367,31 +332,27 @@ def op_norm(
     return _power_norm(lambda x: AH @ (A @ x), np.linalg.norm, v, 200)
 
 
-def causality_defect(
-    S: CausalOp, t: float, probes: ProbeSet, nu: float | None = None
-) -> float:
+def causality_defect(S: CausalOp, t: float, probes: Iterable[Signal]) -> float:
     """Max over probes of |Q_t S f - Q_t S Q_t f| / |f| at the cut time t.
 
     Zero (up to roundoff) certifies that output before t only sees input
     before t; anti-causal operators light up on indicator probes straddling
-    the cut.
+    the cut.  Norms are weighted at S.grid.nu.
     """
-    nu = S.grid.nu if nu is None else nu
     return probe_sup(
         lambda f: truncate_before(S(f), t) - truncate_before(S(truncate_before(f, t)), t),
-        probes, nu,
+        probes, S.grid.nu,
     )
 
 
-def strong_causality_constant(
-    S: CausalOp, t: float, probes: ProbeSet, nu: float | None = None
-) -> float:
-    """Smallest C with |Q_t S f| <= C |Q_t f| over the probe set.
+def strong_causality_constant(S: CausalOp, t: float, probes: Iterable[Signal]) -> float:
+    """Smallest C with |Q_t S f| <= C |Q_t f| over the probes, in norms
+    weighted at S.grid.nu.
 
     Returns inf when some probe has no past mass but the output does: that
     is a causality violation, not a division accident.
     """
-    nu = S.grid.nu if nu is None else nu
+    nu = S.grid.nu
     worst = 0.0
     for f in probes:
         num = norm_nu(truncate_before(S(f), t), nu=nu)
@@ -438,13 +399,7 @@ def neumann_inverse(
             acc = base + A_inv(N(acc))
         return acc
 
-    return CausalOp(
-        grid=A_inv.grid, action=act, dim_in=A_inv.dim_in, dim_out=A_inv.dim_out,
-        claims_causal=A_inv.claims_causal and N.claims_causal,
-        claims_translation_invariant=(
-            A_inv.claims_translation_invariant and N.claims_translation_invariant
-        ),
-    )
+    return CausalOp(grid=A_inv.grid, action=act, dim_in=A_inv.dim_in, dim_out=A_inv.dim_out)
 
 
 def invert_accretive(
@@ -513,23 +468,29 @@ def transfer_function(
     """Extract the analytic symbol M(z) of a causal TI operator.
 
     Feeds a smooth interior bump through S and divides one-sided Laplace
-    transforms: M(z) e_j = L[S(bump e_j)](z) / L[bump](z).  Translation
-    invariance is verified first via shift-commutation on the bump, to a
-    relative defect of 1e-8 (causal shifts only, so nothing falls off the
-    window edge).
+    transforms: M(z) e_j = L[S(bump e_j)](z) / L[bump](z).  Both hypotheses
+    of the representation theorem are measured on the bump first, each to
+    a relative defect of 1e-8: causality by `causality_defect` at the bump's
+    centre, translation invariance by shift-commutation (causal shifts only,
+    so nothing falls off the window edge).
     """
     grid = S.grid
-    if not (S.claims_causal and S.claims_translation_invariant):
-        raise ValueError("transfer function needs a causal, translation-invariant claim")
     t = grid.times
     span = grid.t_end - grid.t0
     c0, s0 = grid.t0 + 0.08 * span, 0.02 * span
     bump = np.exp(-(((t - c0) / s0) ** 2))
     bump[bump < 1e-14] = 0.0
+    probe = Signal(grid, np.repeat(bump[:, None], S.dim_in, axis=1))
+
+    defect = causality_defect(S, c0, [probe])
+    if defect > 1e-8:
+        raise ValueError(
+            f"causality defect {defect:.2e} > 1e-8 at t={c0}: representation "
+            "theorem hypothesis (causality) violated"
+        )
 
     # TI pre-check: S tau_h = tau_h S for a causal grid shift
     h = -16 * grid.dt
-    probe = Signal(grid, np.repeat(bump[:, None], S.dim_in, axis=1))
     lhs = S(shift(probe, h))
     rhs = shift(S(probe), h)
     defect = norm_nu(lhs - rhs) / max(norm_nu(S(probe)), NORM_FLOOR)
@@ -562,19 +523,25 @@ def transfer_function(
 
 
 def nu_independence_defect(
-    S_builder: Callable[[float], CausalOp],
+    solve: Callable[[np.ndarray, TimeGrid], np.ndarray],
     nu1: float,
     nu2: float,
-    probes: ProbeSet,
+    probes: Iterable[Signal],
 ) -> float:
-    """Discrepancy of the solution map built at two weights.
+    """Discrepancy of a solution map solved at two weights.
 
-    Both operators act on the same lattice; compactly supported probes lie
-    in every weighted space, so the outputs must coincide if the underlying
-    operator is genuinely weight-independent.  Compared on the unweighted
-    grid norm (weight zero) to avoid privileging either nu.
+    `solve(values, grid)` maps a probe's node values on `grid` to output
+    node values at the weight grid.nu.  Each probe is moved onto its own
+    lattice at nu1 and at nu2; compactly supported probes lie in every
+    weighted space, so the outputs must coincide if the underlying operator
+    is genuinely weight-independent.  Compared on the unweighted grid norm
+    (weight zero) to avoid privileging either nu.
     """
     if not (0 < nu1 < nu2):
         raise ValueError(f"need 0 < nu1 < nu2, got {nu1}, {nu2}")
-    S1, S2 = S_builder(nu1), S_builder(nu2)
-    return probe_sup(lambda f: S1(f) - S2(f), probes, nu=0.0)
+
+    def gap(f: Signal) -> Signal:
+        return Signal(f.grid, solve(f.values, f.grid.with_nu(nu1))
+                      - solve(f.values, f.grid.with_nu(nu2)))
+
+    return probe_sup(gap, probes, nu=0.0)

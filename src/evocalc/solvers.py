@@ -543,13 +543,14 @@ def _sample_legs(sys: PdeSystem, grid: TimeGrid, deriv: bool = False) -> list:
     return out
 
 
-def _pde_check(sys: PdeSystem, grid: TimeGrid, nu: float):
-    """Check the positivity certificate Re(nu M + M'/2) + Re N >= c: for the
-    skew-matrix kind in one batched eigenvalue solve, at every node when M or
-    N is a time profile and at one node otherwise; per leg pair of the
-    grad-div kind, at every node of a time-profile leg and once for a
-    time-independent one (a time series meets a space profile through the
-    two minima)."""
+def _pde_check(sys: PdeSystem, grid: TimeGrid):
+    """Check the positivity certificate Re(nu M + M'/2) + Re N >= c at
+    nu = grid.nu: for the skew-matrix kind in one batched eigenvalue solve,
+    at every node when M or N is a time profile and at one node otherwise;
+    per leg pair of the grad-div kind, at every node of a time-profile leg
+    and once for a time-independent one (a time series meets a space
+    profile through the two minima)."""
+    nu = grid.nu
     if sys.A.kind == "skew-matrix" and sys.M is not None:
         nodes = slice(None) if "time-profile" in (sys.M.kind, sys.N.kind) else slice(1)
         herm = nu * sys.M.sample_all(grid)[nodes]
@@ -671,7 +672,7 @@ def solve_evo_pde(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
     solve.  The positivity certificate is checked first at grid.nu, so every
     solve is of a certified system.  The 1D wrappers add the norm bound; the
     all-cuts audits of `causality_audit` certify causality."""
-    _pde_check(sys, grid, grid.nu)
+    _pde_check(sys, grid)
     return _dispatch_step(sys, F, grid)
 
 

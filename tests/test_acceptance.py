@@ -113,7 +113,7 @@ class TestAcceptance:
         keys = [k for k in rep.metadata if k.startswith("nu-indep-")]
         worst = max(rep.metadata[k] for k in keys)
         ok = worst <= 10 * 0.01
-        report(7, ok, f"solution-map builders' weight-independence defect "
+        report(7, ok, f"solution maps' weight-independence defect "
                f"{worst:.2e} <= 10*dt between nu and 2 nu")
 
     def test_criterion_08_topology_separation(self):

@@ -2,6 +2,7 @@
 bit-for-bit reproducibility of the CSV reports, and the package's export
 lists."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -233,3 +234,23 @@ def test_export_lists_resolve(module):
     # a name left in __all__ after its definition is gone breaks `import *`
     mod = importlib.import_module(f"evocalc.{module}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(evocalc.__path__)))
+def test_no_unused_imports(module):
+    # no linter is part of the toolchain: an imported name that the module
+    # neither reads nor re-exports through __all__ is dead code
+    tree = ast.parse(Path(importlib.import_module(f"evocalc.{module}").__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    assert sorted(imported - read - exported) == []

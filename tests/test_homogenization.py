@@ -242,6 +242,11 @@ class TestExperiments:
         rep = dbf_experiment(one, one, A, [8], limit_coefficients=(1.0, 1.0))
         assert rep.rows[-1]["pairing_error"] <= 1e-10
 
+    def test_dbf_rejects_non_skew_matrix(self):
+        one = lambda y: np.ones_like(np.asarray(y, dtype=float))
+        with pytest.raises(ValueError, match="skew"):
+            dbf_experiment(one, one, np.array([[0.0, 1.0], [1.0, 0.0]]), [8])
+
     def test_dbf_negative_control_discriminates(self):
         eps = lambda y: 2.0 + np.sin(2 * np.pi * np.asarray(y))
         mu = lambda y: 2.0 + np.sin(2 * np.pi * np.asarray(y) + 1.0)

@@ -4,7 +4,7 @@ series inversion, and the transfer-function extraction."""
 import numpy as np
 import pytest
 
-from evocalc.signals import NORM_FLOOR, Signal, TimeGrid, norm_nu
+from evocalc.signals import NORM_FLOOR, Signal, TimeGrid, norm_nu, shift
 from evocalc.timecalc import MultiplierFunction, antiderivative, apply_multiplier, derivative
 from evocalc.operators import (
     CausalOp,
@@ -186,10 +186,9 @@ class TestCausalityDiagnostics:
         g = TimeGrid(0.0, 0.01, 1001, 1.0)
         span = g.t_end - g.t0
         probe = Signal.indicator(g, g.t0 + 0.5 * span, g.t0 + 0.7 * span)
-        probes = ProbeSet(g, seed=10, signals=(probe,))
         h = round(0.45 * span / g.dt) * g.dt
         S = CausalOp.shift_op(g, +h)
-        C = strong_causality_constant(S, g.t0 + 0.2 * span, probes)
+        C = strong_causality_constant(S, g.t0 + 0.2 * span, (probe,))
         assert C == float("inf")
 
 
@@ -347,13 +346,26 @@ class TestTransferFunction:
         assert abs(ms[0][0, 0] - np.exp(-1.0)) <= 1e-3
         assert abs(ms[1][0, 0] - np.exp(-2.0)) <= 1e-3
 
+    def test_unlabelled_antiderivative_is_one_over_z(self):
+        # both hypotheses are measured, so a bare action needs no declaration
+        g = TimeGrid(0.0, 1e-3, 20001, 0.5)
+        ms = transfer_function(CausalOp(grid=g, action=antiderivative), [1.0 + 0j])
+        assert abs(ms[0][0, 0] - 1.0) <= 1e-3
+
     def test_non_ti_rejected(self):
         g = TimeGrid(0.0, 0.01, 2001, 0.5)
-        profile = CausalOp.multiplication(g, lambda t: 1.0 + t)
-        claimed = CausalOp(grid=g, action=profile.action,
-                           claims_translation_invariant=True)
-        with pytest.raises(ValueError):
-            transfer_function(claimed, [1.0 + 0j])
+        with pytest.raises(ValueError, match="translation invariance"):
+            transfer_function(CausalOp.multiplication(g, lambda t: 1.0 + t), [1.0 + 0j])
+
+    @pytest.mark.parametrize("build", [
+        lambda g: CausalOp(grid=g, action=lambda f: shift(f, g.dt)),
+        lambda g: CausalOp.shift_op(g, g.dt),
+    ], ids=["plain", "shift_op"])
+    def test_anticausal_shift_rejected(self, build):
+        # a one-step advance commutes with shifts, so only causality catches it
+        g = TimeGrid(0.0, 2.5e-4, 80001, 0.5)
+        with pytest.raises(ValueError, match="causality"):
+            transfer_function(build(g), [1.0 + 0j])
 
 
 class TestNuIndependence:
@@ -361,44 +373,33 @@ class TestNuIndependence:
         g = TimeGrid(0.0, 0.01, 1001, 1.0)
         probes = ProbeSet(g, seed=13)
 
-        def builder(nu):
-            return CausalOp.antiderivative_op(g.with_nu(nu))
+        def solve(values, grid):
+            return antiderivative(Signal(grid, values)).values
 
         # the formula never reads nu, so the defect is exactly zero
-        assert nu_independence_defect(builder, 1.0, 3.0, probes) == 0.0
+        assert nu_independence_defect(solve, 1.0, 3.0, probes) == 0.0
 
     def test_relaxation_solution_map(self):
         g = TimeGrid(0.0, 0.01, 1001, 1.0)
         probes = ProbeSet(g, seed=14)
 
-        def builder(nu):
-            gb = g.with_nu(nu)
+        def solve(values, grid):
+            out = np.empty_like(values)
+            prev = np.zeros(values.shape[1], dtype=complex)
+            a = 1.0 / grid.dt
+            for k in range(grid.n):
+                prev = (values[k] + a * prev) / (1.0 + a)
+                out[k] = prev
+            return out
 
-            def act(f):
-                out = np.empty_like(f.values)
-                prev = np.zeros(f.dim, dtype=complex)
-                a = 1.0 / gb.dt
-                for k in range(gb.n):
-                    prev = (f.values[k] + a * prev) / (1.0 + a)
-                    out[k] = prev
-                return Signal(g, out)
-
-            return CausalOp(grid=g, action=act)
-
-        assert nu_independence_defect(builder, 1.0, 3.0, probes) <= 2 * g.dt
+        assert nu_independence_defect(solve, 1.0, 3.0, probes) <= 2 * g.dt
 
     def test_multiplier_route(self):
         g = TimeGrid(0.0, 0.01, 1001, 1.0)
         probes = ProbeSet(g, seed=15).smooth_only()
 
-        def builder(nu):
-            def act(f):
-                out = apply_multiplier(
-                    MultiplierFunction.scalar(lambda z: z),
-                    Signal(g.with_nu(nu), f.values),
-                )
-                return Signal(g, out.values)
+        def solve(values, grid):
+            return apply_multiplier(MultiplierFunction.scalar(lambda z: z),
+                                    Signal(grid, values)).values
 
-            return CausalOp(grid=g, action=act)
-
-        assert nu_independence_defect(builder, 1.0, 2.0, probes) <= 1e-3
+        assert nu_independence_defect(solve, 1.0, 2.0, probes) <= 1e-3

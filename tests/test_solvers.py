@@ -719,9 +719,9 @@ class TestLegCoefficients:
             Coefficient.space_profile(n1)))
         if fails:
             with pytest.raises(ValueError, match="leg 1 positivity"):
-                solvers._pde_check(sys, g, g.nu)
+                solvers._pde_check(sys, g)
         else:
-            solvers._pde_check(sys, g, g.nu)
+            solvers._pde_check(sys, g)
 
     def test_positivity_checked_at_every_node(self):
         # mu dips below c at a single node that a spot check could skip
