@@ -152,7 +152,7 @@ def run_ode_block(cfg: dict) -> ConvergenceReport:
     # residual estimate: |B^-1 diag(d,1) - [[M^-1,0],[-N11^-1 N10 M^-1, N11^-1]]|
     ns = sysb.block_norms(grid)
     c0 = c1 = 1.0
-    theta = sysb.theta(grid, nu)
+    theta = (c1 * ns["N00"] + ns["N01"] * ns["N10"]) / (nu * c0 * c1)
     rhs_bound = (c1 * ns["N01"] + ns["N01"] * ns["N10"]) / (c0 * c1**2 * nu) + (
         theta / (1 - theta)
     ) * (

@@ -360,9 +360,14 @@ class TestTransferFunction:
     @pytest.mark.parametrize("build", [
         lambda g: CausalOp(grid=g, action=lambda f: shift(f, g.dt)),
         lambda g: CausalOp.shift_op(g, g.dt),
-    ], ids=["plain", "shift_op"])
+        lambda g: CausalOp.shift_op(g, 0.5 * (g.t_end - g.t0)),
+        lambda g: CausalOp(grid=g, dim_in=2, dim_out=1, action=lambda f: shift(
+            Signal(g, f.values[:, :1] - f.values[:, 1:]), g.dt)),
+    ], ids=["plain", "shift_op", "half_window", "cancelling_columns"])
     def test_anticausal_shift_rejected(self, build):
-        # a one-step advance commutes with shifts, so only causality catches it
+        # an advance commutes with shifts, so only causality catches it; the
+        # half-window advance moves the whole bump off the left edge, and the
+        # cancelling columns give zero output on the all-ones direction
         g = TimeGrid(0.0, 2.5e-4, 80001, 0.5)
         with pytest.raises(ValueError, match="causality"):
             transfer_function(build(g), [1.0 + 0j])
