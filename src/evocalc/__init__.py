@@ -22,20 +22,14 @@ from .timecalc import (
     inverse_fourier_laplace,
     resolvent,
     resolvent_series,
-    shift_multiplier,
     spectrum_of_antiderivative,
 )
 from .operators import (
     CausalOp,
     ProbeSet,
-    add,
     causality_defect,
-    compose,
-    invert_accretive,
-    neumann_inverse,
     nu_independence_defect,
     op_norm,
-    strong_causality_constant,
     transfer_function,
 )
 from .solvers import (

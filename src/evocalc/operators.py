@@ -16,20 +16,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .signals import (
-    NORM_FLOOR, GridMismatchError, Signal, TimeGrid, inner_nu, norm_nu, truncate_before, shift,
+    NORM_FLOOR, GridMismatchError, Signal, TimeGrid, norm_nu, truncate_before, shift,
 )
-from .timecalc import antiderivative, derivative
+from .timecalc import antiderivative
 
 __all__ = [
     "CausalOp",
     "ProbeSet",
-    "compose",
-    "add",
     "op_norm",
     "causality_defect",
-    "strong_causality_constant",
-    "neumann_inverse",
-    "invert_accretive",
     "transfer_function",
     "nu_independence_defect",
     "probe_sup",
@@ -109,10 +104,6 @@ class CausalOp:
             return Signal(grid, rev / w[:, None])
 
         return CausalOp(grid=grid, action=antiderivative, adjoint_action=adj)
-
-    @staticmethod
-    def derivative_op(grid: TimeGrid) -> "CausalOp":
-        return CausalOp(grid=grid, action=derivative)
 
     @staticmethod
     def shift_op(grid: TimeGrid, h: float) -> "CausalOp":
@@ -202,38 +193,6 @@ class ProbeSet:
         signals only); for diagnostics whose error budget assumes spectral
         decay of the inputs."""
         return self.signals[3:]
-
-
-def compose(S: CausalOp, T: CausalOp) -> CausalOp:
-    """Operator S after T."""
-    if S.dim_in != T.dim_out:
-        raise GridMismatchError(f"compose: S expects dim {S.dim_in}, T yields {T.dim_out}")
-    dense = None
-    if S.dense is not None and T.dense is not None:
-        dense = S.dense @ T.dense
-    return CausalOp(
-        grid=S.grid,
-        action=lambda f: S(T(f)),
-        dim_in=T.dim_in,
-        dim_out=S.dim_out,
-        dense=dense,
-    )
-
-
-def add(S: CausalOp, T: CausalOp, alpha: complex = 1.0) -> CausalOp:
-    """Affine combination S + alpha*T."""
-    if (S.dim_in, S.dim_out) != (T.dim_in, T.dim_out):
-        raise GridMismatchError("add: dimension mismatch")
-    dense = None
-    if S.dense is not None and T.dense is not None:
-        dense = S.dense + alpha * T.dense
-    return CausalOp(
-        grid=S.grid,
-        action=lambda f: S(f) + alpha * T(f),
-        dim_in=S.dim_in,
-        dim_out=S.dim_out,
-        dense=dense,
-    )
 
 
 def _weight_vector(grid: TimeGrid, dim: int) -> np.ndarray:
@@ -343,122 +302,6 @@ def causality_defect(S: CausalOp, t: float, probes: Iterable[Signal]) -> float:
         lambda f: truncate_before(S(f), t) - truncate_before(S(truncate_before(f, t)), t),
         probes, S.grid.nu,
     )
-
-
-def strong_causality_constant(S: CausalOp, t: float, probes: Iterable[Signal]) -> float:
-    """Smallest C with |Q_t S f| <= C |Q_t f| over the probes, in norms
-    weighted at S.grid.nu.
-
-    Returns inf when some probe has no past mass but the output does: that
-    is a causality violation, not a division accident.
-    """
-    nu = S.grid.nu
-    worst = 0.0
-    for f in probes:
-        num = norm_nu(truncate_before(S(f), t), nu=nu)
-        den = norm_nu(truncate_before(f, t), nu=nu)
-        if den <= NORM_FLOOR:
-            if num > 1e-12:
-                return float("inf")
-            continue
-        worst = max(worst, num / den)
-    return worst
-
-
-def neumann_inverse(
-    A_inv: CausalOp,
-    N: CausalOp,
-    theta_bound: float,
-    tol: float,
-    probes: ProbeSet | None = None,
-) -> CausalOp:
-    """Truncated geometric series sum_k (A_inv N)^k A_inv for (A - N)^{-1}.
-
-    The truncation index comes from the a-priori remainder
-    theta^(K+1) / (1 - theta) * |A_inv| <= tol, never from observed
-    stagnation.  The caller certifies theta_bound < 1; it is re-checked on
-    probes when a probe set is supplied.
-    """
-    if not theta_bound < 1:
-        raise ValueError(f"no contraction: theta_bound={theta_bound} >= 1")
-    step = compose(A_inv, N)
-    norm_a = 1.0
-    if probes is not None:
-        observed = probe_sup(step, probes)
-        if observed > theta_bound * (1 + 1e-9):
-            raise ValueError(
-                f"contraction certificate violated on probes: {observed} > {theta_bound}"
-            )
-        norm_a = probe_sup(A_inv, probes)
-    k_max = series_terms(max(theta_bound, 1e-12), max(norm_a, 1.0), tol)
-
-    def act(f: Signal) -> Signal:
-        base = A_inv(f)
-        acc = base
-        for _ in range(k_max):
-            acc = base + A_inv(N(acc))
-        return acc
-
-    return CausalOp(grid=A_inv.grid, action=act, dim_in=A_inv.dim_in, dim_out=A_inv.dim_out)
-
-
-def invert_accretive(
-    B: CausalOp,
-    c: float,
-    f: Signal,
-    tol: float = 1e-10,
-    probes: ProbeSet | None = None,
-    precond: CausalOp | None = None,
-) -> Signal:
-    """Solve B u = f for an accretive causal operator, norm bound 1/c.
-
-    The positivity certificate Re <Q_t B phi, phi> >= c <Q_t phi, phi> is
-    spot-checked on probes at a few cut times.  Windows that materialize
-    (n * dim within the dense limit) are solved directly (LU); larger ones
-    need `precond`, an approximate inverse P with |1 - P B| < 1, and run the
-    preconditioned residual iteration u <- u + P(f - B u), at most 500 steps.  Either way the
-    final residual is verified against `tol` before returning.
-    """
-    if probes is not None:
-        for phi in list(probes)[:4]:
-            for frac in (0.33, 0.66, 1.01):
-                t_cut = B.grid.t0 + frac * (B.grid.t_end - B.grid.t0)
-                # Q_t is an orthogonal projection: <Q B phi, phi> = <Q B phi, Q phi>
-                lhs = inner_nu(truncate_before(B(phi), t_cut), truncate_before(phi, t_cut)).real
-                rhs = c * norm_nu(truncate_before(phi, t_cut)) ** 2
-                if lhs < rhs - 1e-8 * max(rhs, 1.0):
-                    raise ValueError(
-                        f"accretivity certificate fails at t={t_cut}: {lhs} < {rhs}"
-                    )
-    scale = max(norm_nu(f), NORM_FLOOR)
-    if B.dense is not None or B.grid.n * B.dim_in <= DENSE_LIMIT:
-        Bm = B.materialize()
-        u_vec = np.linalg.solve(Bm.dense, f.values.ravel())
-        u = Signal(B.grid, u_vec.reshape(B.grid.n, B.dim_in))
-    else:
-        if precond is None:
-            raise ValueError(
-                "window too large to materialize; supply an approximate "
-                "inverse as precond for the residual iteration"
-            )
-        u = precond(f)
-        last = np.inf
-        for _ in range(500):
-            r = f - B(u)
-            resid = norm_nu(r)
-            if resid <= 0.5 * tol * scale:
-                break
-            if resid >= last * (1 - 1e-12):
-                raise ValueError(
-                    f"preconditioned iteration stalled at residual {resid:.3e}; "
-                    "the contraction certificate |1 - P B| < 1 does not hold"
-                )
-            last = resid
-            u = u + precond(r)
-    resid = norm_nu(B(u) - f)
-    if resid > tol * scale:
-        raise ValueError(f"residual {resid:.3e} above tol*|f| = {tol * scale:.3e}")
-    return u
 
 
 def transfer_function(

@@ -28,7 +28,6 @@ __all__ = [
     "fourier_laplace",
     "inverse_fourier_laplace",
     "apply_multiplier",
-    "shift_multiplier",
     "spectrum_of_antiderivative",
 ]
 
@@ -210,11 +209,6 @@ def apply_multiplier(M: MultiplierFunction, f: Signal) -> Signal:
     mats = M.sample(h)
     out_spec = np.einsum("jab,jb->ja", mats, F.values)
     return inverse_fourier_laplace(SpectrumSignal(grid=F.grid, values=out_spec))
-
-
-def shift_multiplier(h: float) -> MultiplierFunction:
-    """Multiplier z -> exp(h / z) realizing time translation by h (h <= 0 causal)."""
-    return MultiplierFunction.scalar(lambda z: np.exp(h / z))
 
 
 def spectrum_of_antiderivative(grid: TimeGrid):

@@ -1,24 +1,20 @@
-"""Causal operator algebra: composition, norms, causality diagnostics,
-series inversion, and the transfer-function extraction."""
+"""Causal operator algebra: materialization, norms, causality diagnostics,
+the series truncation index, the transfer-function extraction and the
+weight-independence defect."""
 
 import numpy as np
 import pytest
 
 from evocalc.signals import NORM_FLOOR, Signal, TimeGrid, norm_nu, shift
-from evocalc.timecalc import MultiplierFunction, antiderivative, apply_multiplier, derivative
+from evocalc.timecalc import MultiplierFunction, antiderivative, apply_multiplier
 from evocalc.operators import (
     CausalOp,
     ProbeSet,
-    add,
     causality_defect,
-    compose,
-    invert_accretive,
-    neumann_inverse,
     nu_independence_defect,
     op_norm,
     probe_sup,
     series_terms,
-    strong_causality_constant,
     transfer_function,
 )
 
@@ -28,28 +24,6 @@ def grid_small(nu=1.0, n=512, dt=0.02):
 
 
 class TestAlgebra:
-    def test_compose_identity(self):
-        g = grid_small()
-        probes = ProbeSet(g, seed=1)
-        S = CausalOp.antiderivative_op(g)
-        C = compose(CausalOp.identity(g), S)
-        for f in probes:
-            np.testing.assert_array_equal(C(f).values, S(f).values)
-
-    def test_add_cancels(self):
-        g = grid_small()
-        S = CausalOp.antiderivative_op(g)
-        Z = add(S, S, alpha=-1.0)
-        for f in ProbeSet(g, seed=2):
-            assert norm_nu(Z(f)) == 0.0
-
-    def test_derivative_antiderivative_compose(self):
-        g = grid_small()
-        C = compose(CausalOp.antiderivative_op(g), CausalOp.derivative_op(g))
-        rng = np.random.default_rng(3)
-        f = Signal(g, rng.standard_normal(g.n))
-        np.testing.assert_allclose(C(f).values, f.values, rtol=0, atol=1e-12)
-
     def test_materialized_dense_matches_action(self):
         g = grid_small(n=64)
         S = CausalOp.antiderivative_op(g).materialize()
@@ -65,7 +39,7 @@ class TestAlgebra:
         lower = np.tril(rng.standard_normal((g.n, g.n)))
         S = CausalOp(grid=g, action=lambda f: Signal(g, lower @ f.values), dense=lower)
         T = CausalOp.antiderivative_op(g).materialize()
-        lhs = op_norm(compose(S, T))
+        lhs = op_norm(CausalOp(grid=g, action=lambda f: S(T(f)), dense=S.dense @ T.dense))
         assert lhs <= op_norm(S) * op_norm(T) * (1 + 1e-6)
 
 
@@ -170,163 +144,6 @@ class TestCausalityDiagnostics:
         probes = ProbeSet(g, seed=7)
         worst = max(causality_defect(S, t, probes) for t in g.times[:: 8])
         assert worst <= 1e-12
-
-    def test_strong_causality_constant_antiderivative(self):
-        g = TimeGrid(0.0, 0.01, 3001, 1.0)
-        probes = ProbeSet(g, seed=8)
-        C = strong_causality_constant(CausalOp.antiderivative_op(g), 1.0, probes)
-        assert C <= 1.0 / g.nu + 0.02
-
-    def test_strong_causality_zero_op(self):
-        g = grid_small()
-        probes = ProbeSet(g, seed=9)
-        assert strong_causality_constant(CausalOp.zero(g), 1.0, probes) == 0.0
-
-    def test_strong_causality_infinite_for_anticausal(self):
-        g = TimeGrid(0.0, 0.01, 1001, 1.0)
-        span = g.t_end - g.t0
-        probe = Signal.indicator(g, g.t0 + 0.5 * span, g.t0 + 0.7 * span)
-        h = round(0.45 * span / g.dt) * g.dt
-        S = CausalOp.shift_op(g, +h)
-        C = strong_causality_constant(S, g.t0 + 0.2 * span, (probe,))
-        assert C == float("inf")
-
-
-class TestNeumannInverse:
-    def test_zero_perturbation(self):
-        g = grid_small()
-        A_inv = CausalOp.from_matrix(g, [[0.5]])
-        N = CausalOp.zero(g)
-        inv = neumann_inverse(A_inv, N, theta_bound=0.5, tol=1e-10)
-        f = Signal(g, np.ones(g.n))
-        np.testing.assert_allclose(inv(f).values, 0.5 * np.ones((g.n, 1)), atol=1e-12)
-
-    def test_scalar_norm_bound(self):
-        # constant multiplications with D M = 2, N = 1: the series inverse of
-        # 2 - 1 has norm exactly 1 = 1/(c_d c_m - |N|)
-        g = grid_small(n=128)
-        A_inv = CausalOp.from_matrix(g, [[0.5]])
-        N = CausalOp.from_matrix(g, [[1.0]])
-        inv = neumann_inverse(A_inv, N, theta_bound=0.5, tol=1e-12)
-        est = op_norm(inv)
-        assert est <= 1.0 + 1e-8
-        assert est == pytest.approx(1.0, abs=1e-6)
-
-    def test_contraction_certificate_rejected(self):
-        g = grid_small()
-        A_inv = CausalOp.identity(g)
-        N = CausalOp.identity(g)
-        with pytest.raises(ValueError):
-            neumann_inverse(A_inv, N, theta_bound=1.0, tol=1e-8)
-
-    def test_theta_near_one_raises(self):
-        g = grid_small(n=64)
-        with pytest.raises(ValueError, match="exploded"):
-            neumann_inverse(CausalOp.identity(g), CausalOp.zero(g),
-                            theta_bound=1 - 1e-6, tol=1e-10)
-
-    def test_probe_certificate_checks_theta(self):
-        # |A_inv N| = 0.5 * 0.8 = 0.4 on every probe
-        g = grid_small(n=128)
-        A_inv = CausalOp.from_matrix(g, [[0.5]])
-        N = CausalOp.from_matrix(g, [[0.8]])
-        probes = ProbeSet(g, seed=12)
-        with pytest.raises(ValueError, match="contraction certificate violated"):
-            neumann_inverse(A_inv, N, theta_bound=0.3, tol=1e-10, probes=probes)
-        inv = neumann_inverse(A_inv, N, theta_bound=0.4, tol=1e-10, probes=probes)
-        f = Signal(g, np.ones(g.n))
-        np.testing.assert_allclose(inv(f).values, np.full((g.n, 1), 1 / 1.2), atol=1e-9)
-
-    def test_random_blocks_residual(self):
-        # series inverse composed with d(M u) + N u is the identity on probes
-        rng = np.random.default_rng(11)
-        g = TimeGrid(0.0, 0.02, 200, 4.0)
-        k = rng.standard_normal((3, 3))
-        M = np.eye(3) + 0.3 * (k - k.T) / np.linalg.norm(k, 2)
-        N = rng.standard_normal((3, 3))
-        N *= 0.9 / np.linalg.norm(N, 2)
-        M_inv = np.linalg.inv(M)
-
-        def a_inv_act(f):
-            return Signal(g, antiderivative(f).values @ M_inv.T)
-
-        A_inv = CausalOp(grid=g, action=a_inv_act, dim_in=3, dim_out=3)
-        N_op = CausalOp.from_matrix(g, -N)
-        tol = 1e-9
-        theta = np.linalg.norm(N, 2) / (4.0 * 1.0)
-        inv = neumann_inverse(A_inv, N_op, theta_bound=theta + 0.05, tol=tol)
-
-        def forward(u):
-            return derivative(Signal(g, u.values @ M.T)) + Signal(g, u.values @ N.T)
-
-        for f in list(ProbeSet(g, dim=3, seed=11))[:4]:
-            resid = norm_nu(forward(inv(f)) - f) / max(norm_nu(f), 1e-30)
-            assert resid <= tol * 10
-
-
-class TestInvertAccretive:
-    def test_identity(self):
-        g = grid_small(n=128)
-        f = Signal(g, np.linspace(0, 1, g.n))
-        u = invert_accretive(CausalOp.identity(g), 1.0, f)
-        np.testing.assert_allclose(u.values, f.values, atol=1e-12)
-
-    def test_derivative_young_bound(self):
-        g = TimeGrid(0.0, 0.02, 1501, 1.0)
-        f = Signal.indicator(g, 0.0, 1.0)
-        u = invert_accretive(CausalOp.derivative_op(g), c=g.nu, f=f)
-        assert norm_nu(u) <= norm_nu(f) * 1.02
-
-    def test_relaxation_oracle(self):
-        # (d/dt + 1) u = 1_[0,inf) has solution 1 - exp(-t)
-        g = TimeGrid(0.0, 0.02, 600, 1.0)
-        B = add(CausalOp.derivative_op(g), CausalOp.identity(g))
-        f = Signal(g, np.ones(g.n))
-        probes = ProbeSet(g, seed=12)
-        u = invert_accretive(B, c=2.0, f=f, probes=probes)
-        oracle = 1.0 - np.exp(-g.times)
-        assert np.max(np.abs(u.values[:, 0] - oracle)) <= 2 * g.dt
-
-    def test_preconditioned_iteration_beyond_dense_limit(self):
-        # window too large to materialize: B = d/dt(M .) + multiplication,
-        # preconditioned by the causal integral of M^-1
-        g = TimeGrid(0.0, 0.005, 6001, 2.0)
-        diag = 0.5 * np.sin(g.times)
-
-        def b_act(u):
-            return derivative(u) + Signal(g, u.values * diag[:, None])
-
-        def p_act(r):
-            return antiderivative(r)
-
-        B = CausalOp(grid=g, action=b_act)
-        P = CausalOp(grid=g, action=p_act)
-        vals = np.exp(-(((g.times - 3.0) / 0.8) ** 2))
-        f = Signal(g, vals)
-        u = invert_accretive(B, c=g.nu, f=f, tol=1e-9, precond=P)
-        assert norm_nu(b_act(u) - f) <= 1e-9 * norm_nu(f)
-
-    def test_precond_required_beyond_dense_limit(self):
-        g = TimeGrid(0.0, 0.005, 6001, 2.0)
-        B = CausalOp(grid=g, action=derivative)
-        with pytest.raises(ValueError, match="precond"):
-            invert_accretive(B, c=g.nu, f=Signal.zero(g), tol=1e-9)
-
-    def test_inversion_continuity_rate(self):
-        # accretive family B_k -> B in norm: solutions converge with the
-        # resolvent-identity rate |B_k - B| / c^2
-        g = TimeGrid(0.0, 0.02, 600, 1.0)
-        f = Signal(g, np.ones(g.n))
-        c = 1.0 + g.nu
-        B = add(CausalOp.derivative_op(g), CausalOp.identity(g))
-        u = invert_accretive(B, c=c, f=f)
-        for k in (4, 16, 64):
-            Bk = add(CausalOp.derivative_op(g), CausalOp.from_matrix(g, [[1.0 + 1.0 / k]]))
-            uk = invert_accretive(Bk, c=c, f=f)
-            gap = norm_nu(uk - u)
-            bound = (1.0 / k) / c**2 * norm_nu(f)
-            assert gap <= bound * 1.05
-
 
 class TestTransferFunction:
     def test_identity(self):
