@@ -1,9 +1,11 @@
 """Command line harness: `evocalc run <config>` and `evocalc suite <dir>`.
 
-Configs are plain-text key = value files (comments with '#'); unknown keys
-are rejected so a typo cannot silently fall back to a default.  Every run
-writes the per-scale CSV (the single source of truth) and a JSON summary
-derived from it; the exit status is a pure function of the verdict set.
+Configs are plain-text key = value files (comments with '#') that set the
+problem's inputs; every bound a verdict is judged against is fixed in code.
+Unknown keys are rejected so a typo cannot silently fall back to a default.
+Every run writes the per-scale CSV (the single source of truth) and a JSON
+summary derived from it; the exit status is a pure function of the verdict
+set.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from pathlib import Path
 from .experiments import DEFAULTS, RUNNERS
 from .homogenization import ConvergenceReport
 
-GLOBAL_KEYS = {"experiment", "output", "expect", "configs_dir"}
+GLOBAL_KEYS = {"experiment", "output", "expect"}
 LIST_KEYS = {"scales", "eta_list"}
-STR_KEYS = {"experiment", "output", "expect", "control", "configs_dir"}
+STR_KEYS = {"experiment", "output", "expect", "control"}
 
 
 class ConfigError(ValueError):
@@ -61,10 +63,6 @@ def _range_problem(key: str, value) -> str | None:
         return None if isinstance(value, int) and value > 0 else "an integer > 0"
     if key in LIST_KEYS:
         return None if all(_positive(x) for x in value) else "a list of finite values > 0"
-    if key == "tol.slope":
-        return None if math.isfinite(value) and value < 0 else "finite and < 0"
-    if key.startswith("tol."):
-        return None if math.isfinite(value) and value >= 0 else "finite and >= 0"
     return None
 
 
@@ -85,17 +83,11 @@ def parse_config(path) -> dict:
     if "experiment" not in pairs:
         raise ConfigError(f"{path}: missing 'experiment' key")
     name = pairs["experiment"].strip()
-    if name == "suite-all":
-        allowed = GLOBAL_KEYS
-    elif name in RUNNERS:
-        allowed = set(DEFAULTS[name]) | GLOBAL_KEYS | {"seed"}
-        if name == "dbf":
-            allowed.add("control")
-    else:
+    if name not in RUNNERS:
         raise ConfigError(
-            f"{path}: unknown experiment {name!r}; valid: "
-            f"{', '.join(sorted(RUNNERS))}, suite-all"
+            f"{path}: unknown experiment {name!r}; valid: {', '.join(sorted(RUNNERS))}"
         )
+    allowed = set(DEFAULTS[name]) | GLOBAL_KEYS | {"seed"}
     cfg = {}
     for key, raw in pairs.items():
         if key not in allowed:
@@ -104,16 +96,13 @@ def parse_config(path) -> dict:
             cfg[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ConfigError(f"{path}: {key}: {exc}") from None
-    if name != "suite-all":
-        merged = dict(DEFAULTS[name])
-        merged.update(cfg)
-        if "scales" in merged and not merged["scales"]:
-            raise ConfigError(f"{path}: scales must be non-empty")
-        for key, value in merged.items():
-            problem = _range_problem(key, value)
-            if problem:
-                raise ConfigError(f"{path}: {key} must be {problem}, got {value!r}")
-        cfg = merged
+    cfg = dict(DEFAULTS[name], **cfg)
+    if "scales" in cfg and not cfg["scales"]:
+        raise ConfigError(f"{path}: scales must be non-empty")
+    for key, value in cfg.items():
+        problem = _range_problem(key, value)
+        if problem:
+            raise ConfigError(f"{path}: {key} must be {problem}, got {value!r}")
     expect = cfg.get("expect", "pass")
     if expect not in ("pass", "fail"):
         raise ConfigError(f"{path}: expect must be 'pass' or 'fail', got {expect!r}")
@@ -156,8 +145,6 @@ def run(config_path, out_override=None, verbose=False) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     name = cfg["experiment"]
-    if name == "suite-all":
-        return suite(cfg.get("configs_dir", "."), out_override, verbose)
     if out_override:
         out_base = Path(out_override)
     elif "output" in cfg:
@@ -184,8 +171,10 @@ def run(config_path, out_override=None, verbose=False) -> int:
     if not ok:
         for r in report.rows:
             if not r["verdict"]:
-                print(f"  failing row: scale={r['scale']} "
-                      f"value={max(r['pairing_error'], r['norm_error']):.4e} "
+                # the value the verdict was judged on: a ladder row (no
+                # bound) gates its pairing error, a bounded row its norm error
+                value = r["pairing_error"] if math.isnan(r["bound_rhs"]) else r["norm_error"]
+                print(f"  failing row: scale={r['scale']} value={value:.4e} "
                       f"{_bound_text(r, report.metadata)}", file=sys.stderr)
     return 0 if ok else 2
 

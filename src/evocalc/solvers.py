@@ -508,13 +508,14 @@ class PdeSystem:
 
     @staticmethod
     def wave(a_edge: np.ndarray, nu: float = 1.0) -> "PdeSystem":
-        """Acoustic wave in first-order form with mean-zero projected flux."""
+        """Acoustic wave in first-order form with mean-zero projected flux:
+        M = diag(1, 1/a), so c = nu min(1, min Re(1/a))."""
         a_edge = np.asarray(a_edge, dtype=complex)
-        amax = float(np.max(np.abs(a_edge)))
-        c_eff = nu * min(1.0, 1.0 / amax)
+        if float(np.min(a_edge.real)) <= 0:
+            raise ValueError("wave coefficient must have positive real part")
         return PdeSystem(
             A=SpatialOperator.grad0_div_1d_projected(len(a_edge) - 1),
-            c=c_eff,
+            c=nu * min(1.0, float(np.min((1.0 / a_edge).real))),
             legs=(Coefficient.space_profile(a_edge),),
         )
 
@@ -549,7 +550,8 @@ def _pde_check(sys: PdeSystem, grid: TimeGrid):
     at every node when M or N is a time profile and at one node otherwise;
     per leg pair of the grad-div kind, at every node of a time-profile leg
     and once for a time-independent one (a time series meets a space
-    profile through the two minima)."""
+    profile through the two minima); for the wave form as
+    nu min(1, min Re(1/a))."""
     nu = grid.nu
     if sys.A.kind == "skew-matrix" and sys.M is not None:
         nodes = slice(None) if "time-profile" in (sys.M.kind, sys.N.kind) else slice(1)
@@ -574,6 +576,11 @@ def _pde_check(sys: PdeSystem, grid: TimeGrid):
             low = float(np.min(damped + n))
             if low < sys.c - 1e-9:
                 raise ValueError(f"leg {leg} positivity fails: {low:.4f} < c={sys.c}")
+    elif sys.A.kind == "grad0-div-1d-projected":
+        (a,) = _sample_legs(sys, grid)
+        low = nu * min(1.0, float(np.min((1.0 / a).real)))
+        if not low >= sys.c - 1e-9:  # a NaN (a = 0) fails too
+            raise ValueError(f"wave positivity fails: {low:.4f} < c={sys.c}")
 
 
 def _step_skew_dense(sys: PdeSystem, rows, grid: TimeGrid):

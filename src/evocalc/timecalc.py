@@ -165,17 +165,14 @@ def inverse_fourier_laplace(F: SpectrumSignal) -> Signal:
 
 @dataclass(frozen=True)
 class MultiplierFunction:
-    """Analytic material law z -> m x m matrix with a certified sup bound."""
+    """Analytic material law z -> m x m matrix."""
 
     rule: Callable[[complex], np.ndarray]
     dim: int = 1
-    bound: float | None = None
 
     @staticmethod
-    def scalar(fn: Callable[[complex], complex], bound: float | None = None):
-        return MultiplierFunction(
-            rule=lambda z: np.array([[fn(z)]], dtype=complex), dim=1, bound=bound
-        )
+    def scalar(fn: Callable[[complex], complex]):
+        return MultiplierFunction(rule=lambda z: np.array([[fn(z)]], dtype=complex), dim=1)
 
     def sample(self, z_values: np.ndarray) -> np.ndarray:
         out = np.empty((len(z_values), self.dim, self.dim), dtype=complex)
@@ -183,12 +180,6 @@ class MultiplierFunction:
             out[j] = np.atleast_2d(np.asarray(self.rule(z), dtype=complex))
         if not np.all(np.isfinite(out)):
             raise ValueError("multiplier sampled to non-finite values")
-        if self.bound is not None:
-            top = max(np.linalg.norm(out[j], 2) for j in range(len(z_values)))
-            if top > self.bound * (1 + 1e-9):
-                raise ValueError(
-                    f"multiplier exceeds declared bound: {top} > {self.bound}"
-                )
         return out
 
 

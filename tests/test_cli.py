@@ -4,6 +4,7 @@ lists."""
 
 import ast
 import importlib
+import inspect
 import json
 import pkgutil
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import evocalc
 from evocalc import homogenization
 from evocalc.cli import ConfigError, main, parse_config, run, suite
+from evocalc.experiments import DEFAULTS, RUNNERS
 
 
 def write(path: Path, text: str) -> Path:
@@ -31,7 +33,7 @@ class TestConfigParsing:
         """.replace("            ", "")))
         assert cfg["experiment"] == "spectrum"
         assert cfg["n"] == 256
-        assert cfg["tol.circle"] == 1e-12  # default merged in
+        assert cfg["dt"] == 0.01  # default merged in
 
     def test_unknown_key_rejected(self, tmp_path):
         p = write(tmp_path / "a.cfg", "experiment = spectrum\nwibble = 3\n")
@@ -74,16 +76,28 @@ class TestConfigParsing:
         ("heat", "m_x = 0"),
         ("timprod", "scales = 8, 0"),
         ("eddy", "eta_list = 1.0, -2.0"),
-        ("spectrum", "tol.circle = -1e-12"),
-        ("spectrum", "tol.circle = nan"),
-        ("timprod", "tol.slope = 0.5"),
-        ("timprod", "tol.slope = 0"),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, experiment, line):
         p = write(tmp_path / "a.cfg", f"experiment = {experiment}\n{line}\n")
         key = line.split("=")[0].strip()
         with pytest.raises(ConfigError, match=f"{key} must be"):
             parse_config(p)
+
+    @pytest.mark.parametrize("experiment, line", [
+        ("spectrum", "tol.circle = -1e-12"),
+        ("spectrum", "tol.circle = nan"),
+        ("timprod", "tol.slope = 0.5"),
+        ("timprod", "tol.slope = 0"),
+        ("causality-suite", "tol.defect = 1"),
+    ])
+    def test_bound_key_rejected(self, tmp_path, capsys, experiment, line):
+        # the bounds a verdict is judged against are fixed in code, so a
+        # config that names one fails like any other unknown key
+        p = write(tmp_path / "a.cfg", f"experiment = {experiment}\n{line}\n")
+        assert run(p) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "unknown key 'tol." in err
+        assert err.count("\n") == 1
 
     def test_non_numeric_value_rejected(self, tmp_path):
         p = write(tmp_path / "a.cfg", "experiment = spectrum\nn = many\n")
@@ -156,9 +170,17 @@ class TestRun:
                   "experiment = dbf\nscales = 64\ncontrol = arithmetic\n")
         assert run(p) == 2
         err = capsys.readouterr().err
-        assert "failing row: scale=64" in err
+        # the value printed is the pairing error the ladder row is gated on
+        assert "failing row: scale=64 value=1.5217e-01" in err
         assert "tol=2.0000e-02" in err and "slope_max=" in err
         assert "bound=nan" not in err
+
+    @pytest.mark.parametrize("control, status", [("harmonic", 0), ("arithmetic", 2)])
+    def test_one_scale_ladder_is_judged_by_its_pairing(self, tmp_path, control, status):
+        # one scale has no slope: the harmonic limit passes on its pairing
+        # gate at the negative control's settings, the straw man fails it
+        p = write(tmp_path / "d.cfg", f"experiment = dbf\nscales = 64\ncontrol = {control}\n")
+        assert run(p) == status
 
     def test_summary_is_strict_json(self, tmp_path):
         # ladder rows carry no bound: their NaN bound_rhs is written as null
@@ -220,13 +242,14 @@ class TestSuite:
         assert main(["run", str(p)]) == 0
         assert main(["suite", str(tmp_path)]) == 0
 
-    def test_suite_all_as_experiment_name(self, tmp_path):
-        sub = tmp_path / "children"
-        sub.mkdir()
-        write(sub / "s.cfg", "experiment = spectrum\nn = 256\n")
-        p = write(tmp_path / "all.cfg",
-                  f"experiment = suite-all\nconfigs_dir = {sub}\n")
-        assert run(p) == 0
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_config_keys_are_runner_inputs(name):
+    # a config sets only what its runner reads; no bound is a config key
+    source = inspect.getsource(RUNNERS[name])
+    assert [key for key in DEFAULTS[name]
+            if f'cfg["{key}"]' not in source and f'cfg.get("{key}"' not in source] == []
+    assert [key for key in DEFAULTS[name] if key.startswith("tol.")] == []
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(evocalc.__path__)))

@@ -30,6 +30,13 @@ def ref_grid(nu=1.0):
     return TimeGrid(0.0, 0.01, 3001, nu)
 
 
+def matrix_op(g, matrix):
+    """A constant matrix acting nodewise."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    return CausalOp(grid=g, action=lambda f: Signal(f.grid, f.values @ m.T),
+                    dim_in=m.shape[1], dim_out=m.shape[0])
+
+
 def sin_mult(grid, n):
     diag = np.sin(2 * np.pi * n * grid.times)
     return lambda f: Signal(f.grid, f.values * diag[:, None])
@@ -152,7 +159,7 @@ class TestWeakLimitEquation:
 
     def test_no_perturbation_gives_o_inverse(self):
         g = self.grid()
-        O_inv = CausalOp.from_matrix(g, [[2.0]])
+        O_inv = matrix_op(g, [[2.0]])
         probes = ProbeSet(g, seed=6)
         M_inf = ode_weak_limit_equation(O_inv, [], theta=0.1, c=0.5, probes=probes)
         f = list(probes)[3]
@@ -162,8 +169,8 @@ class TestWeakLimitEquation:
         # single constant block: the double series collapses to 2/(1+2p)
         g = self.grid()
         p = 0.1
-        O_inv = CausalOp.from_matrix(g, [[2.0]])
-        P1 = CausalOp.from_matrix(g, [[p]])
+        O_inv = matrix_op(g, [[2.0]])
+        P1 = matrix_op(g, [[p]])
         probes = ProbeSet(g, seed=7)
         M_inf = ode_weak_limit_equation(O_inv, [P1], theta=0.15, c=0.5,
                                         probes=probes, tol=1e-12)
@@ -186,7 +193,7 @@ class TestWeakLimitEquation:
                 return Signal(g, out.values @ o_mat.T)
             return CausalOp(grid=g, action=act, dim_in=2, dim_out=2)
 
-        O_inv = CausalOp.from_matrix(g, np.linalg.inv(o_mat))
+        O_inv = matrix_op(g, np.linalg.inv(o_mat))
         probes = ProbeSet(g, dim=2, seed=8)
         M_inf = ode_weak_limit_equation(O_inv, [p_block(k) for k in range(1, 17)],
                                         theta=0.15, c=0.5, probes=probes, tol=1e-12)
@@ -201,8 +208,8 @@ class TestWeakLimitEquation:
         # keeps Re <Q_t M phi, phi> >= (1-c) c/(2-c) <Q_t phi, phi>
         g = self.grid()
         c = 0.5
-        O_inv = CausalOp.from_matrix(g, [[c + 0.2j]])  # Re = c, accretive
-        P1 = CausalOp.from_matrix(g, [[0.05]])
+        O_inv = matrix_op(g, [[c + 0.2j]])  # Re = c, accretive
+        P1 = matrix_op(g, [[0.05]])
         probes = ProbeSet(g, seed=9)
         M_inf = ode_weak_limit_equation(O_inv, [P1], theta=0.1, c=c,
                                         probes=probes, tol=1e-12)
@@ -216,8 +223,8 @@ class TestWeakLimitEquation:
 
     def test_commuting_variant_splits_m_and_n(self):
         g = self.grid()
-        O_inv = CausalOp.from_matrix(g, [[2.0]])
-        P1 = CausalOp.from_matrix(g, [[0.1]])
+        O_inv = matrix_op(g, [[2.0]])
+        P1 = matrix_op(g, [[0.1]])
         probes = ProbeSet(g, seed=10)
         M_inf, N_inf = ode_weak_limit_equation(
             O_inv, [P1], theta=0.15, c=0.5, probes=probes, commuting=True,
@@ -228,8 +235,8 @@ class TestWeakLimitEquation:
 
     def test_certificate_violation_rejected(self):
         g = self.grid()
-        O_inv = CausalOp.from_matrix(g, [[2.0]])
-        P_big = CausalOp.from_matrix(g, [[50.0]])
+        O_inv = matrix_op(g, [[2.0]])
+        P_big = matrix_op(g, [[50.0]])
         probes = ProbeSet(g, seed=11)
         with pytest.raises(ValueError):
             ode_weak_limit_equation(O_inv, [P_big], theta=0.1, c=0.5, probes=probes)

@@ -349,6 +349,25 @@ class TestPdeChecks:
         with pytest.raises(ValueError, match="positivity certificate fails at t=1.37"):
             solve_evo_pde(sys_pde, f.values, g.with_nu(1.0))
 
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_wave_rejects_nonpositive_coefficient(self, a):
+        with pytest.raises(ValueError, match="wave coefficient must have positive real part"):
+            PdeSystem.wave(np.full(9, a))
+
+    def test_wave_constant_is_the_least_re_inverse(self):
+        # |1 + i| = sqrt(2), but the flux leg's M = 1/a has Re(1/a) = 1/2
+        assert PdeSystem.wave(np.full(9, 1.0 + 1.0j), nu=1.0).c == 0.5
+        assert PdeSystem.wave(np.full(9, 4.0), nu=2.0).c == 0.5
+
+    @pytest.mark.parametrize("a, c", [(2.0, 1.0), (1.0 + 1.0j, 0.7071), (-1.0, 0.5)])
+    def test_wave_positivity_checked(self, a, c):
+        # a wave system claiming more than nu min(1, min Re(1/a)) is refused
+        g = TimeGrid(0.0, 0.01, 101, 1.0)
+        sys_pde = PdeSystem(A=SpatialOperator.grad0_div_1d_projected(8), c=c,
+                            legs=(Coefficient.space_profile(np.full(9, a, dtype=complex)),))
+        with pytest.raises(ValueError, match="wave positivity fails"):
+            solve_evo_pde(sys_pde, np.zeros((g.n, sys_pde.state_dim)), g)
+
     @pytest.mark.parametrize("kind", ["heat", "wave", "maxwell"])
     def test_wrappers_gate_the_norm_bound(self, kind, monkeypatch):
         # a stepper whose states are 100 times too large passes positivity

@@ -225,12 +225,6 @@ class TestMultipliers:
         rhs = 2.0 * apply_multiplier(M, a) + apply_multiplier(M, b)
         assert norm_nu(lhs - rhs) <= 1e-12 * max(norm_nu(rhs), 1.0)
 
-    def test_bound_enforced(self):
-        g = TimeGrid(0.0, 0.01, 256, 1.0)
-        M = MultiplierFunction.scalar(lambda z: z, bound=1e-6)
-        with pytest.raises(ValueError):
-            apply_multiplier(M, gaussian(g, 1.0, 0.2))
-
 
 class TestSpectrum:
     def test_circle_nu_half(self):
