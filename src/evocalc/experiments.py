@@ -359,7 +359,7 @@ def run_eddy(cfg: dict) -> ConvergenceReport:
     )
     slope = rep.slope()
     rep.metadata["slope"] = slope
-    if rep.rows:
+    if len(rep.rows) >= 2:  # a one-scale ladder has no slope to judge
         rep.rows[-1]["verdict"] = bool(rep.rows[-1]["verdict"] and slope <= -0.9)
     return rep
 

@@ -208,7 +208,8 @@ def op_norm(S: CausalOp) -> float:
     start, at most 3000 steps, stopping at relative change 1e-12; it warns
     with its budget when it does not settle and returns the final Rayleigh
     ratio.  Otherwise, up to DENSE_LIMIT columns: the largest singular value
-    of the weighted similarity W^(1/2) S W^(-1/2) of the materialized S.
+    of the weighted similarity W^(1/2) S W^(-1/2) of the materialized S,
+    taken in real arithmetic when that matrix has no imaginary part.
     """
     nu = S.grid.nu
     size = S.grid.n * S.dim_in
@@ -243,7 +244,7 @@ def op_norm(S: CausalOp) -> float:
     w_in = _weight_vector(S.grid, S.dim_in)
     w_out = _weight_vector(S.grid, S.dim_out)
     A = np.sqrt(w_out)[:, None] * S.dense / np.sqrt(w_in)[None, :]
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.norm(A if A.imag.any() else A.real, 2))
 
 
 def causality_defect(S: CausalOp, t: float, probes: Iterable[Signal]) -> float:

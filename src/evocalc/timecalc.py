@@ -165,19 +165,22 @@ def inverse_fourier_laplace(F: SpectrumSignal) -> Signal:
 
 @dataclass(frozen=True)
 class MultiplierFunction:
-    """Analytic material law z -> m x m matrix."""
+    """Analytic material law z -> dim x dim matrix.  `rule` is evaluated once
+    on the (J,) array of samples and returns values that broadcast to
+    (J, dim, dim)."""
 
-    rule: Callable[[complex], np.ndarray]
+    rule: Callable[[np.ndarray], np.ndarray]
     dim: int = 1
 
     @staticmethod
-    def scalar(fn: Callable[[complex], complex]):
-        return MultiplierFunction(rule=lambda z: np.array([[fn(z)]], dtype=complex), dim=1)
+    def scalar(fn: Callable[[np.ndarray], np.ndarray]):
+        """Scalar law: evaluated once on the array of samples; `fn` acts
+        elementwise (a constant such as `lambda z: 1.0` broadcasts)."""
+        return MultiplierFunction(rule=lambda z: np.asarray(fn(z))[..., None, None], dim=1)
 
     def sample(self, z_values: np.ndarray) -> np.ndarray:
-        out = np.empty((len(z_values), self.dim, self.dim), dtype=complex)
-        for j, z in enumerate(z_values):
-            out[j] = np.atleast_2d(np.asarray(self.rule(z), dtype=complex))
+        out = np.broadcast_to(np.asarray(self.rule(z_values), dtype=complex),
+                              (len(z_values), self.dim, self.dim))
         if not np.all(np.isfinite(out)):
             raise ValueError("multiplier sampled to non-finite values")
         return out

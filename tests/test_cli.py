@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import evocalc
-from evocalc import homogenization
+from evocalc import experiments, homogenization
 from evocalc.cli import ConfigError, main, parse_config, run, suite
 from evocalc.experiments import DEFAULTS, RUNNERS
 
@@ -181,6 +181,36 @@ class TestRun:
         # gate at the negative control's settings, the straw man fails it
         p = write(tmp_path / "d.cfg", f"experiment = dbf\nscales = 64\ncontrol = {control}\n")
         assert run(p) == status
+
+    def test_one_scale_eddy_is_judged_by_its_bound(self, tmp_path):
+        # scale 8's error 3.6e-02 is under its bound 2.5e-01; one scale
+        # has no slope for the slope <= -0.9 rule to judge
+        p = write(tmp_path / "e.cfg", "experiment = eddy\nscales = 8\n")
+        assert run(p) == 0
+
+    def test_flat_eddy_ladder_fails_its_slope_rule(self, tmp_path, monkeypatch):
+        # two scales under their bounds with no decay: the slope rule bites
+        def flat(profiles, eta_list, seed):
+            rep = homogenization.ConvergenceReport("eddy")
+            for n, *_ in profiles:
+                rep.add_row(n, 1e-3, 1e-3, 1e-3, bound_rhs=1.0, verdict=True)
+            return rep
+
+        monkeypatch.setattr(experiments, "eddy_current_experiment", flat)
+        p = write(tmp_path / "e.cfg", "experiment = eddy\nscales = 8, 16\n")
+        assert run(p) == 2
+
+    def test_shipped_eddy_csv_is_unchanged(self, tmp_path):
+        # the four-scale ladder writes the bytes it wrote before one-scale
+        # ladders skipped the slope rule
+        run(Path(__file__).parents[1] / "configs" / "eddy.cfg", out_override=tmp_path / "e")
+        assert (tmp_path / "e.csv").read_text() == (
+            "scale,pairing_error,strong_error,norm_error,bound_rhs,verdict\n"
+            "8,3.611682565989e-02,3.611682565989e-02,3.611682565989e-02,2.500000000000e-01,pass\n"
+            "16,1.829148029568e-02,1.829148029568e-02,1.829148029568e-02,1.250000000000e-01,pass\n"
+            "32,8.743838133177e-03,8.743838133177e-03,8.743838133177e-03,6.250000000000e-02,pass\n"
+            "64,4.203983960417e-03,4.203983960417e-03,4.203983960417e-03,3.125000000000e-02,pass\n"
+        )
 
     def test_summary_is_strict_json(self, tmp_path):
         # ladder rows carry no bound: their NaN bound_rhs is written as null

@@ -2,6 +2,8 @@
 the series truncation index, the transfer-function extraction and the
 weight-independence defect."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,36 @@ class TestOpNorm:
         with pytest.warns(RuntimeWarning, match="in 3000 iterations"):
             est = op_norm(S)
         assert est == pytest.approx(1.0, abs=1e-4)
+
+    @staticmethod
+    def complex_weighted_norm(S):
+        # the dense route's matrix W^(1/2) S W^(-1/2), kept complex
+        S = S.materialize()
+        w = np.exp(-2.0 * S.grid.nu * S.grid.times) * S.grid.dt
+        A = np.sqrt(w)[:, None] * S.dense.astype(complex) / np.sqrt(w)[None, :]
+        return np.linalg.norm(A, 2)
+
+    @staticmethod
+    def random_real(g):
+        mat = np.random.default_rng(5).standard_normal((g.n, g.n))
+        return CausalOp(grid=g, action=lambda f: Signal(g, mat @ f.values), dense=mat)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("build", [
+        CausalOp.antiderivative_op,
+        lambda g: CausalOp.shift_op(g, -0.2),
+        random_real,
+    ], ids=["antiderivative", "shift", "random"])
+    def test_real_dense_route_matches_complex_svd(self, build, nu):
+        # with the adjoint stripped a real operator takes the real SVD
+        S = replace(build(grid_small(nu=nu, n=300)), adjoint_action=None)
+        ref = self.complex_weighted_norm(S)
+        assert op_norm(S) == pytest.approx(ref, rel=1e-14)
+
+    def test_complex_dense_route_is_the_complex_svd(self):
+        g = grid_small(n=300)
+        S = CausalOp(grid=g, action=lambda f: 1j * shift(f, -0.2))
+        assert op_norm(S) == self.complex_weighted_norm(S)
 
     @pytest.mark.parametrize("n", [1025, 1100, 5000])
     def test_no_adjoint_above_dense_limit_raises(self, n):

@@ -226,6 +226,55 @@ class TestMultipliers:
         assert norm_nu(lhs - rhs) <= 1e-12 * max(norm_nu(rhs), 1.0)
 
 
+def spectral_samples(grid):
+    # the z samples apply_multiplier evaluates a rule on
+    return 1.0 / (1j * fourier_laplace(Signal.zero(grid)).freqs + grid.nu)
+
+
+def per_z_sample(fn, z_values):
+    # reference: the rule evaluated once per sample, as a Python loop
+    return np.array([complex(fn(z)) for z in z_values]).reshape(-1, 1, 1)
+
+
+class TestVectorisedSample:
+    def test_identity_rule_is_bit_identical_to_per_z(self):
+        # the causality suite's nu-indep-multiplier row runs this rule
+        z = spectral_samples(ref_grid())
+        out = MultiplierFunction.scalar(lambda z: z).sample(z)
+        assert out.shape == (len(z), 1, 1)
+        assert np.array_equal(out, per_z_sample(lambda z: z, z))
+
+    @pytest.mark.parametrize("fn", [
+        lambda z: 1.0,
+        lambda z: np.exp(-0.1 / z),
+        lambda z: z / (1.0 + 0.5 * z),
+    ], ids=["constant", "delay", "rational"])
+    def test_elementwise_rules_match_per_z(self, fn):
+        z = spectral_samples(ref_grid())
+        out = MultiplierFunction.scalar(fn).sample(z)
+        ref = per_z_sample(fn, z)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref) / np.abs(ref)) <= 1e-15
+
+    def test_matrix_rule_broadcasts_to_dim_by_dim(self):
+        # a dim > 1 rule gets the (J,) samples and returns (J, dim, dim)
+        g = TimeGrid(0.0, 0.01, 256, 1.0)
+        z = spectral_samples(g)
+        a = np.array([[1.0, 2.0], [0.0, 3.0]])
+        M = MultiplierFunction(rule=lambda z: z[:, None, None] * a + np.eye(2), dim=2)
+        out = M.sample(z)
+        assert out.shape == (len(z), 2, 2)
+        for j in (0, 17, len(z) - 1):
+            np.testing.assert_array_equal(out[j], z[j] * a + np.eye(2))
+        f = Signal(g, np.repeat(gaussian(g, 1.0, 0.2).values, 2, axis=1))
+        assert apply_multiplier(M, f).values.shape == (g.n, 2)
+
+    def test_non_finite_rule_raises(self):
+        z = spectral_samples(TimeGrid(0.0, 0.01, 256, 1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            MultiplierFunction.scalar(lambda z: np.where(z.real > 0.5, np.inf, z)).sample(z)
+
+
 class TestSpectrum:
     def test_circle_nu_half(self):
         g = TimeGrid(0.0, 0.01, 2048, 0.5)
