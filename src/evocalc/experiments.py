@@ -353,15 +353,8 @@ def run_eddy(cfg: dict) -> ConvergenceReport:
         )
         return (n, c, 1.5 / n, 0.5 / n)
 
-    rep = eddy_current_experiment(
-        [mk(n) for n in cfg["scales"]], eta_list=list(cfg["eta_list"]),
-        seed=cfg["seed"],
-    )
-    slope = rep.slope()
-    rep.metadata["slope"] = slope
-    if len(rep.rows) >= 2:  # a one-scale ladder has no slope to judge
-        rep.rows[-1]["verdict"] = bool(rep.rows[-1]["verdict"] and slope <= -0.9)
-    return rep
+    return eddy_current_experiment(
+        [mk(n) for n in cfg["scales"]], eta_list=list(cfg["eta_list"]), seed=cfg["seed"])
 
 
 def run_heat(cfg: dict) -> ConvergenceReport:

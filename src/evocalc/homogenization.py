@@ -4,9 +4,13 @@ Weak-operator convergence over nets is replaced, at desk scale, by the decay
 of probe pairings over a finite ladder of oscillation frequencies combined
 with a log-log slope test.  The fixed verdict rule for ladder experiments is
 
-    final-scale error <= tol  AND  log-log slope <= slope_max (-0.5),
+    final-scale error <= tol  AND  log-log slope <= slope_max,
 
-the slope test applying from two scales on, and every experiment carries a closed-form limit oracle plus, where the
+the slope test applying from two scales on.  Each experiment writes its
+bounds once, as constants at the `finalize` call that applies them; the
+eddy experiment judges its rows against their own bounds and its slope in
+its body.
+Every experiment carries a closed-form limit oracle plus, where the
 acceptance demands it, a negative control that must fail the same gate.
 """
 
@@ -77,24 +81,27 @@ class ConvergenceReport:
         self.rows.sort(key=lambda r: r["scale"])
 
     def slope(self) -> float:
-        """Log-log regression slope of the pairing error against the scale."""
+        """Log-log regression slope of the pairing error against the scale;
+        NaN below two rows, where a ladder has no slope."""
+        if len(self.rows) < 2:
+            return float("nan")
         xs = np.array([r["scale"] for r in self.rows], dtype=float)
         ys = np.array([max(r["pairing_error"], 1e-300) for r in self.rows], dtype=float)
-        if len(xs) < 2:
-            return 0.0
         return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
-    def finalize(self, tol: float, slope_max: float = -0.5) -> bool:
-        """Apply the fixed ladder rule to the pairing error and stamp verdicts
-        onto the rows.  A one-scale ladder has no slope, so it is judged by
-        its pairing gate alone."""
+    def judge_slope(self, slope_max: float) -> bool:
+        """Record the slope and judge slope <= slope_max.  A one-scale ladder
+        has no slope, so it is judged by its other gates alone."""
+        self.metadata["slope"] = self.slope()
+        return len(self.rows) < 2 or self.metadata["slope"] <= slope_max
+
+    def finalize(self, tol: float, slope_max: float) -> bool:
+        """Apply the ladder rule (final pairing error <= tol and the slope
+        rule) and stamp the verdict onto the last row."""
         if not self.rows:
             return False
-        slope = self.slope()
-        final = self.rows[-1]["pairing_error"]
-        ok = (final <= tol) and (len(self.rows) < 2 or slope <= slope_max)
+        ok = self.judge_slope(slope_max) and self.rows[-1]["pairing_error"] <= tol
         self.metadata["tol"] = tol
-        self.metadata["slope"] = slope
         self.metadata["slope_max"] = slope_max
         self.rows[-1]["verdict"] = bool(self.rows[-1]["verdict"] and ok)
         return self.verdict
@@ -216,8 +223,6 @@ def product_mean_limit(
     scales: Sequence[int],
     nu: float = 1.0,
     seed: int = 42,
-    tol: float = 0.02,
-    slope_max: float = -0.5,
 ) -> ConvergenceReport:
     """Alternating multiplication/integration chain against its mean limit.
 
@@ -258,7 +263,7 @@ def product_mean_limit(
         ne = max(se, strong_error(osc_op, limit_op, enriched, nu))
         report.add_row(n, pe, se, ne)
     report.assert_topology_ordering()
-    report.finalize(tol, slope_max)
+    report.finalize(0.02, -0.5)
     return report
 
 
@@ -344,8 +349,6 @@ def dbf_experiment(
     scales: Sequence[int],
     nu: float = 2.0,
     seed: int = 42,
-    tol: float = 0.02,
-    slope_max: float = -0.5,
     limit_coefficients: tuple | None = None,
 ) -> ConvergenceReport:
     """Oscillatory two-leg block system against its constant-coefficient limit.
@@ -392,8 +395,8 @@ def dbf_experiment(
         drive = np.zeros((grid.n, 2), dtype=complex)
         drive[:, 0] = ((t >= 0.0) & (t < 1.0)).astype(float)
         F = Signal(grid, drive)
-        u_n = solve_ode_block(sys_n, F, nu=grid.nu)
-        u_lim = solve_ode_block(sys_lim, F, nu=grid.nu)
+        u_n = solve_ode_block(sys_n, F)
+        u_lim = solve_ode_block(sys_lim, F)
         diff = u_n - u_lim
         norm_ref = max(norm_nu(u_lim, nu=nu), NORM_FLOOR)
         # the limit solution itself is the sharpest pairing probe: it eats
@@ -405,28 +408,25 @@ def dbf_experiment(
         )
         se = norm_nu(diff, nu=nu) / norm_ref
         report.add_row(n, pe, se, se)
-    report.finalize(tol, slope_max)
+    report.finalize(0.02, -0.5)
     return report
 
 
 def memory_kernel_experiment(
     scales: Sequence[int],
     nu: float = 2.0,
-    t_end: float = 4.0,
     seed: int = 42,
-    tol: float = 0.02,
-    slope_max: float = -0.5,
 ) -> ConvergenceReport:
     """Oscillatory-in-space relaxation against the Bessel-kernel convolution.
 
-    Solves du/dt + sin(2 pi x / eps) u = f cellwise (dt = 0.001, 16 cells
-    per period) for eps = 1/n and pairs
+    Solves du/dt + sin(2 pi x / eps) u = f cellwise on [0, 4] (dt = 0.001,
+    16 cells per period) for eps = 1/n and pairs
     the field against the memory solution u(t) = int_{-inf}^t I0(t-s) f(s) ds,
     which is what the spatial average of exp(-(t-s) sin(2 pi y)) produces.
     The x-probe blocks are deliberately not aligned with the oscillation
     period: partial-period boundary mass is exactly what decays with eps.
     """
-    grid = TimeGrid(0.0, 0.001, int(round(t_end / 0.001)) + 1, nu)
+    grid = TimeGrid(0.0, 0.001, 4001, nu)
     t, dt = grid.times, grid.dt
     f_t = ((t >= 0.0) & (t < 1.0)).astype(float)  # unit forcing pulse
 
@@ -470,26 +470,26 @@ def memory_kernel_experiment(
         mismatch = np.sqrt(np.mean(np.abs(u - u_lim[:, None]) ** 2, axis=1))
         se = norm_nu(Signal(grid, mismatch), nu=nu) / max(norm_lim, NORM_FLOOR)
         report.add_row(n, worst, se, se)
-    report.finalize(tol, slope_max)
+    report.finalize(0.02, -0.5)
     return report
 
 
 def eddy_current_experiment(
     eps_scale_profiles: Sequence[tuple],
     eta_list: Sequence[float],
-    t_end: float = 10.0,
-    m_x: int = 24,
     seed: int = 42,
-    slack: float = 0.10,
 ) -> ConvergenceReport:
     """Vanishing-dielectricity bound for the 1D Maxwell block.
 
     eps_scale_profiles is a list of (scale_label, eps Coefficient,
     sup |eps|, sup |eps'|); for each entry and each weight eta the observed
     probe norm of (S(eps) S(0)^{-1} - 1) J S(0) is compared against
-    (1/c^2)(|eps| + |eps'|/eta) with the declared slack, on a lattice with
-    dt = 0.01.  Every solve is certified (`solve_evo_pde`), so an eps whose
-    damping nu*eps + eps'/2 fails raises.
+    (1/c^2)(|eps| + |eps'|/eta), on [0, 10] with dt = 0.01 and 24 interior
+    cells.  A row passes when every eta's observed value is within 10% of
+    its bound, and the ladder when, from two scales on, the log-log slope of
+    the observed value against the scale label is at most -0.9: the
+    first-order decay rate itself is the claim.  Every solve is certified
+    (`solve_evo_pde`), so an eps whose damping nu*eps + eps'/2 fails raises.
 
     The observed column is a norm-type estimate, so it is maximized over the
     smooth members of the probe dictionary (bumps and random smooth
@@ -499,6 +499,7 @@ def eddy_current_experiment(
     mu = sigma = Coefficient.constant(1.0)
     eps0 = Coefficient.constant(0.0)
     c = 1.0
+    m_x = 24
     sys0 = PdeSystem.maxwell(eps0, mu, sigma, m_x)
     x = np.linspace(0, 1, m_x + 2)[1:-1]
     report = ConvergenceReport(
@@ -508,7 +509,7 @@ def eddy_current_experiment(
     # batched pass, once for the shared eps = 0 solve and once per profile
     observed = {}
     for eta in eta_list:
-        grid = TimeGrid(0.0, 0.01, int(round(t_end / 0.01)) + 1, eta)
+        grid = TimeGrid(0.0, 0.01, 1001, eta)
         tset = list(ProbeSet(grid, dim=1, seed=seed))
         probes = [
             np.outer(gsig.values[:, 0], np.sin(np.pi * x))
@@ -536,12 +537,13 @@ def eddy_current_experiment(
             bound = (1.0 / c**2) * (eps_sup + eps_d_sup / eta)
             per_eta[(label, eta)] = (obs, bound)
             # absolute floor covers the degenerate zero-dielectricity control
-            row_ok = row_ok and (obs <= bound * (1 + slack) + 1e-12)
+            row_ok = row_ok and (obs <= bound * 1.10 + 1e-12)
             if obs >= row_obs:
                 row_obs, row_bound = obs, bound
         report.add_row(label, pairing_error=row_obs, strong_error=row_obs,
                        norm_error=row_obs, bound_rhs=row_bound, verdict=row_ok)
     report.metadata["per_eta"] = {f"{k[0]}@eta={k[1]}": v for k, v in per_eta.items()}
+    report.rows[-1]["verdict"] = bool(report.rows[-1]["verdict"] and report.judge_slope(-0.9))
     return report
 
 
@@ -550,8 +552,6 @@ def wave_g_convergence_experiment(
     scales: Sequence[int],
     nu: float = 1.0,
     seed: int = 42,
-    tol: float = 0.05,
-    slope_max: float = -0.5,
 ) -> ConvergenceReport:
     """First-order wave system with a(x/eps) against the one-dimensional
     G-limit (the harmonic mean of the profile), on [0, 3] with dt = 0.01
@@ -594,7 +594,7 @@ def wave_g_convergence_experiment(
                     worst = max(worst, abs(pair) / max(ngt * nh * norm_ref, NORM_FLOOR))
         bulk = norm_nu(u_n - u_b) * np.sqrt(dx_i) / max(norm_ref, NORM_FLOOR)
         report.add_row(n, worst, bulk, bulk)
-    report.finalize(tol, slope_max)
+    report.finalize(0.05, -0.5)
 
     # elliptic premise ladder (G-convergence definition)
     premise = ConvergenceReport("wave-elliptic-premise", metadata={"seed": seed, "g_limit": b})
@@ -616,7 +616,7 @@ def wave_g_convergence_experiment(
             worst = max(worst, pair / max(nh * ref, NORM_FLOOR))
         l2 = float(np.linalg.norm(u_eps - u_0) / max(np.linalg.norm(u_0), NORM_FLOOR))
         premise.add_row(n, worst, max(worst, l2), max(worst, l2))
-    premise.finalize(tol, slope_max)
+    premise.finalize(0.05, -0.5)
     # the premise gates the run: its verdict rides on the last row
     report.rows[-1]["verdict"] = bool(report.rows[-1]["verdict"] and premise.verdict)
     report.metadata["elliptic_premise_verdict"] = "pass" if premise.verdict else "fail"
@@ -629,7 +629,6 @@ def heat_strong_continuity_experiment(
     b_edge: np.ndarray,
     nu: float = 1.0,
     seed: int = 42,
-    tol: float = 0.02,
 ) -> ConvergenceReport:
     """Strong convergence of heat solution maps for pointwise-convergent
     conductivities on [0, 2] with dt = 0.01; a_family is a list of
@@ -655,5 +654,5 @@ def heat_strong_continuity_experiment(
         w = max(norm_nu(Signal(grid, u_a[..., j] - u_b[..., j])) * sqrt_dx / f_norm
                 for j, f_norm in enumerate(f_norms))
         report.add_row(label, pairing_error=w, strong_error=w, norm_error=w)
-    report.finalize(tol)
+    report.finalize(0.02, -0.5)
     return report

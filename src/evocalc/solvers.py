@@ -372,18 +372,17 @@ def solve_ode_block_neumann(
     return np.concatenate([w, v], axis=1)
 
 
-def solve_ode_block(
-    sys: OdeBlockSystem, F: Signal, nu: float | None = None, tol: float = 1e-8
-) -> Signal:
-    """Solve (d/dt diag(M,0) + N) U = F by two independent routes.
+def solve_ode_block(sys: OdeBlockSystem, F: Signal) -> Signal:
+    """Solve (d/dt diag(M,0) + N) U = F by two independent routes at the
+    weight of F's grid.
 
     Route (a) is the truncated geometric series through the block
     factorization, route (b) direct causal stepping; their agreement within
-    `tol` is asserted before route (b) is returned.  Requires the
+    1e-8 is asserted before route (b) is returned.  Requires the
     contraction condition theta < 1 at the working weight.
     """
-    grid = F.grid if nu is None else F.grid.with_nu(nu)
-    nu = grid.nu
+    grid = F.grid
+    nu, tol = grid.nu, 1e-8
     theta = sys.theta(grid, nu)
     if not theta < 1:
         raise ValueError(f"contraction fails: theta={theta:.3f} >= 1 at nu={nu}")

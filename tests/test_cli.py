@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import evocalc
-from evocalc import experiments, homogenization
+from evocalc import homogenization
 from evocalc.cli import ConfigError, main, parse_config, run, suite
 from evocalc.experiments import DEFAULTS, RUNNERS
+from evocalc.signals import Coefficient
 
 
 def write(path: Path, text: str) -> Path:
@@ -170,10 +171,12 @@ class TestRun:
                   "experiment = dbf\nscales = 64\ncontrol = arithmetic\n")
         assert run(p) == 2
         err = capsys.readouterr().err
-        # the value printed is the pairing error the ladder row is gated on
+        # the value printed is the pairing error the ladder row is gated on;
+        # one scale has no slope, which the line and the summary say
         assert "failing row: scale=64 value=1.5217e-01" in err
-        assert "tol=2.0000e-02" in err and "slope_max=" in err
+        assert "tol=2.0000e-02 slope=nan slope_max=" in err
         assert "bound=nan" not in err
+        assert json.loads((tmp_path / "neg.json").read_text())["metadata"]["slope"] is None
 
     @pytest.mark.parametrize("control, status", [("harmonic", 0), ("arithmetic", 2)])
     def test_one_scale_ladder_is_judged_by_its_pairing(self, tmp_path, control, status):
@@ -188,17 +191,16 @@ class TestRun:
         p = write(tmp_path / "e.cfg", "experiment = eddy\nscales = 8\n")
         assert run(p) == 0
 
-    def test_flat_eddy_ladder_fails_its_slope_rule(self, tmp_path, monkeypatch):
-        # two scales under their bounds with no decay: the slope rule bites
-        def flat(profiles, eta_list, seed):
-            rep = homogenization.ConvergenceReport("eddy")
-            for n, *_ in profiles:
-                rep.add_row(n, 1e-3, 1e-3, 1e-3, bound_rhs=1.0, verdict=True)
-            return rep
-
-        monkeypatch.setattr(experiments, "eddy_current_experiment", flat)
-        p = write(tmp_path / "e.cfg", "experiment = eddy\nscales = 8, 16\n")
-        assert run(p) == 2
+    def test_flat_eddy_ladder_fails_its_slope_rule(self):
+        # one coefficient under two scale labels: both rows are under their
+        # bounds, but the ladder does not decay, so the slope rule bites
+        eps = Coefficient.scalar_profile(lambda t: (1.0 + 0.5 * np.cos(t)) / 8,
+                                         deriv=lambda t: -0.5 * np.sin(t) / 8)
+        rep = homogenization.eddy_current_experiment(
+            [(8, eps, 1.5 / 8, 0.5 / 8), (16, eps, 1.5 / 8, 0.5 / 8)], eta_list=[1.0])
+        assert [r["pairing_error"] <= r["bound_rhs"] for r in rep.rows] == [True, True]
+        assert rep.metadata["slope"] == pytest.approx(0.0, abs=1e-9)
+        assert rep.rows[0]["verdict"] and not rep.verdict
 
     def test_shipped_eddy_csv_is_unchanged(self, tmp_path):
         # the four-scale ladder writes the bytes it wrote before one-scale
@@ -354,3 +356,24 @@ def test_exported_names_are_reached(module):
     exported = getattr(importlib.import_module(f"evocalc.{module}"), "__all__", ())
     assert [name for name in exported if name not in read] == [
         name for name in exported if name in TEST_REFERENCES]
+
+
+# The ratchet below: lower it when a change removes settable values, never
+# raise it to let one in.
+SETTABLE_VALUES_MAX = 84
+
+
+def test_settable_values_do_not_grow():
+    # settable values are the defaulted parameters of every def plus the
+    # fields of every dataclass in src/; each one is a value a caller can
+    # change, so one with a single value in use belongs in code as a constant
+    count = 0
+    for path in (Path(__file__).resolve().parents[1] / "src" / "evocalc").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    assert count <= SETTABLE_VALUES_MAX

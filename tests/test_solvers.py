@@ -111,7 +111,7 @@ class TestOdeBlock:
                               N00=Coefficient.constant([[0.0]]), c=1.0)
         rng = np.random.default_rng(0)
         F = Signal(g, rng.standard_normal(g.n))
-        u = solve_ode_block(sys0, F, nu=2.0)
+        u = solve_ode_block(sys0, F)
         np.testing.assert_allclose(u.values, antiderivative(F).values,
                                    rtol=0, atol=1e-10)
 
@@ -119,7 +119,7 @@ class TestOdeBlock:
         g = TimeGrid(0.0, 0.01, 3001, 2.5)
         sys1 = OdeBlockSystem(M=Coefficient.constant([[1.0]], 1.0),
                               N00=Coefficient.constant([[1.0]]), c=1.0)
-        u = solve_ode_block(sys1, Signal.indicator(g, 0.0, 1e9), nu=2.5)
+        u = solve_ode_block(sys1, Signal.indicator(g, 0.0, 1e9))
         oracle = 1.0 - np.exp(-g.times)
         assert np.max(np.abs(u.values[:, 0] - oracle)) <= 2 * g.dt
 
@@ -128,7 +128,7 @@ class TestOdeBlock:
         sys1 = OdeBlockSystem(M=Coefficient.constant([[1.0]], 1.0),
                               N00=Coefficient.constant([[1.0]]), c=1.0)
         with pytest.raises(ValueError):
-            solve_ode_block(sys1, Signal.zero(g), nu=0.5)
+            solve_ode_block(sys1, Signal.zero(g))
 
     def test_series_route_raises_near_theta_one(self):
         # theta = 1 - 1e-6 needs millions of terms; the route raises instead
@@ -158,8 +158,8 @@ class TestOdeBlock:
             c=1.0,
         )
         F = Signal(g, rng.standard_normal((g.n, 2 * m)))
-        # the call itself asserts the two-route agreement at tol
-        solve_ode_block(sysb, F, nu=20.0, tol=1e-6)
+        # the call itself asserts the two-route agreement at 1e-8
+        solve_ode_block(sysb, F)
 
     def test_block_norms_match_nodewise_norms(self):
         g = TimeGrid(0.0, 0.05, 41, 1.0)
