@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .experiments import DEFAULTS, RUNNERS
+from .experiments import COUNT_SCALES, DEFAULTS, RUNNERS
 from .homogenization import ConvergenceReport
 
 GLOBAL_KEYS = {"experiment", "output", "expect"}
@@ -103,6 +103,9 @@ def parse_config(path) -> dict:
         problem = _range_problem(key, value)
         if problem:
             raise ConfigError(f"{path}: {key} must be {problem}, got {value!r}")
+    if name in COUNT_SCALES and not all(isinstance(x, int) for x in cfg["scales"]):
+        raise ConfigError(f"{path}: scales must be integers for {name} (each counts "
+                          f"cells), got {cfg['scales']!r}")
     expect = cfg.get("expect", "pass")
     if expect not in ("pass", "fail"):
         raise ConfigError(f"{path}: expect must be 'pass' or 'fail', got {expect!r}")
@@ -110,9 +113,15 @@ def parse_config(path) -> dict:
     return cfg
 
 
+def _output_path(out_base: Path, suffix: str) -> Path:
+    """The base with `suffix` appended: a dot in the base's name (such as
+    `eddy_scales_0.5`) is part of the name, not a suffix to replace."""
+    return out_base.with_name(out_base.name + suffix)
+
+
 def _write_outputs(report: ConvergenceReport, out_base: Path, runtime: float, seed):
     out_base.parent.mkdir(parents=True, exist_ok=True)
-    report.write_csv(out_base.with_suffix(".csv"))
+    report.write_csv(_output_path(out_base, ".csv"))
     summary = {
         "experiment": report.experiment,
         "seed": seed,
@@ -121,7 +130,7 @@ def _write_outputs(report: ConvergenceReport, out_base: Path, runtime: float, se
         "runtime_seconds": round(runtime, 3),
         "metadata": {k: v for k, v in report.metadata.items() if k != "seed"},
     }
-    with open(out_base.with_suffix(".json"), "w") as fh:
+    with open(_output_path(out_base, ".json"), "w") as fh:
         json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True, default=str,
                   allow_nan=False)
     return summary
@@ -167,7 +176,7 @@ def run(config_path, out_override=None, verbose=False) -> int:
                   f"{'pass' if r['verdict'] else 'FAIL'}")
     ok = report.verdict
     print(f"{name}: {'pass' if ok else 'FAIL'} ({len(report.rows)} rows, "
-          f"{summary['runtime_seconds']}s) -> {out_base.with_suffix('.csv')}")
+          f"{summary['runtime_seconds']}s) -> {_output_path(out_base, '.csv')}")
     if not ok:
         for r in report.rows:
             if not r["verdict"]:

@@ -65,6 +65,9 @@ DEFAULTS = {
     "wave": {"nu": 1.0, "scales": (8, 16, 32, 64), "seed": 42},
     "funid": {"nu": 1.0, "dt": 0.01, "n": 1001, "seed": 42},
 }
+# The experiments whose scales count cells (16 per period), so that each
+# scale must be an integer; the other ladders take any scale > 0.
+COUNT_SCALES = {"memory-kernel", "wave"}
 
 
 def _gate(rep: ConvergenceReport, scale, value: float, bound: float):

@@ -9,6 +9,7 @@ are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,14 +64,24 @@ class TimeGrid:
         return self.t0 + self.dt * (self.n - 1)
 
     def quad_weights(self) -> np.ndarray:
-        """Trapezoid weights times the exponential density exp(-2*nu*t)."""
-        w = np.full(self.n, self.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w * np.exp(-2.0 * self.nu * self.times)
+        """Trapezoid weights times the exponential density exp(-2*nu*t),
+        read-only and computed once per (t0, dt, n, nu)."""
+        return _quad_weights(self.t0, self.dt, self.n, self.nu)
 
     def with_nu(self, nu: float) -> "TimeGrid":
         return TimeGrid(self.t0, self.dt, self.n, nu)
+
+
+@functools.lru_cache(maxsize=16)
+def _quad_weights(t0: float, dt: float, n: int, nu: float) -> np.ndarray:
+    """`TimeGrid.quad_weights` by value: `with_nu` makes a new grid per call,
+    and a power iteration asks for the same weights at every step."""
+    w = np.full(n, dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    w = w * np.exp(-2.0 * nu * (t0 + dt * np.arange(n)))
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)

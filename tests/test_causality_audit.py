@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from evocalc import causality_audit as audit
 from evocalc.signals import Coefficient, Signal, TimeGrid
 from evocalc.solvers import (
+    INVERSE_MAX,
     OdeBlockSystem,
     PdeSystem,
     SpatialOperator,
@@ -101,6 +102,24 @@ class TestAudits:
         sys_pde = PdeSystem.heat(a) if kind == "heat" else PdeSystem.wave(a)
         F = Signal(g, pde_drive(g).values * (1.0 + 0.5j))
         assert audit.audit_pde(sys_pde, F, g) == 0.0
+
+    @pytest.mark.parametrize("kind", ["heat", "wave", "maxwell"])
+    def test_cyclic_reduction_audit_exactly_zero(self, kind):
+        # above INVERSE_MAX the steppers solve by cyclic reduction; its
+        # equal columns must give equal bits as the rows widen
+        m_x, g = INVERSE_MAX + 1, grid(12)
+        xe, xi = np.linspace(0.0, 1.0, m_x + 1), np.linspace(0.0, 1.0, m_x + 2)[1:-1]
+        a = 1.5 + 0.5 * np.sin(2 * np.pi * xe) + 0.3j * np.cos(3 * np.pi * xe)
+        if kind == "maxwell":
+            eps = Coefficient.scalar_profile(lambda s: 1.0 + 0.25 * np.cos(s),
+                                             deriv=lambda s: -0.25 * np.sin(s))
+            one = Coefficient.scalar_profile(lambda s: 1.0, deriv=lambda s: 0.0)
+            sys_pde = PdeSystem.maxwell(eps, one, one, m_x)
+        else:
+            sys_pde = PdeSystem.heat(a) if kind == "heat" else PdeSystem.wave(a)
+        F = np.zeros((g.n, 2 * m_x + 1), dtype=complex)
+        F[:, :m_x] = np.outer(bump(g), np.sin(np.pi * xi)) * (1.0 + 0.5j)
+        assert audit.audit_pde(sys_pde, Signal(g, F), g) == 0.0
 
     def test_skew(self):
         g = grid()

@@ -160,6 +160,34 @@ class TestRun:
         assert err.startswith("error: picard:") and err.count("\n") == 1
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("experiment, scales", [
+        ("wave", "0.5"), ("wave", "8, 16.0"), ("memory-kernel", "0.5"),
+        ("memory-kernel", "8, 1e1"),
+    ])
+    def test_non_integer_count_scale_exits_1_with_one_line(self, tmp_path, capsys,
+                                                           experiment, scales):
+        # these runners turn a scale into a cell count; the other ladders
+        # take any scale > 0
+        p = write(tmp_path / "c.cfg", f"experiment = {experiment}\nscales = {scales}\n")
+        assert run(p) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "scales must be integers" in err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_dotted_output_base_keeps_its_name(self, tmp_path, capsys):
+        p = write(tmp_path / "e.cfg", "experiment = spectrum\nn = 256\noutput = out/spec_0.5\n")
+        assert run(p) == 0
+        assert sorted(q.name for q in (tmp_path / "out").iterdir()) == [
+            "spec_0.5.csv", "spec_0.5.json"]
+        assert capsys.readouterr().out.rstrip().endswith("spec_0.5.csv")
+
+    def test_dotted_config_name_gives_the_default_base(self, tmp_path):
+        # the default base is the config path without `.cfg`
+        p = write(tmp_path / "spec_0.5.cfg", "experiment = spectrum\nn = 256\n")
+        assert run(p) == 0
+        assert (tmp_path / "spec_0.5.csv").exists() and (tmp_path / "spec_0.5.json").exists()
+
     def test_negative_nu_exits_1_with_one_line(self, tmp_path, capsys):
         p = write(tmp_path / "s.cfg", "experiment = spectrum\nnu = -1\n")
         assert run(p) == 1

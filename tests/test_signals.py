@@ -29,6 +29,26 @@ class TestGrid:
             TimeGrid(0.0, 0.1, 1, 1.0)
 
 
+class TestQuadWeights:
+    def test_cached_weights_are_the_formula_bit_for_bit(self):
+        for g in (small_grid(), TimeGrid(0.3, 1e-3, 30001, 0.2), small_grid(nu=0.0)):
+            w = np.full(g.n, g.dt)
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            w = w * np.exp(-2.0 * g.nu * g.times)
+            assert np.array_equal(g.quad_weights(), w)
+            # a grid of equal values shares the array; `with_nu` makes one
+            assert g.with_nu(g.nu).quad_weights() is g.quad_weights()
+
+    def test_cached_weights_are_read_only(self):
+        w = small_grid(nu=0.7).quad_weights()
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+        assert small_grid(nu=0.7).quad_weights()[0] == 0.5 * 0.05
+
+
 class TestInnerProduct:
     def test_zero_signal(self):
         g = small_grid()

@@ -29,6 +29,7 @@ from evocalc.solvers import (
 )
 from evocalc import solvers
 from evocalc.solvers import _tridiag_factor, _tridiag_solve
+from evocalc.timecalc import _pcr_levels, _pcr_solve
 
 
 def rand_skew(rng, dim, scale=1.0):
@@ -102,6 +103,72 @@ class TestTridiagonalKernel:
             # equal columns give equal bits wherever they sit in the block
             same = solve(np.repeat(col[:, None], K, axis=1))
             assert (same == same[:, -1:]).all()
+
+
+class TestCyclicReduction:
+    """Above INVERSE_MAX every solve with a right-hand side runs by cyclic
+    reduction; pinned to the Thomas kernel it replaced."""
+
+    @pytest.mark.parametrize("m", [257, 512, 1024, 1025])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matches_thomas(self, m, real):
+        rng = np.random.default_rng(m)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + (0 if real else 1j) * rng.standard_normal(shape)
+
+        lower, upper = draw(m - 1), draw(m - 1)
+        diag = 5.0 + draw(m)
+        levels, factors = _pcr_levels(lower, diag, upper), _tridiag_factor(lower, diag, upper)
+        for rhs in (draw(m), draw(m, 7)):
+            x, ref = _pcr_solve(levels, rhs), _tridiag_solve(factors, rhs)
+            assert x.shape == rhs.shape
+            assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+        # equal columns give equal bits wherever they sit, and as one
+        # column, one (m, 1) row block or one column of a wider block
+        col = draw(m)
+        one = _pcr_solve(levels, col)
+        assert np.array_equal(_pcr_solve(levels, col[:, None])[:, 0], one)
+        for K in (2, 3, 8, 17):
+            same = _pcr_solve(levels, np.repeat(col[:, None], K, axis=1))
+            assert (same == one[:, None]).all()
+
+    @staticmethod
+    def recorded_bands(monkeypatch):
+        bands = []
+
+        def recording(lower, diag, upper):
+            bands.append((lower, diag, upper))
+            return _pcr_levels(lower, diag, upper)
+
+        monkeypatch.setattr(solvers, "_pcr_levels", recording)
+        return bands
+
+    @pytest.mark.parametrize("kind", ["heat", "wave", "maxwell"])
+    def test_stepper_matrices_are_diagonally_dominant(self, monkeypatch, kind):
+        # the u-leg matrices above INVERSE_MAX, on the benchmark's kinds of
+        # input: real conductivities and a time-varying permittivity
+        bands = self.recorded_bands(monkeypatch)
+        m_x = solvers.INVERSE_MAX + 1
+        g = TimeGrid(0.0, 0.01, 4, 1.0)
+        xe, xi = np.linspace(0.0, 1.0, m_x + 1), np.linspace(0.0, 1.0, m_x + 2)[1:-1]
+        f = Signal(g, np.outer(np.ones(g.n), np.sin(np.pi * xi)))
+        a = 1.5 + 0.5 * np.sin(2 * np.pi * xe)
+        if kind == "heat":
+            heat_1d_solve(a, f, nu=1.0)
+        elif kind == "wave":
+            wave_1d_solve(a, f, nu=1.0)
+        else:
+            eps = Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t),
+                                             deriv=lambda t: -0.25 * np.sin(t))
+            one = Coefficient.scalar_profile(lambda t: 1.0, deriv=lambda t: 0.0)
+            maxwell_1d_solve(eps, one, one, f, nu=1.0)
+        assert len(bands) == (g.n if kind == "maxwell" else 1)
+        for lower, diag, upper in bands:
+            off = np.zeros(m_x)
+            off[1:] += np.abs(lower)
+            off[:-1] += np.abs(upper)
+            assert (np.abs(diag) > off).all()
 
 
 class TestOdeBlock:

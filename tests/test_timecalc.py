@@ -18,6 +18,7 @@ from evocalc.timecalc import (
     spectrum_of_antiderivative,
 )
 from evocalc.operators import CausalOp, op_norm
+from evocalc import timecalc
 
 
 def ref_grid(nu=1.0):
@@ -144,6 +145,69 @@ class TestResolvent:
         direct = resolvent(f, 0.1)
         series = resolvent_series(f, 0.1)
         assert norm_nu(direct - series) / norm_nu(direct) <= 1e-6
+
+
+def resolvent_loop(f, eps):
+    """The node-by-node recursion that `resolvent` ran before cyclic
+    reduction, kept as its value oracle."""
+    a = eps / f.grid.dt
+    out = np.empty_like(f.values)
+    prev = np.zeros(f.dim, dtype=complex)
+    denom = 1.0 + a
+    for k in range(f.grid.n):
+        prev = (f.values[k] + a * prev) / denom
+        out[k] = prev
+    return out
+
+
+class TestResolventReduction:
+    @pytest.mark.parametrize("n, dt, eps, dim", [
+        (2, 0.01, 0.1, 1), (3, 0.01, 0.1, 1), (1025, 0.01, 0.3, 2),
+        (3001, 0.01, 1e-3, 1), (30001, 1e-3, 0.2, 1),
+    ])
+    def test_matches_the_recursion(self, n, dt, eps, dim):
+        rng = np.random.default_rng(n)
+        g = TimeGrid(0.0, dt, n, 0.2)
+        f = Signal(g, rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+        ref = resolvent_loop(f, eps)
+        assert np.linalg.norm(resolvent(f, eps).values - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_lower_bidiagonal_levels_carry_no_upper_half(self):
+        # a zero upper band stays zero, so no level reads a later row
+        steps, _ = timecalc._pcr_levels(np.full(99, -2.0), np.full(100, 3.0), np.zeros(99))
+        assert [s for s, _, _ in steps] == [1, 2, 4, 8, 16, 32, 64]
+        assert all(gamma is None for _, _, gamma in steps)
+
+
+class TestPadLength:
+    @staticmethod
+    def smooth(x):
+        for p in (2, 3, 5):
+            while x % p == 0:
+                x //= p
+        return x == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 256, 1001, 1024, 3001, 20001, 30001])
+    def test_smallest_5_smooth_length_at_or_above_the_padding(self, n):
+        length, target = timecalc._pad_length(n), n * timecalc.PAD_FACTOR
+        assert self.smooth(length) and length >= target
+        assert not any(self.smooth(k) for k in range(target, length))
+
+    def test_slow_lengths_round_up(self):
+        assert timecalc._pad_length(30001) == 121500  # 120004 = 4 * 19 * 1579
+        assert timecalc._pad_length(20001) == 81000
+
+    def test_one_helper_gives_the_length_to_all_four_users(self, monkeypatch):
+        # a different length from the helper reaches the transform, its
+        # inverse, the frequencies and the Parseval normalisation
+        g = TimeGrid(0.0, 0.01, 300, 1.0)
+        f = gaussian(g, 1.0, 0.2)
+        monkeypatch.setattr(timecalc, "_pad_length", lambda n: 2048)
+        F = fourier_laplace(f)
+        assert F.values.shape == (2048, 1) and F.freqs.shape == (2048,)
+        assert F.freqs[1] == 2.0 * np.pi / (2048 * g.dt)
+        assert F.norm() == pytest.approx(norm_nu(f), rel=1e-6)
+        assert norm_nu(inverse_fourier_laplace(F) - f) <= 1e-12 * norm_nu(f)
 
 
 class TestCausalityStructure:
