@@ -187,15 +187,13 @@ class TestPadLength:
                 x //= p
         return x == 1
 
+    # 30001 and 20001 are the kernels' and transfer's window lengths, whose
+    # plain padding 120004 = 4 * 19 * 1579 and 80004 are slow FFT sizes
     @pytest.mark.parametrize("n", [2, 3, 7, 256, 1001, 1024, 3001, 20001, 30001])
     def test_smallest_5_smooth_length_at_or_above_the_padding(self, n):
         length, target = timecalc._pad_length(n), n * timecalc.PAD_FACTOR
         assert self.smooth(length) and length >= target
         assert not any(self.smooth(k) for k in range(target, length))
-
-    def test_slow_lengths_round_up(self):
-        assert timecalc._pad_length(30001) == 121500  # 120004 = 4 * 19 * 1579
-        assert timecalc._pad_length(20001) == 81000
 
     def test_one_helper_gives_the_length_to_all_four_users(self, monkeypatch):
         # a different length from the helper reaches the transform, its
