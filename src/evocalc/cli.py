@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .experiments import COUNT_SCALES, DEFAULTS, RUNNERS
 from .homogenization import ConvergenceReport
 
@@ -148,11 +150,18 @@ def _finite_or_null(obj):
 
 def run(config_path, out_override=None, verbose=False) -> int:
     """Execute one experiment config; returns the process exit status."""
+    return _run(config_path, out_override, verbose)[0]
+
+
+def _run(config_path, out_override, verbose) -> tuple[int, dict | None]:
+    """`run`, also returning the parsed config (None when it is invalid).  Any
+    exception of the runner, numpy's floating-point errors included, is one
+    line `error: <experiment>: <Type>: <message>` and exit status 1."""
     try:
         cfg = parse_config(config_path)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return 1, None
     name = cfg["experiment"]
     if out_override:
         out_base = Path(out_override)
@@ -164,10 +173,11 @@ def run(config_path, out_override=None, verbose=False) -> int:
         out_base = Path(config_path).with_suffix("")
     t0 = time.time()
     try:
-        report = RUNNERS[name](cfg)
-    except ValueError as exc:
-        print(f"error: {name}: {exc}", file=sys.stderr)
-        return 1
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = RUNNERS[name](cfg)
+    except Exception as exc:
+        print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1, cfg
     summary = _write_outputs(report, out_base, time.time() - t0, cfg.get("seed"))
     if verbose:
         for r in report.rows:
@@ -185,7 +195,7 @@ def run(config_path, out_override=None, verbose=False) -> int:
                 value = r["pairing_error"] if math.isnan(r["bound_rhs"]) else r["norm_error"]
                 print(f"  failing row: scale={r['scale']} value={value:.4e} "
                       f"{_bound_text(r, report.metadata)}", file=sys.stderr)
-    return 0 if ok else 2
+    return (0 if ok else 2), cfg
 
 
 def _bound_text(row: dict, metadata: dict) -> str:
@@ -199,7 +209,8 @@ def _bound_text(row: dict, metadata: dict) -> str:
 
 
 def suite(configs_dir, out_override=None, verbose=False) -> int:
-    """Run every *.cfg in a directory; aggregate with expect-fail inversion."""
+    """Run every *.cfg in a directory; aggregate with expect-fail inversion.
+    An invalid or raising config is an error entry; the suite goes on."""
     cfg_dir = Path(configs_dir)
     paths = sorted(cfg_dir.glob("*.cfg"))
     if not paths:
@@ -208,14 +219,11 @@ def suite(configs_dir, out_override=None, verbose=False) -> int:
     results = []
     all_ok = True
     for path in paths:
-        try:
-            cfg = parse_config(path)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
+        status, cfg = _run(path, None, verbose)
+        if cfg is None:
             results.append({"config": path.name, "verdict": "error", "effective": "fail"})
             all_ok = False
             continue
-        status = run(path, verbose=verbose)
         # an error (status 1) is never a success, whatever the expectation
         effective = status != 1 and (status == 0) != (cfg["expect"] == "fail")
         results.append({

@@ -142,33 +142,35 @@ class ConvergenceReport:
 # topology diagnostics
 # ---------------------------------------------------------------------------
 
-def _probe_errors(S_n, S_lim, probes: ProbeSet, nu: float) -> tuple[float, float]:
+def _probe_errors(S_n, S_lim, probes: ProbeSet) -> tuple[float, float]:
     """The weak pairing error and the strong error of S_n against S_lim,
     from one evaluation of (S_n - S_lim) phi per probe."""
     diffs = [S_n(phi) - S_lim(phi) for phi in probes]
-    norms = [max(norm_nu(phi, nu=nu), NORM_FLOOR) for phi in probes]
+    norms = [max(norm_nu(phi), NORM_FLOOR) for phi in probes]
     weak = strong = 0.0
     for d, nphi in zip(diffs, norms):
-        strong = max(strong, norm_nu(d, nu=nu) / nphi)
+        strong = max(strong, norm_nu(d) / nphi)
         for psi, npsi in zip(probes, norms):
             if psi.dim == d.dim:
-                weak = max(weak, abs(inner_nu(psi, d, nu=nu)) / (nphi * npsi))
+                weak = max(weak, abs(inner_nu(psi, d)) / (nphi * npsi))
     return weak, strong
 
 
-def weak_pairing_error(S_n, S_lim, probes: ProbeSet, nu: float) -> float:
+def weak_pairing_error(S_n, S_lim, probes: ProbeSet) -> float:
     """Max over probe pairs of |<psi, (S_n - S_lim) phi>| / (|phi| |psi|).
 
-    The discrete surrogate of weak-operator distance on bounded sets;
-    reweighting the pairing changes none of the verdicts for compactly
-    supported probes, so `nu` just fixes the bookkeeping.
+    The discrete surrogate of weak-operator distance on bounded sets, at the
+    weight of the probes' grid; reweighting the pairing changes none of the
+    verdicts for compactly supported probes, so the weight only fixes the
+    bookkeeping.
     """
-    return _probe_errors(S_n, S_lim, probes, nu)[0]
+    return _probe_errors(S_n, S_lim, probes)[0]
 
 
-def strong_error(S_n, S_lim, probes: ProbeSet, nu: float) -> float:
-    """Max over probes of |(S_n - S_lim) phi| / |phi|."""
-    return probe_sup(lambda phi: S_n(phi) - S_lim(phi), probes, nu)
+def strong_error(S_n, S_lim, probes: ProbeSet) -> float:
+    """Max over probes of |(S_n - S_lim) phi| / |phi| at the weight of the
+    probes' grid."""
+    return probe_sup(lambda phi: S_n(phi) - S_lim(phi), probes)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +221,7 @@ def _resolving_grid(n: int, nu: float) -> TimeGrid:
 
 
 def product_mean_limit(
-    a_profiles: Sequence[Callable],
-    scales: Sequence[int],
-    nu: float = 1.0,
-    seed: int = 42,
+    a_profiles: Sequence[Callable], scales: Sequence[int], nu: float, seed: int
 ) -> ConvergenceReport:
     """Alternating multiplication/integration chain against its mean limit.
 
@@ -256,11 +255,11 @@ def product_mean_limit(
                 out = antiderivative(out)
             return out
 
-        pe, se = _probe_errors(osc_op, limit_op, probes, nu)
+        pe, se = _probe_errors(osc_op, limit_op, probes)
         # operator-norm estimate: the strong error over the base probes plus
         # an enriched seeded dictionary, so it dominates se by construction
         enriched = ProbeSet(grid, dim=1, seed=seed + 1, n_random=8)
-        ne = max(se, strong_error(osc_op, limit_op, enriched, nu))
+        ne = max(se, strong_error(osc_op, limit_op, enriched))
         report.add_row(n, pe, se, ne)
     report.assert_topology_ordering()
     report.finalize(0.02, -0.5)
@@ -347,8 +346,8 @@ def dbf_experiment(
     mu_profile: Callable,
     A_skew,
     scales: Sequence[int],
-    nu: float = 2.0,
-    seed: int = 42,
+    nu: float,
+    seed: int,
     limit_coefficients: tuple | None = None,
 ) -> ConvergenceReport:
     """Oscillatory two-leg block system against its constant-coefficient limit.
@@ -398,25 +397,21 @@ def dbf_experiment(
         u_n = solve_ode_block(sys_n, F)
         u_lim = solve_ode_block(sys_lim, F)
         diff = u_n - u_lim
-        norm_ref = max(norm_nu(u_lim, nu=nu), NORM_FLOOR)
+        norm_ref = max(norm_nu(u_lim), NORM_FLOOR)
         # the limit solution itself is the sharpest pairing probe: it eats
         # systematic (wrong-oracle) offsets while oscillation still cancels
         probes = list(ProbeSet(grid, dim=2, seed=seed)) + [u_lim]
         pe = max(
-            abs(inner_nu(psi, diff, nu=nu)) / (max(norm_nu(psi, nu=nu), NORM_FLOOR) * norm_ref)
+            abs(inner_nu(psi, diff)) / (max(norm_nu(psi), NORM_FLOOR) * norm_ref)
             for psi in probes
         )
-        se = norm_nu(diff, nu=nu) / norm_ref
+        se = norm_nu(diff) / norm_ref
         report.add_row(n, pe, se, se)
     report.finalize(0.02, -0.5)
     return report
 
 
-def memory_kernel_experiment(
-    scales: Sequence[int],
-    nu: float = 2.0,
-    seed: int = 42,
-) -> ConvergenceReport:
+def memory_kernel_experiment(scales: Sequence[int], nu: float, seed: int) -> ConvergenceReport:
     """Oscillatory-in-space relaxation against the Bessel-kernel convolution.
 
     Solves du/dt + sin(2 pi x / eps) u = f cellwise on [0, 4] (dt = 0.001,
@@ -451,7 +446,7 @@ def memory_kernel_experiment(
         for k in range(grid.n):
             prev = (prev + dt * f_t[k]) / denom
             u[k] = prev
-        norm_lim = norm_nu(Signal(grid, u_lim), nu=nu)
+        norm_lim = norm_nu(Signal(grid, u_lim))
         worst = 0.0
         x_tests = [((x >= xa) & (x < xb)).astype(float) for (xa, xb) in x_blocks]
         x_tests.append(np.sin(np.pi * x))
@@ -462,22 +457,20 @@ def memory_kernel_experiment(
             avg = (u * hx[None, :]).mean(axis=1)
             href = float(np.mean(hx))
             for g in t_probes:
-                ng = max(norm_nu(g, nu=nu), NORM_FLOOR)
-                val = abs(inner_nu(g, Signal(grid, avg - href * u_lim), nu=nu))
+                ng = max(norm_nu(g), NORM_FLOOR)
+                val = abs(inner_nu(g, Signal(grid, avg - href * u_lim)))
                 val = val / (ng * np.sqrt(width) * max(norm_lim, NORM_FLOOR))
                 worst = max(worst, val)
         # strong/norm surrogates: bulk space-time mismatch (does not vanish)
         mismatch = np.sqrt(np.mean(np.abs(u - u_lim[:, None]) ** 2, axis=1))
-        se = norm_nu(Signal(grid, mismatch), nu=nu) / max(norm_lim, NORM_FLOOR)
+        se = norm_nu(Signal(grid, mismatch)) / max(norm_lim, NORM_FLOOR)
         report.add_row(n, worst, se, se)
     report.finalize(0.02, -0.5)
     return report
 
 
 def eddy_current_experiment(
-    eps_scale_profiles: Sequence[tuple],
-    eta_list: Sequence[float],
-    seed: int = 42,
+    eps_scale_profiles: Sequence[tuple], eta_list: Sequence[float], seed: int
 ) -> ConvergenceReport:
     """Vanishing-dielectricity bound for the 1D Maxwell block.
 
@@ -521,11 +514,11 @@ def eddy_current_experiment(
         v2 = [antiderivative(Signal(grid, v1[..., j])) for j in range(len(probes))]
         # the eps = 0 operator applied to J v1
         y = np.stack([evo_pde_forward(sys0, v).values for v in v2], axis=2)
-        j_norms = [max(norm_nu(Signal(grid, p), nu=eta), NORM_FLOOR) for p in probes]
+        j_norms = [max(norm_nu(Signal(grid, p)), NORM_FLOOR) for p in probes]
         for i, (_, eps_n, _, _) in enumerate(eps_scale_profiles):
             v4 = solve_evo_pde(PdeSystem.maxwell(eps_n, mu, sigma, m_x), y, grid)
             observed[i, eta] = max(
-                norm_nu(Signal(grid, v4[..., j] - v.values), nu=eta) / j_norm
+                norm_nu(Signal(grid, v4[..., j] - v.values)) / j_norm
                 for j, (v, j_norm) in enumerate(zip(v2, j_norms))
             )
     per_eta = {}
@@ -548,10 +541,7 @@ def eddy_current_experiment(
 
 
 def wave_g_convergence_experiment(
-    a_profile: Callable,
-    scales: Sequence[int],
-    nu: float = 1.0,
-    seed: int = 42,
+    a_profile: Callable, scales: Sequence[int], nu: float, seed: int
 ) -> ConvergenceReport:
     """First-order wave system with a(x/eps) against the one-dimensional
     G-limit (the harmonic mean of the profile), on [0, 3] with dt = 0.01
@@ -625,10 +615,7 @@ def wave_g_convergence_experiment(
 
 
 def heat_strong_continuity_experiment(
-    a_family: Sequence[tuple],
-    b_edge: np.ndarray,
-    nu: float = 1.0,
-    seed: int = 42,
+    a_family: Sequence[tuple], b_edge: np.ndarray, nu: float, seed: int
 ) -> ConvergenceReport:
     """Strong convergence of heat solution maps for pointwise-convergent
     conductivities on [0, 2] with dt = 0.01; a_family is a list of

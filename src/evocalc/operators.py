@@ -179,12 +179,12 @@ def _weight_vector(grid: TimeGrid, dim: int) -> np.ndarray:
     return np.repeat(w, dim)
 
 
-def probe_sup(residual: Callable[[Signal], Signal], probes, nu: float | None = None) -> float:
-    """Max over probes f of |residual(f)| / max(|f|, NORM_FLOOR) in the
-    nu-weighted norm, taken in probe order from 0.0."""
+def probe_sup(residual: Callable[[Signal], Signal], probes) -> float:
+    """Max over probes f of |residual(f)| / max(|f|, NORM_FLOOR), each norm
+    at the weight of its signal's grid, taken in probe order from 0.0."""
     worst = 0.0
     for f in probes:
-        worst = max(worst, norm_nu(residual(f), nu=nu) / max(norm_nu(f, nu=nu), NORM_FLOOR))
+        worst = max(worst, norm_nu(residual(f)) / max(norm_nu(f), NORM_FLOOR))
     return worst
 
 
@@ -211,7 +211,6 @@ def op_norm(S: CausalOp) -> float:
     of the weighted similarity W^(1/2) S W^(-1/2) of the materialized S,
     taken in real arithmetic when that matrix has no imaginary part.
     """
-    nu = S.grid.nu
     size = S.grid.n * S.dim_in
     if S.adjoint_action is not None:
         # matvec-only power iteration; iterations are O(n), so the budget
@@ -219,11 +218,11 @@ def op_norm(S: CausalOp) -> float:
         rng = np.random.default_rng(11)
         v = Signal(S.grid, rng.standard_normal((S.grid.n, S.dim_in))
                    + 1j * rng.standard_normal((S.grid.n, S.dim_in)))
-        v = (1.0 / max(norm_nu(v, nu=nu), NORM_FLOOR)) * v
+        v = (1.0 / max(norm_nu(v), NORM_FLOOR)) * v
         sigma = 0.0
         for _ in range(3000):
             v = S.adjoint_action(S(v))
-            nv = norm_nu(v, nu=nu)
+            nv = norm_nu(v)
             if nv < NORM_FLOOR:
                 return 0.0
             sigma_new = float(np.sqrt(nv))
@@ -252,11 +251,12 @@ def causality_defect(S: CausalOp, t: float, probes: Iterable[Signal]) -> float:
 
     Zero (up to roundoff) certifies that output before t only sees input
     before t; anti-causal operators light up on indicator probes straddling
-    the cut.  Norms are weighted at S.grid.nu.
+    the cut.  Norms are weighted at the probes' grid, which is S.grid for
+    an operator that maps its grid to itself.
     """
     return probe_sup(
         lambda f: truncate_before(S(f), t) - truncate_before(S(truncate_before(f, t)), t),
-        probes, S.grid.nu,
+        probes,
     )
 
 
@@ -341,8 +341,8 @@ def nu_independence_defect(
     node values at the weight grid.nu.  Each probe is moved onto its own
     lattice at nu1 and at nu2; compactly supported probes lie in every
     weighted space, so the outputs must coincide if the underlying operator
-    is genuinely weight-independent.  Compared on the unweighted grid norm
-    (weight zero) to avoid privileging either nu.
+    is genuinely weight-independent.  Compared on copies of the probes at
+    weight zero, the unweighted grid norm, to avoid privileging either nu.
     """
     if not (0 < nu1 < nu2):
         raise ValueError(f"need 0 < nu1 < nu2, got {nu1}, {nu2}")
@@ -351,4 +351,4 @@ def nu_independence_defect(
         return Signal(f.grid, solve(f.values, f.grid.with_nu(nu1))
                       - solve(f.values, f.grid.with_nu(nu2)))
 
-    return probe_sup(gap, probes, nu=0.0)
+    return probe_sup(gap, (Signal(f.grid.with_nu(0.0), f.values) for f in probes))

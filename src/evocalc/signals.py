@@ -32,7 +32,8 @@ NORM_FLOOR = 1e-30
 
 
 class GridMismatchError(ValueError):
-    """Two signals live on different lattices (t0, dt, n) or dims differ."""
+    """Two signals live on different lattices (t0, dt, n), at different
+    weights nu, or their dims differ."""
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,9 @@ class TimeGrid:
     """Uniform causal time lattice with exponential weight parameter nu.
 
     Nodes are t_k = t0 + k*dt for k = 0..n-1.  Two signals interoperate only
-    when their (t0, dt, n) coincide; nu rides along as the weight used by the
-    inner product.
+    when their (t0, dt, n, nu) coincide: nu is the weight of the space the
+    signals live in, and the only one their inner product and norm use.  A
+    caller that needs another weight moves a signal onto `with_nu(nu)`.
     """
 
     t0: float
@@ -133,24 +135,24 @@ class Signal:
 
 def _check_compatible(f: Signal, g: Signal):
     gf, gg = f.grid, g.grid
-    if (gf.t0, gf.dt, gf.n) != (gg.t0, gg.dt, gg.n):
+    if gf != gg:
         raise GridMismatchError(
-            f"grids differ: (t0,dt,n)=({gf.t0},{gf.dt},{gf.n}) vs "
-            f"({gg.t0},{gg.dt},{gg.n})"
+            f"grids differ: (t0,dt,n,nu)=({gf.t0},{gf.dt},{gf.n},{gf.nu}) vs "
+            f"({gg.t0},{gg.dt},{gg.n},{gg.nu})"
         )
     if f.dim != g.dim:
         raise GridMismatchError(f"dims differ: {f.dim} vs {g.dim}")
 
 
-def inner_nu(f: Signal, g: Signal, nu: float | None = None) -> complex:
-    """Weighted inner product <f, g>_nu, anti-linear in the first argument.
+def inner_nu(f: Signal, g: Signal) -> complex:
+    """Weighted inner product <f, g>_nu at the weight nu of the signals'
+    shared grid, anti-linear in the first argument.
 
     Trapezoid quadrature of the integral of <f(t), g(t)> exp(-2*nu*t) over
     the grid window; error O(dt^2) for smooth integrands.
     """
     _check_compatible(f, g)
-    grid = f.grid if nu is None else f.grid.with_nu(nu)
-    return _inner_values(grid.quad_weights(), f.values, g.values)
+    return _inner_values(f.grid.quad_weights(), f.values, g.values)
 
 
 def _inner_values(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
@@ -158,8 +160,9 @@ def _inner_values(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(w * np.sum(np.conj(a) * b, axis=1)))
 
 
-def norm_nu(f: Signal, nu: float | None = None) -> float:
-    val = inner_nu(f, f, nu=nu).real
+def norm_nu(f: Signal) -> float:
+    """The norm of f at the weight of its grid."""
+    val = inner_nu(f, f).real
     return float(np.sqrt(max(val, 0.0)))
 
 

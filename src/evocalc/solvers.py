@@ -298,9 +298,10 @@ class OdeBlockSystem:
             "N11": sup_norm(self.N11),
         }
 
-    def theta(self, grid: TimeGrid, nu: float) -> float:
+    def theta(self, grid: TimeGrid) -> float:
+        """(c |N00| + |N01| |N10|) / (nu c^2) at the weight nu of the grid."""
         ns = self.block_norms(grid)
-        return (self.c * ns["N00"] + ns["N01"] * ns["N10"]) / (nu * self.c**2)
+        return (self.c * ns["N00"] + ns["N01"] * ns["N10"]) / (grid.nu * self.c**2)
 
 
 def _step_dense(Ms, mats, rows, dt: float):
@@ -332,16 +333,18 @@ def _step_ode_block(sys: OdeBlockSystem, rows, grid: TimeGrid):
     return _step_dense(Ms, blks, rows, grid.dt)
 
 
-def solve_ode_block_stepping(sys: OdeBlockSystem, F: Signal, grid: TimeGrid) -> np.ndarray:
+def solve_ode_block_stepping(sys: OdeBlockSystem, F: Signal) -> np.ndarray:
     """Route (b) of `solve_ode_block` alone: causal stepping, values (n, m)."""
-    return np.array(list(_step_ode_block(sys, F.values, grid)))
+    return np.array(list(_step_ode_block(sys, F.values, F.grid)))
 
 
-def solve_ode_block_neumann(
-    sys: OdeBlockSystem, F: Signal, grid: TimeGrid, nu: float, tol: float
-) -> np.ndarray:
+def solve_ode_block_neumann(sys: OdeBlockSystem, F: Signal, tol: float) -> np.ndarray:
     """Route (a) of `solve_ode_block` alone: the geometric series through the
-    triangular block factorization, truncated a priori from theta."""
+    triangular block factorization, truncated a priori from theta < 1."""
+    grid, nu = F.grid, F.grid.nu
+    theta = sys.theta(grid)
+    if not theta < 1:
+        raise ValueError(f"contraction fails: theta={theta:.3f} >= 1 at nu={nu}")
     m0, m1 = sys.m0, sys.m1
     Ms = sys.M.sample_all(grid)
     M_inv = np.linalg.inv(Ms)
@@ -359,9 +362,6 @@ def solve_ode_block_neumann(
 
     def b_tilde_inv(g: np.ndarray) -> np.ndarray:
         # sum_k T^k (M^-1 J g), T = -(M^-1 J R .), J the causal integral
-        theta = sys.theta(grid, nu)
-        if not theta < 1:
-            raise ValueError(f"series route needs theta < 1, got {theta:.3f} at nu={nu}")
         base = apply_nodewise(M_inv, _cumsum(g, grid.dt))
         k_max = series_terms(theta, 1.0 / (sys.c * nu) * 1.05, tol / 10)
         acc = base.copy()
@@ -385,16 +385,12 @@ def solve_ode_block(sys: OdeBlockSystem, F: Signal) -> Signal:
 
     Route (a) is the truncated geometric series through the block
     factorization, route (b) direct causal stepping; their agreement within
-    1e-8 is asserted before route (b) is returned.  Requires the
-    contraction condition theta < 1 at the working weight.
+    1e-8 is asserted before route (b) is returned.  Route (a) runs first and
+    raises unless theta < 1 at the working weight.
     """
-    grid = F.grid
-    nu, tol = grid.nu, 1e-8
-    theta = sys.theta(grid, nu)
-    if not theta < 1:
-        raise ValueError(f"contraction fails: theta={theta:.3f} >= 1 at nu={nu}")
-    u_step = solve_ode_block_stepping(sys, F, grid)
-    u_neum = solve_ode_block_neumann(sys, F, grid, nu, tol)
+    grid, tol = F.grid, 1e-8
+    u_neum = solve_ode_block_neumann(sys, F, tol)
+    u_step = solve_ode_block_stepping(sys, F)
     sig_step = Signal(grid, u_step)
     scale = max(norm_nu(sig_step), NORM_FLOOR)
     gap = norm_nu(Signal(grid, u_step - u_neum)) / scale
@@ -488,7 +484,7 @@ class PdeSystem:
         return PdeSystem(A=A, c=c, M=M, N=N)
 
     @staticmethod
-    def heat(a_edge: np.ndarray, nu: float = 1.0) -> "PdeSystem":
+    def heat(a_edge: np.ndarray, nu: float) -> "PdeSystem":
         """Heat system: state (theta, flux), M = diag(1, 0), N = diag(0, 1/a)."""
         a_edge = np.asarray(a_edge, dtype=complex)
         amin = float(np.min(a_edge.real))
@@ -513,7 +509,7 @@ class PdeSystem:
         )
 
     @staticmethod
-    def wave(a_edge: np.ndarray, nu: float = 1.0) -> "PdeSystem":
+    def wave(a_edge: np.ndarray, nu: float) -> "PdeSystem":
         """Acoustic wave in first-order form with mean-zero projected flux:
         M = diag(1, 1/a), so c = nu min(1, min Re(1/a))."""
         a_edge = np.asarray(a_edge, dtype=complex)
@@ -740,7 +736,6 @@ def funid_residual(
     P: Coefficient,
     A: SpatialOperator,
     f: Signal,
-    nu: float,
     c: float,
 ) -> float:
     """Relative discrepancy between the two sides of the exchange identity
@@ -752,7 +747,7 @@ def funid_residual(
     coefficients enter as analytic data; for constant-in-time pairs the
     discrete identity is exact up to solver roundoff.
     """
-    grid = f.grid.with_nu(nu)
+    grid = f.grid
     sys_mn = PdeSystem.dense_small(M, N, A, c)
     sys_op = PdeSystem.dense_small(O, P, A, c)
 
@@ -809,11 +804,12 @@ def _solve_driven(sys: PdeSystem, f: Signal, nu: float) -> Signal:
     nu, followed by the accretive norm bound |u| <= (1/c)|f| with
     5% discretization slack.  Every 1D wrapper runs these two gates."""
     grid = f.grid.with_nu(nu)
+    f = Signal(grid, f.values)
     F = np.zeros((grid.n, sys.state_dim), dtype=complex)
     F[:, :sys.A.m_x] = f.values
     u = Signal(grid, solve_evo_pde(sys, F, grid))
     # f is F without its zero columns, so it has F's norm
-    bound = (1.0 / sys.c) * norm_nu(f, nu=nu) * 1.05
+    bound = (1.0 / sys.c) * norm_nu(f) * 1.05
     norm_u = norm_nu(u)
     if norm_u > bound + 1e-14:
         raise ValueError(

@@ -140,8 +140,8 @@ class TestAcceptance:
         diag = np.sin(2 * np.pi * 64 * t)
         osc = lambda f: Signal(f.grid, f.values * diag[:, None])
         zero = lambda f: Signal.zero(f.grid, f.dim)
-        weak = weak_pairing_error(osc, zero, probes, grid.nu)
-        strong = strong_error(osc, zero, probes, grid.nu)
+        weak = weak_pairing_error(osc, zero, probes)
+        strong = strong_error(osc, zero, probes)
         ok = weak <= 0.02 and abs(strong - 1 / np.sqrt(2)) <= 0.1 / np.sqrt(2)
         report(8, ok, f"sin(2 pi 64 t) multiplication: weak {weak:.4f} <= 0.02, "
                f"strong {strong:.4f} within 10% of 1/sqrt(2)")

@@ -67,9 +67,9 @@ def pde_systems():
         Coefficient.constant(np.eye(2), 1.0), Coefficient.constant(0.2 * np.eye(2)),
         SpatialOperator.skew_matrix(np.array([[0.0, -1.0], [1.0, 0.0]])), c=1.0)
     return {
-        "heat": PdeSystem.heat(1.0 + 0.5 * np.sin(2 * np.pi * xe)),
+        "heat": PdeSystem.heat(1.0 + 0.5 * np.sin(2 * np.pi * xe), nu=1.0),
         "maxwell": PdeSystem.maxwell(eps, one, one, M_X),
-        "wave": PdeSystem.wave(2.0 + np.sin(2 * np.pi * xe)),
+        "wave": PdeSystem.wave(2.0 + np.sin(2 * np.pi * xe), nu=1.0),
         "skew": skew,
     }
 
@@ -99,7 +99,7 @@ class TestAudits:
         g = grid()
         xe = np.linspace(0.0, 1.0, M_X + 1)
         a = 1.5 + 0.5 * np.sin(2 * np.pi * xe) + 0.3j * np.cos(3 * np.pi * xe)
-        sys_pde = PdeSystem.heat(a) if kind == "heat" else PdeSystem.wave(a)
+        sys_pde = PdeSystem.heat(a, nu=1.0) if kind == "heat" else PdeSystem.wave(a, nu=1.0)
         F = Signal(g, pde_drive(g).values * (1.0 + 0.5j))
         assert audit.audit_pde(sys_pde, F, g) == 0.0
 
@@ -116,7 +116,7 @@ class TestAudits:
             one = Coefficient.scalar_profile(lambda s: 1.0, deriv=lambda s: 0.0)
             sys_pde = PdeSystem.maxwell(eps, one, one, m_x)
         else:
-            sys_pde = PdeSystem.heat(a) if kind == "heat" else PdeSystem.wave(a)
+            sys_pde = PdeSystem.heat(a, nu=1.0) if kind == "heat" else PdeSystem.wave(a, nu=1.0)
         F = np.zeros((g.n, 2 * m_x + 1), dtype=complex)
         F[:, :m_x] = np.outer(bump(g), np.sin(np.pi * xi)) * (1.0 + 0.5j)
         assert audit.audit_pde(sys_pde, Signal(g, F), g) == 0.0
@@ -240,7 +240,7 @@ class TestBatchedStepping:
         g = grid(32)
 
         def single(sys, F, g):
-            return solve_ode_block_stepping(sys, Signal(g, F), g)
+            return solve_ode_block_stepping(sys, Signal(g, F))
 
         batched_matches_single(_step_ode_block, single, sys, g, rng, sys.m0 + sys.m1)
 

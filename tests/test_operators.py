@@ -119,17 +119,18 @@ class TestOpNorm:
 
 class TestProbeSup:
     def test_floored_ratio_at_the_given_weight(self):
-        g = grid_small()
-        probes = list(ProbeSet(g, seed=4)) + [Signal.zero(g)]
-        ramp = np.linspace(0.0, 1.0, g.n)[:, None]
+        # the norms are taken at the weight of the probes' grid
+        ramp = np.linspace(0.0, 1.0, grid_small().n)[:, None]
 
         def residual(f):
-            return Signal(g, ramp * f.values)
+            return Signal(f.grid, ramp * f.values)
 
-        for nu in (None, 0.0, 2.0):
-            expected = max(norm_nu(residual(f), nu=nu) / max(norm_nu(f, nu=nu), NORM_FLOOR)
+        for nu in (1.0, 0.0, 2.0):
+            g = grid_small(nu=nu)
+            probes = list(ProbeSet(g, seed=4)) + [Signal.zero(g)]
+            expected = max(norm_nu(residual(f)) / max(norm_nu(f), NORM_FLOOR)
                            for f in probes)
-            assert probe_sup(residual, probes, nu) == expected
+            assert probe_sup(residual, probes) == expected
         assert probe_sup(residual, []) == 0.0
 
 

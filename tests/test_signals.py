@@ -73,6 +73,14 @@ class TestInnerProduct:
         with pytest.raises(GridMismatchError):
             inner_nu(f, h)
 
+    def test_weight_mismatch_rejected(self):
+        # a weight is a space: signals at two weights neither add nor pair
+        f = Signal.zero(small_grid(nu=1.0))
+        h = Signal.zero(small_grid(nu=2.0))
+        for mix in (lambda: f + h, lambda: f - h, lambda: inner_nu(f, h)):
+            with pytest.raises(GridMismatchError, match="nu"):
+                mix()
+
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_conjugate_symmetry(self, seed):
@@ -178,7 +186,7 @@ class TestMultiplication:
         c = Coefficient.scalar_profile(lambda t: np.sin(2 * np.pi * t))
         f = Signal(g, np.ones(g.n))
         probe = Signal.indicator(g, 0.0, 1.0)
-        val = inner_nu(multiply(c, f), probe, nu=0.0)
+        val = inner_nu(multiply(c, f), probe)
         assert abs(val) <= 1e-6
 
     @given(seed=st.integers(0, 2**31 - 1))
