@@ -289,7 +289,10 @@ class OdeBlockSystem:
         def sup_norm(c: Coefficient | None) -> float:
             if c is None:
                 return 0.0
-            return float(np.max(np.linalg.norm(c.sample_all(grid), 2, axis=(1, 2))))
+            mats = c.sample_all(grid)
+            if mats.strides[0] == 0:  # time-independent: one matrix, broadcast
+                mats = mats[:1]
+            return float(np.max(np.linalg.norm(mats, 2, axis=(1, 2))))
 
         return {
             "N00": sup_norm(self.N00),
@@ -305,20 +308,22 @@ class OdeBlockSystem:
 
 
 def _step_dense(Ms, mats, rows, dt: float):
-    """Backward difference of M u, one dense solve per node: mats[k] u_k =
-    f_k + (M u)_{k-1}/dt with M = Ms[k] on the leading rows (any rows past
-    them are an algebraic leg with no memory).  Yields u node by node for
-    RHS rows of shape (m,) or (m, K); rows may widen from (m, 1) to (m, K)
-    at any node, and the states widen with them."""
+    """Backward difference of M u: mats[k] u_k = f_k + (M u)_{k-1}/dt with
+    M = Ms[k] on the leading m0 rows (any rows past them are an algebraic
+    leg with no memory).  The stack is inverted once per pass, so each node
+    is two small products, u_k = inv_k f_k + P_k u_{k-1}[:m0] with the
+    memory propagator P_k = inv_k[:, :m0] Ms[k-1] / dt (P_0 = 0).  Yields u
+    node by node for RHS rows of shape (m,) or (m, K); rows may widen from
+    (m, 1) to (m, K) at any node, and the states widen with them."""
     m0 = Ms.shape[1]
+    inv = np.linalg.inv(mats)
+    prop = np.zeros_like(inv[:, :, :m0])
+    prop[1:] = inv[1:, :, :m0] @ Ms[:-1] / dt
     batch, rows = _batch_shape(rows)
-    mu_prev = np.zeros((mats.shape[1],) + batch, dtype=complex)  # (M u) at the previous node
-    for k, f in enumerate(rows):
-        uk = np.linalg.solve(mats[k], f + mu_prev / dt)
-        if mu_prev.shape != uk.shape:
-            mu_prev = np.zeros_like(uk)
-        mu_prev[:m0] = Ms[k] @ uk[:m0]
-        yield uk
+    u = np.zeros((mats.shape[1],) + batch, dtype=complex)
+    for inv_k, prop_k, f in zip(inv, prop, rows):
+        u = inv_k @ f + prop_k @ u[:m0]
+        yield u
 
 
 def _step_ode_block(sys: OdeBlockSystem, rows, grid: TimeGrid):

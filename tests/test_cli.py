@@ -171,6 +171,32 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "p.csv").exists()
 
+    # exit statuses of the dense-stepper experiments at edge values of one
+    # key, in the order 1e-300, 1e300, 0.5, 1
+    DENSE_EDGES = {
+        ("ode-block", "nu"): (1, 2, 1, 1),
+        ("ode-block", "dt"): (0, 1, 2, 2),
+        ("funid", "nu"): (1, 0, 1, 0),
+        ("funid", "dt"): (0, 1, 0, 0),
+        ("dbf", "nu"): (1, 1, 1, 1),
+        ("dbf", "scales"): (1, 1, 2, 2),
+    }
+
+    @pytest.mark.parametrize("experiment, setting, status", [
+        (experiment, f"{key} = {value}", status)
+        for (experiment, key), statuses in DENSE_EDGES.items()
+        for value, status in zip(("1e-300", "1e300", "0.5", "1"), statuses)
+    ] + [(experiment, f"n = {n}", 0) for experiment in ("ode-block", "funid") for n in (2, 3)])
+    def test_dense_stepper_edge_configs(self, tmp_path, capsys, experiment, setting, status):
+        # an edge value ends in a verdict or in one error line, never in a
+        # traceback
+        p = write(tmp_path / "e.cfg", f"experiment = {experiment}\n{setting}\n")
+        assert main(["run", str(p)]) == status
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if status == 1:
+            assert err.count("\n") == 1
+
     @pytest.mark.parametrize("experiment, scales", [
         ("wave", "0.5"), ("wave", "8, 16.0"), ("memory-kernel", "0.5"),
         ("memory-kernel", "8, 1e1"),

@@ -260,6 +260,56 @@ class TestOdeBlock:
             assert norms[name] == max(np.linalg.norm(mats[k], 2) for k in range(g.n))
 
 
+def _step_dense_by_solve(Ms, mats, rows, dt):
+    """The recurrence `solvers._step_dense` replaced: one dense solve per node."""
+    m0 = Ms.shape[1]
+    batch, rows = solvers._batch_shape(rows)
+    mu_prev = np.zeros((mats.shape[1],) + batch, dtype=complex)  # (M u) at the previous node
+    for k, f in enumerate(rows):
+        uk = np.linalg.solve(mats[k], f + mu_prev / dt)
+        if mu_prev.shape != uk.shape:
+            mu_prev = np.zeros_like(uk)
+        mu_prev[:m0] = Ms[k] @ uk[:m0]
+        yield uk
+
+
+class TestDenseStepper:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
+           st.integers(2, 30), st.sampled_from(["flat", "wide", "widen"]),
+           st.integers(1, 7), st.integers(0, 30), st.floats(0.01, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_per_node_solve(self, dims, n, layout, K, widen_at, dt, seed):
+        # a time-varying M, so the memory propagator differs node by node
+        (d, m0), rng = dims, np.random.default_rng(seed)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        Ms = np.eye(m0) + 0.3 * cplx(n, m0, m0)
+        mats = 1.5 * np.eye(d) + 0.3 * cplx(n, d, d)
+        mats[:, :m0, :m0] += Ms / dt
+        F = cplx(n, d, K)
+        widen_at = min(widen_at, n)
+        rows = {"flat": list(F[:, :, 0]), "wide": list(F),
+                "widen": [F[k, :, :1] if k < widen_at else F[k] for k in range(n)]}[layout]
+        ref = list(_step_dense_by_solve(Ms, mats, rows, dt))
+        got = list(solvers._step_dense(Ms, mats, rows, dt))
+        assert [u.shape for u in got] == [u.shape for u in ref]
+        if layout == "widen":
+            assert all(u.shape[1] == (1 if k < widen_at else K) for k, u in enumerate(got))
+        scale = max(np.max(np.abs(u)) for u in ref)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12 * scale
+
+    def test_singular_node_raises(self):
+        n = 9
+        Ms = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
+        mats = Ms / 0.1 + np.eye(2)
+        mats[4] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            list(solvers._step_dense(Ms, mats, np.ones((n, 2)), 0.1))
+
+
 class TestPicard:
     def test_pure_quadrature(self):
         g = TimeGrid(0.0, 0.01, 1001, 1.0)
