@@ -33,6 +33,7 @@ from .solvers import (
     OdeBlockSystem,
     PdeSystem,
     SpatialOperator,
+    _ode_block_routes,
     evo_pde_forward,
     funid_residual,
     picard_solve,
@@ -134,18 +135,14 @@ def run_ode_block(cfg: dict) -> ConvergenceReport:
     )
     F = Signal(grid, rng.standard_normal((grid.n, m0 + m1))
                + 1j * rng.standard_normal((grid.n, m0 + m1)))
-    u_step = solve_ode_block_stepping(sysb, F)
     routes_tol = 1e-6  # the series' truncation tolerance bounds the route gap
-    u_neum = solve_ode_block_neumann(sysb, F, tol=routes_tol)
-    gap = norm_nu(Signal(grid, u_step - u_neum)) / max(
-        norm_nu(Signal(grid, u_step)), NORM_FLOOR
-    )
+    _, gap = _ode_block_routes(sysb, F, routes_tol)
     _gate(rep, 1, gap, routes_tol)
 
     # residual estimate: |B^-1 diag(d,1) - [[M^-1,0],[-N11^-1 N10 M^-1, N11^-1]]|
     ns = sysb.block_norms(grid)
-    c0 = c1 = 1.0
-    theta = (c1 * ns["N00"] + ns["N01"] * ns["N10"]) / (nu * c0 * c1)
+    c0 = c1 = sysb.c
+    theta = sysb.theta(grid)
     rhs_bound = (c1 * ns["N01"] + ns["N01"] * ns["N10"]) / (c0 * c1**2 * nu) + (
         theta / (1 - theta)
     ) * (

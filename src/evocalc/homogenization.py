@@ -381,7 +381,7 @@ def dbf_experiment(
                             complex(mu_profile(np.array(n * t)))])
 
         sys_n = OdeBlockSystem(
-            M=Coefficient(dim=2, sampler=msamp, pos_const=None, kind="time-profile"),
+            M=Coefficient(dim=2, sampler=msamp, kind="time-profile"),
             N00=Coefficient.constant(A),
             c=1.0,
         )

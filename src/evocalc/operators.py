@@ -293,7 +293,8 @@ def transfer_function(
         probe, late = column(bump, j), column(step, j)
         resp = S(probe)
         # causality: Q_c0 S = Q_c0 S Q_c0; the step has no past, so its
-        # leak is Q_c0 S step alone
+        # leak is Q_c0 S step alone.  The plain norms, not causality_defect's
+        # floored ones: where they underflow to 0 this raises, not passes
         leak = max(
             norm_nu(truncate_before(resp - S(truncate_before(probe, c0)), c0)) / norm_nu(probe),
             norm_nu(truncate_before(S(late), c0)) / norm_nu(late),

@@ -202,10 +202,10 @@ class Coefficient:
 
     `sampler(t)` returns the dim x dim matrix at time t.  `pos_const` is a
     claimed accretivity constant c with Re <M xi, xi> >= c |xi|^2, kept as
-    data; the solvers certify positivity themselves.  `deriv_sampler`, when
-    present, is the analytic time derivative (supplied as data, never
-    obtained by numerical differentiation of samples).  `diagonal` holds the cell values of a
-    space profile.
+    data; the solvers certify positivity themselves.  `deriv_sampler` is
+    the analytic time derivative (zero for constants and space profiles);
+    `sample_deriv_all`, every solver's one source of M', raises without
+    it.  `diagonal` holds the cell values of a space profile.
     """
 
     dim: int
@@ -228,7 +228,7 @@ class Coefficient:
         )
 
     @staticmethod
-    def space_profile(edge_values, pos_const: float | None = None) -> "Coefficient":
+    def space_profile(edge_values) -> "Coefficient":
         """Time-independent diagonal coefficient sampled on spatial cells.
 
         Only the cell values are stored (O(m)); the sampler builds the full
@@ -239,7 +239,6 @@ class Coefficient:
         return Coefficient(
             dim=len(vals),
             sampler=lambda t: np.diag(vals),
-            pos_const=pos_const,
             deriv_sampler=lambda t: np.zeros((len(vals),) * 2, dtype=complex),
             kind="space-profile",
             diagonal=vals,
@@ -255,7 +254,6 @@ class Coefficient:
     def scalar_profile(
         fn: Callable[[float], complex],
         dim: int = 1,
-        pos_const: float | None = None,
         deriv: Callable[[float], complex] | None = None,
     ) -> "Coefficient":
         eye = np.eye(dim, dtype=complex)
@@ -265,7 +263,6 @@ class Coefficient:
         return Coefficient(
             dim=dim,
             sampler=lambda t: fn(t) * eye,
-            pos_const=pos_const,
             deriv_sampler=deriv_sampler,
             kind="time-profile",
         )

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .signals import (
-    NORM_FLOOR, Coefficient, Signal, TimeGrid, _inner_values, norm_nu,
+    NORM_FLOOR, Coefficient, Signal, TimeGrid, _inner_values, multiply, norm_nu,
 )
 from .timecalc import _cumsum, _pcr_levels, _pcr_solve, antiderivative, derivative
 from .operators import series_terms
@@ -349,7 +349,7 @@ def solve_ode_block_neumann(sys: OdeBlockSystem, F: Signal, tol: float) -> np.nd
     grid, nu = F.grid, F.grid.nu
     theta = sys.theta(grid)
     if not theta < 1:
-        raise ValueError(f"contraction fails: theta={theta:.3f} >= 1 at nu={nu}")
+        raise ValueError(f"contraction fails: theta={theta:.3e} >= 1 at nu={nu}")
     m0, m1 = sys.m0, sys.m1
     Ms = sys.M.sample_all(grid)
     M_inv = np.linalg.inv(Ms)
@@ -384,6 +384,16 @@ def solve_ode_block_neumann(sys: OdeBlockSystem, F: Signal, tol: float) -> np.nd
     return np.concatenate([w, v], axis=1)
 
 
+def _ode_block_routes(sys: OdeBlockSystem, F: Signal, tol: float) -> tuple[Signal, float]:
+    """Both routes of `solve_ode_block`, the series truncated at tol: the
+    stepping solution and the relative gap |u_step - u_series| / |u_step|.
+    The series runs first, so theta >= 1 raises before any stepping."""
+    u_neum = solve_ode_block_neumann(sys, F, tol)
+    u_step = Signal(F.grid, solve_ode_block_stepping(sys, F))
+    gap = norm_nu(Signal(F.grid, u_step.values - u_neum)) / max(norm_nu(u_step), NORM_FLOOR)
+    return u_step, gap
+
+
 def solve_ode_block(sys: OdeBlockSystem, F: Signal) -> Signal:
     """Solve (d/dt diag(M,0) + N) U = F by two independent routes at the
     weight of F's grid.
@@ -393,12 +403,8 @@ def solve_ode_block(sys: OdeBlockSystem, F: Signal) -> Signal:
     1e-8 is asserted before route (b) is returned.  Route (a) runs first and
     raises unless theta < 1 at the working weight.
     """
-    grid, tol = F.grid, 1e-8
-    u_neum = solve_ode_block_neumann(sys, F, tol)
-    u_step = solve_ode_block_stepping(sys, F)
-    sig_step = Signal(grid, u_step)
-    scale = max(norm_nu(sig_step), NORM_FLOOR)
-    gap = norm_nu(Signal(grid, u_step - u_neum)) / scale
+    tol = 1e-8
+    sig_step, gap = _ode_block_routes(sys, F, tol)
     if gap > tol:
         raise ValueError(f"route disagreement {gap:.3e} > tol={tol}")
     return sig_step
@@ -553,19 +559,18 @@ def _sample_legs(sys: PdeSystem, grid: TimeGrid, deriv: bool = False) -> list:
 
 def _pde_check(sys: PdeSystem, grid: TimeGrid):
     """Check the positivity certificate Re(nu M + M'/2) + Re N >= c at
-    nu = grid.nu: for the skew-matrix kind in one batched eigenvalue solve,
-    at every node when M or N is a time profile and at one node otherwise;
-    per leg pair of the grad-div kind, at every node of a time-profile leg
-    and once for a time-independent one (a time series meets a space
-    profile through the two minima); for the wave form as
-    nu min(1, min Re(1/a))."""
+    nu = grid.nu, M' the analytic derivative of M (a time profile without
+    one raises; a time-independent coefficient has M' = 0): for the
+    skew-matrix kind in one batched eigenvalue solve, at every node when M
+    or N is a time profile and at one node otherwise; per leg pair of the
+    grad-div kind, at every node of a time-profile leg and once for a
+    time-independent one (a time series meets a space profile through the
+    two minima); for the wave form as nu min(1, min Re(1/a))."""
     nu = grid.nu
     if sys.A.kind == "skew-matrix" and sys.M is not None:
         nodes = slice(None) if "time-profile" in (sys.M.kind, sys.N.kind) else slice(1)
-        herm = nu * sys.M.sample_all(grid)[nodes]
-        if sys.M.deriv_sampler is not None:
-            herm = herm + 0.5 * sys.M.sample_deriv_all(grid)[nodes]
-        herm = herm + sys.N.sample_all(grid)[nodes]
+        herm = (nu * sys.M.sample_all(grid)[nodes] + 0.5 * sys.M.sample_deriv_all(grid)[nodes]
+                + sys.N.sample_all(grid)[nodes])
         low = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(1, 2)))[:, 0]
         k = int(np.argmax(low < sys.c - 1e-9))  # the first failing node
         if low[k] < sys.c - 1e-9:
@@ -715,19 +720,18 @@ def evo_pde_forward(sys: PdeSystem, u: Signal) -> Signal:
     grid = u.grid
     v = u.values
     if sys.A.kind == "skew-matrix":
-        mu = np.einsum("kab,kb->ka", sys.M.sample_all(grid), v)
-        nv = np.einsum("kab,kb->ka", sys.N.sample_all(grid), v)
+        mu, nv = multiply(sys.M, u), multiply(sys.N, u)
         av = v @ sys.A.dense().T
     elif sys.A.kind == "grad0-div-1d":
         m, dx_inv = sys.A.m_x, _dx_inv(sys.A.m_x)
         m0, m1, n0, n1 = _sample_legs(sys, grid)
         e, h = v[:, :m], v[:, m:]
-        mu = np.concatenate([m0 * e, m1 * h], axis=1)
-        nv = np.concatenate([n0 * e, n1 * h], axis=1)
+        mu = Signal(grid, np.concatenate([m0 * e, m1 * h], axis=1))
+        nv = Signal(grid, np.concatenate([n0 * e, n1 * h], axis=1))
         av = np.concatenate([-_gt_apply(h.T, dx_inv).T, _g_apply(e.T, dx_inv).T], axis=1)
     else:
         raise ValueError(f"no forward operator for spatial kind {sys.A.kind}")
-    return derivative(Signal(grid, mu)) + Signal(grid, nv) + Signal(grid, av)
+    return derivative(mu) + nv + Signal(grid, av)
 
 
 # ---------------------------------------------------------------------------
@@ -762,18 +766,11 @@ def funid_residual(
     u = sol(sys_op, f)
     ju = antiderivative(u)
     y = evo_pde_forward(sys_op, ju)  # B_OP J u, the forward map of the smoothed state
-    O_mats = O.sample_all(grid)
-    M_mats = M.sample_all(grid)
-    N_mats = N.sample_all(grid)
     lhs = sol(sys_mn, y) - sol(sys_op, y)
 
-    dM = O_mats - M_mats
-    dN = P.sample_all(grid) - N_mats
-    dMp = np.zeros_like(dM)
-    if O.deriv_sampler is not None or M.deriv_sampler is not None:
-        Od = O.sample_deriv_all(grid) if O.deriv_sampler is not None else np.zeros_like(O_mats)
-        Md = M.sample_deriv_all(grid) if M.deriv_sampler is not None else np.zeros_like(M_mats)
-        dMp = Od - Md
+    dM = O.sample_all(grid) - M.sample_all(grid)
+    dN = P.sample_all(grid) - N.sample_all(grid)
+    dMp = O.sample_deriv_all(grid) - M.sample_deriv_all(grid)
     inner = (
         np.einsum("kab,kb->ka", dM, u.values)
         + np.einsum("kab,kb->ka", dMp, ju.values)

@@ -190,6 +190,16 @@ class TestAntiCausalControl:
         stepper = functools.partial(reads_ahead, d=d)
         assert audit._ensemble_defect(stepper, None, Signal(g, F), g) > 0.1
 
+    def test_picard_rule_reading_one_node_ahead_is_caught(self):
+        # the rule is the caller's: one that reads the next node's state
+        # leaks across every cut, also in the last block
+        ahead = lambda u: np.sin(np.roll(u, -1, axis=0))
+        g = grid()
+        assert audit.audit_picard(ahead, 1.0, Signal(g, bump(g))) > 1e-10
+        g = long_grid()
+        F = Signal(g, bump(g, centre=g.times[-6], width=0.05))
+        assert audit.audit_picard(ahead, 1.0, F) > 1e-10
+
     @staticmethod
     def leaking(steps):
         """A stepper that adds the next node's input row to every state."""

@@ -486,6 +486,21 @@ class TestPdeChecks:
         with pytest.raises(ValueError, match="positivity certificate fails at t=1.37"):
             solve_evo_pde(sys_pde, f.values, g.with_nu(1.0))
 
+    @pytest.mark.parametrize("deriv, match", [
+        (None, "coefficient carries no analytic time derivative"),
+        (lambda t: 4.5 * np.cos(5 * t), "positivity certificate fails at t=0.6: 0.2265 < c=0.3"),
+    ], ids=["no-derivative", "derivative"])
+    def test_skew_time_profile_needs_its_derivative(self, deriv, match):
+        # Re(nu M + N) >= 2 * 0.1 + 0.2 = 0.4 >= c at every node, but with
+        # M'/2 the certificate fails, so a missing M' is not taken as zero
+        g = TimeGrid(0.0, 0.01, 301, 2.0)
+        M = Coefficient.scalar_profile(lambda t: 1.0 + 0.9 * np.sin(5 * t), dim=2, deriv=deriv)
+        sys_pde = PdeSystem.dense_small(M, Coefficient.constant(0.2 * np.eye(2)),
+                                        SpatialOperator.skew_matrix([[0.0, -1.0], [1.0, 0.0]]),
+                                        c=0.3)
+        with pytest.raises(ValueError, match=match):
+            solve_evo_pde(sys_pde, np.zeros((g.n, 2)), g)
+
     @pytest.mark.parametrize("a", [0.0, -1.0])
     def test_wave_rejects_nonpositive_coefficient(self, a):
         with pytest.raises(ValueError, match="wave coefficient must have positive real part"):
