@@ -202,9 +202,9 @@ class Coefficient:
 
     `sampler(t)` returns the dim x dim matrix at time t.  `pos_const` is a
     claimed accretivity constant c with Re <M xi, xi> >= c |xi|^2, kept as
-    data; the solvers certify positivity themselves.  `deriv_sampler` is
-    the analytic time derivative (zero for constants and space profiles);
-    `sample_deriv_all`, every solver's one source of M', raises without
+    data; the solvers certify positivity themselves.  `deriv_sampler`, the
+    analytic time derivative, is data, never a difference of samples (zero
+    for constants and space profiles); `sample_deriv_all` raises without
     it.  `diagonal` holds the cell values of a space profile.
     """
 
