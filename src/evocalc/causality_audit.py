@@ -12,15 +12,28 @@ node it yields meets the wide rows as early as it reads them, so its leak
 still shows.  The Picard audit runs `picard_solve` itself on the same
 blocks.
 
+Each block fills its own slice of the per-cut defects, so the blocks run in
+any order and in any process with the same bits.  With at least
+`FORK_MIN_BLOCKS` blocks and two CPUs, an audit runs the even-numbered
+blocks itself and the odd-numbered ones in one `os.fork` child, which
+pipes its results (or its exception, re-raised here) back and always ends
+with the audit; alternating keeps the halves even as the later blocks'
+shared pasts grow.  Without `os.fork` or a second CPU, or with fewer
+blocks, the blocks run in turn in this process.
+
 All audits return max over cuts of |Q_t S f - Q_t S Q_t f| / |f| in the
 weighted norm of the grid.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+
 import numpy as np
 
-from .signals import NORM_FLOOR, Signal, TimeGrid
+from .signals import NORM_FLOOR, GridMismatchError, Signal, TimeGrid
 from .solvers import OdeBlockSystem, PdeSystem, _pde_steps, _step_ode_block, picard_solve
 
 __all__ = [
@@ -37,9 +50,91 @@ __all__ = [
 # the Picard audit faster, about even in total.
 BLOCK = 128
 
+# Fewest blocks worth a forked child.  A fork and its wait cost 3-4 ms in a
+# 50 MB process, and two busy processes slow each other by about 1.25x on a
+# 2-core host.  There, at 2 blocks (n = 254) the ODE-block and skew audits
+# were slower forked (6.7 -> 12.4 and 8.8 -> 10.1 ms, best of 9); at 3
+# blocks (n = 381) all six audits were faster.
+FORK_MIN_BLOCKS = 3
+
 
 def _finish(acc: np.ndarray, f_norm2: float) -> float:
     return float(np.sqrt(np.max(acc) / max(f_norm2, NORM_FLOOR)))
+
+
+def _map_blocks(block, n: int) -> np.ndarray:
+    """The per-cut defects acc of n cuts, acc[start:stop] = block(start)
+    for each block of BLOCK - 1 cuts."""
+    starts = range(0, n, BLOCK - 1)
+    pairs = _forked(block, starts) if _two_processes(len(starts)) else zip(starts, map(block, starts))
+    acc = np.zeros(n)
+    for start, values in pairs:
+        acc[start:start + len(values)] = values
+    return acc
+
+
+def _two_processes(blocks: int) -> bool:
+    if blocks < FORK_MIN_BLOCKS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    return len(os.sched_getaffinity(0)) >= 2
+
+
+def _forked(block, starts: range) -> list:
+    """(start, block(start)) for every start: the even-numbered blocks in
+    this process, the odd-numbered ones in one forked child.  The child's
+    exception is re-raised here; an exception here kills the child.  Either
+    way the child is reaped before this returns.  If the fork fails, all
+    blocks run here."""
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the same blocks, in turn
+        os.close(read_fd)
+        os.close(write_fd)
+        return list(zip(starts, map(block, starts)))
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            payload = _child_payload(block, starts[1::2], parent)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            mine = [(start, block(start)) for start in starts[::2]]
+            payload = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    _, status = os.waitpid(pid, 0)
+    if not payload:
+        raise RuntimeError(f"the audit's forked worker ended without a result "
+                           f"(exit code {os.waitstatus_to_exitcode(status)})")
+    theirs, exc = pickle.loads(payload)
+    if exc is not None:
+        raise exc
+    return mine + theirs
+
+
+def _child_payload(block, starts: range, parent: int) -> bytes:
+    """The pickled (pairs, None) of the child's blocks, or ([], exception);
+    the child ends at once if its parent has gone."""
+    try:
+        pairs = []
+        for start in starts:
+            if os.getppid() != parent:
+                os._exit(1)
+            pairs.append((start, block(start)))
+        return pickle.dumps((pairs, None))
+    except BaseException as exc:  # sent to the parent, which re-raises it
+        try:
+            return pickle.dumps(([], exc))
+        except Exception:  # an exception pickle cannot carry
+            return pickle.dumps(([], RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
 def _ensemble_defect(stepper, sys, F: Signal, grid: TimeGrid) -> float:
@@ -54,31 +149,39 @@ def _ensemble_defect(stepper, sys, F: Signal, grid: TimeGrid) -> float:
     every column and go in as the one column F_k; a node whose state is
     still one column wide has equal columns by construction and adds
     nothing.  Node k counts only for the cuts after it, so a pass ends at
-    its last cut.
+    its last cut, and its stepper gets the grid's nodes up to there.
     """
+    if grid != F.grid:
+        raise GridMismatchError(f"audit grid {grid} differs from the signal's grid {F.grid}")
     n = grid.n
     w = grid.quad_weights()
-    acc = np.zeros(n)
-    for start in range(0, n, BLOCK - 1):
+
+    def block(start):
         stop = min(start + BLOCK - 1, n)
         cols = np.append(np.arange(start, stop), n)
         rows = (f[:, None] if k < start else f[:, None] * (k < cols)
                 for k, f in enumerate(F.values))
-        for k, u in zip(range(stop - 1), stepper(sys, rows, grid)):
+        head = TimeGrid(grid.t0, grid.dt, stop, grid.nu)
+        acc = np.zeros(stop - start)
+        for k, u in zip(range(stop - 1), stepper(sys, rows, head)):
             if u.shape[1] == 1:
                 continue
             i = max(k + 1, start)
-            acc[i:stop] += w[k] * np.sum(np.abs(u[:, i - start:-1] - u[:, -1:]) ** 2, axis=0)
-    return _finish(acc, float(w @ np.sum(np.abs(F.values) ** 2, axis=1)))
+            acc[i - start:] += w[k] * np.sum(np.abs(u[:, i - start:-1] - u[:, -1:]) ** 2, axis=0)
+        return acc
+
+    return _finish(_map_blocks(block, n), float(w @ np.sum(np.abs(F.values) ** 2, axis=1)))
 
 
 def audit_ode_block(sys: OdeBlockSystem, F: Signal, grid: TimeGrid) -> float:
-    """All-cuts causality defect of the block time-stepping solve."""
+    """All-cuts causality defect of the block time-stepping solve; grid must
+    be F's."""
     return _ensemble_defect(_step_ode_block, sys, F, grid)
 
 
 def audit_pde(sys: PdeSystem, F: Signal, grid: TimeGrid) -> float:
-    """All-cuts causality defect of the PDE stepping engines."""
+    """All-cuts causality defect of the PDE stepping engines; grid must be
+    F's."""
     return _ensemble_defect(_pde_steps, sys, F, grid)
 
 
@@ -113,11 +216,12 @@ def audit_picard(F_rule, lip: float, f: Signal) -> float:
     if gap > 1e-12:
         raise ValueError(f"the Picard audit needs a column-wise rule: on two columns "
                          f"it differs from one column at a time by {gap:.2e}")
-    acc = np.zeros(n)
-    for start in range(0, n, BLOCK - 1):
+
+    def block(start):
         cuts = np.arange(start, min(start + BLOCK - 1, n))
         mask = np.arange(n)[:, None] < cuts[None, :]
         ens = Signal(grid, np.column_stack([fv[:, None] * mask, fv]))
         u = picard_solve(F_rule, lip, ens).values
-        acc[cuts] = w @ (np.abs(u[:, :-1] - u[:, -1:]) ** 2 * mask)
-    return _finish(acc, float(w @ np.abs(fv) ** 2))
+        return w @ (np.abs(u[:, :-1] - u[:, -1:]) ** 2 * mask)
+
+    return _finish(_map_blocks(block, n), float(w @ np.abs(fv) ** 2))

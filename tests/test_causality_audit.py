@@ -1,16 +1,18 @@
 """All-cuts causality audits on short grids: the six production audits,
 anti-causal controls for the ensemble driver and the production steppers,
-the ensemble driver pinned to its full-width form, and batched stepping
-pinned to single-RHS stepping."""
+the ensemble driver pinned to its full-width form, batched stepping pinned
+to single-RHS stepping, and the forked block route pinned to the serial
+one."""
 
 import functools
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evocalc import causality_audit as audit
-from evocalc.signals import Coefficient, Signal, TimeGrid
+from evocalc.signals import Coefficient, GridMismatchError, Signal, TimeGrid
 from evocalc.solvers import (
     INVERSE_MAX,
     OdeBlockSystem,
@@ -148,6 +150,21 @@ class TestAudits:
             audit.audit_picard(rule, 1.0, Signal(g, bump(g)))
         with pytest.raises(ValueError, match=r"\(64, 2\) stack to shape \(64,\)"):
             audit.audit_picard(lambda u: u[:, 0], 1.0, Signal(g, bump(g)))
+
+    @pytest.mark.parametrize("kind", ["ode-block", "pde", "skew"])
+    def test_stepper_audits_reject_a_grid_not_the_signals(self, kind):
+        # the steppers would run at the other grid's dt and weight and
+        # certify a solve nobody asked for
+        g, other = TimeGrid(0.0, 0.01, 201, 1.0), TimeGrid(0.0, 0.02, 201, 5.0)
+        two = Signal(g, np.column_stack([bump(g), bump(g, 1.5, 0.5)]))
+        run = {
+            "ode-block": lambda: audit.audit_ode_block(ode_system(np.random.default_rng(3), False),
+                                                       two, other),
+            "pde": lambda: audit.audit_pde(pde_systems()["heat"], pde_drive(g), other),
+            "skew": lambda: audit._audit_skew(pde_systems()["skew"], two, other),
+        }[kind]
+        with pytest.raises(GridMismatchError, match="differs from the signal's grid"):
+            run()
 
     def test_heat_and_picard_span_several_blocks(self):
         g = long_grid()
@@ -314,3 +331,112 @@ class TestSharedPast:
         stepper, sys, F = audited(kind, g)
         assert audit._ensemble_defect(stepper, sys, F, g) <= 1e-10
         assert full_width_defect(stepper, sys, F, g) <= 1e-10
+
+
+def on_both_routes(run):
+    """run() on the forked block route, with two CPUs claimed so that it
+    is taken on any host with os.fork, and on the serial route, with no
+    os.fork; returns (forked, serial)."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    forks, fork = [], os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        forked = run()
+    assert forks, "the forked route was not taken"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, "fork")
+        serial = run()
+    return forked, serial
+
+
+def raises_in_block(b):
+    """A stepper that raises when it reads block b's first cut (block b is
+    the only pass that widens there) and passes its rows through before."""
+    def stepper(sys, rows, g):
+        for k, row in enumerate(rows):
+            if k == b * (audit.BLOCK - 1) and row.shape[1] > 1:
+                raise ValueError(f"block {b} fails at node {k}")
+            yield row
+    return stepper
+
+
+def anti_causal_controls():
+    """The defects of the anti-causal controls above, each a function of a
+    grid, by name."""
+    controls = {
+        "reads-ahead": lambda g: audit._ensemble_defect(reads_ahead, None, Signal(g, bump(g)), g),
+        "reads-ahead-last-block": lambda g: audit._ensemble_defect(
+            reads_ahead, None, Signal(g, bump(g, centre=g.times[-6], width=0.05)), g),
+        "picard-reads-ahead": lambda g: audit.audit_picard(
+            lambda u: np.sin(np.roll(u, -1, axis=0)), 1.0,
+            Signal(g, bump(g, centre=g.times[-6], width=0.05))),
+    }
+
+    def boundary(g, d, extra):
+        F = np.zeros((g.n, 1))
+        F[audit.BLOCK - 1:audit.BLOCK + extra] = 1.0
+        return audit._ensemble_defect(functools.partial(reads_ahead, d=d), None, Signal(g, F), g)
+
+    def shared_past(g, kind):
+        stepper, sys, F = audited(kind, g)
+        return audit._ensemble_defect(TestAntiCausalControl.leaking(stepper), sys, F, g)
+
+    for d in (1, 3):
+        for extra in (0, d):
+            controls[f"boundary-d{d}-{extra}"] = functools.partial(boundary, d=d, extra=extra)
+    for kind in TestSharedPast.KINDS:
+        controls[f"leaking-{kind}"] = functools.partial(shared_past, kind=kind)
+    return controls
+
+
+CONTROLS = anti_causal_controls()
+
+
+class TestForkedRoute:
+    """On three blocks the parent runs blocks 0 and 2 and one forked child
+    runs block 1; every defect must have the serial route's bits."""
+
+    @pytest.mark.parametrize("kind", ["ode-block", "heat", "maxwell", "wave", "skew", "picard"])
+    def test_audits_match_serial(self, kind):
+        g = long_grid()
+        if kind == "picard":
+            run = lambda: audit.audit_picard(np.sin, 1.0, Signal(g, bump(g)))
+        else:
+            _, sys, F = audited(kind, g)
+            run = {"ode-block": audit.audit_ode_block, "skew": audit._audit_skew}.get(
+                kind, audit.audit_pde)
+            run = functools.partial(run, sys, F, g)
+        forked, serial = on_both_routes(run)
+        assert forked == serial
+        assert forked <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(CONTROLS))
+    def test_controls_fire_alike(self, name):
+        g = long_grid()
+        forked, serial = on_both_routes(lambda: CONTROLS[name](g))
+        assert forked == serial
+        assert forked > 1e-10
+
+    @pytest.mark.parametrize("kind", ["heat", "skew"])
+    def test_leaking_production_stepper_fires_alike(self, kind, monkeypatch):
+        # the child inherits the monkeypatched stepper
+        g = long_grid()
+        _, sys, F = audited(kind, g)
+        monkeypatch.setattr(audit, "_pde_steps", TestAntiCausalControl.leaking(audit._pde_steps))
+        forked, serial = on_both_routes(lambda: audit.audit_pde(sys, F, g))
+        assert forked == serial
+        assert forked > 1e-10
+
+    def test_errors_reach_the_parent_and_no_process_is_left(self):
+        # block 1 runs in the child, block 0 in the parent
+        g = long_grid()
+        F = Signal(g, bump(g))
+        for b in (1, 0):
+            for route in on_both_routes(lambda: pytest.raises(
+                    ValueError, audit._ensemble_defect, raises_in_block(b), None, F, g)):
+                assert route.type is ValueError
+                assert str(route.value) == f"block {b} fails at node {b * (audit.BLOCK - 1)}"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
