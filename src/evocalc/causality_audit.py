@@ -83,16 +83,17 @@ def _forked(block, starts: range) -> list:
     """(start, block(start)) for every start: the even-numbered blocks in
     this process, the odd-numbered ones in one forked child.  The child's
     exception is re-raised here; an exception here kills the child.  Either
-    way the child is reaped before this returns.  If the fork fails, all
-    blocks run here."""
+    way the child is reaped before this returns.  The child leaves by
+    `os._exit`, so it runs none of the parent's exit handlers and flushes
+    none of its buffers."""
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: the same blocks, in turn
+    except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return list(zip(starts, map(block, starts)))
+        raise
     if pid == 0:
         try:
             os.close(read_fd)
