@@ -50,11 +50,12 @@ __all__ = [
 # the Picard audit faster, about even in total.
 BLOCK = 128
 
-# Fewest blocks worth a forked child.  A fork and its wait cost 3-4 ms in a
-# 50 MB process, and two busy processes slow each other by about 1.25x on a
-# 2-core host.  There, at 2 blocks (n = 254) the ODE-block and skew audits
-# were slower forked (6.7 -> 12.4 and 8.8 -> 10.1 ms, best of 9); at 3
-# blocks (n = 381) all six audits were faster.
+# Fewest blocks worth a forked child.  A bare fork, pipe and wait take about
+# 2 ms in a 45 MB process, and two busy processes slow each other on a
+# 2-core host.  There (best of 15 per route), at 2 blocks (n = 254) the
+# ODE-block and skew audits took 5.5 -> 7.2 and 4.9 -> 7.0 ms forked while
+# the other four gained 25-28%; at 3 blocks (n = 381) those two lost under
+# 1 ms (8.7 -> 9.3, 8.3 -> 9.3) and the other four gained 22-33%.
 FORK_MIN_BLOCKS = 3
 
 
