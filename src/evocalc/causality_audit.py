@@ -14,12 +14,13 @@ blocks.
 
 Each block fills its own slice of the per-cut defects, so the blocks run in
 any order and in any process with the same bits.  With at least
-`FORK_MIN_BLOCKS` blocks and two CPUs, an audit runs the even-numbered
-blocks itself and the odd-numbered ones in one `os.fork` child, which
-pipes its results (or its exception, re-raised here) back and always ends
-with the audit; alternating keeps the halves even as the later blocks'
-shared pasts grow.  Without `os.fork` or a second CPU, or with fewer
-blocks, the blocks run in turn in this process.
+`FORK_MIN_BLOCKS` blocks and two CPUs, an audit runs block 0 itself and
+block 1 in one `os.fork` child; then each takes the next block from a
+queue shared through a pipe, so when the host slows one process the other
+takes more of the blocks.  The child pipes its results (or its exception,
+re-raised here) back and always ends with the audit.  Without `os.fork` or
+a second CPU, or with fewer blocks, the blocks run in turn in this
+process.
 
 All audits return max over cuts of |Q_t S f - Q_t S Q_t f| / |f| in the
 weighted norm of the grid.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
 
 import numpy as np
@@ -58,6 +60,12 @@ BLOCK = 128
 # 1 ms (8.7 -> 9.3, 8.3 -> 9.3) and the other four gained 22-33%.
 FORK_MIN_BLOCKS = 3
 
+# Most blocks past the first two that the shared block queue holds: 4-byte
+# records in one write of at most PIPE_BUF bytes, which an empty pipe takes
+# whole (1024 on Linux, so up to n = 130,302 cuts); with more blocks an
+# audit runs serially.
+QUEUE_MAX = getattr(select, "PIPE_BUF", 512) // 4
+
 
 def _finish(acc: np.ndarray, f_norm2: float) -> float:
     return float(np.sqrt(np.max(acc) / max(f_norm2, NORM_FLOOR)))
@@ -75,30 +83,36 @@ def _map_blocks(block, n: int) -> np.ndarray:
 
 
 def _two_processes(blocks: int) -> bool:
-    if blocks < FORK_MIN_BLOCKS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if not FORK_MIN_BLOCKS <= blocks <= QUEUE_MAX + 2:
+        return False
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return False
     return len(os.sched_getaffinity(0)) >= 2
 
 
 def _forked(block, starts: range) -> list:
-    """(start, block(start)) for every start: the even-numbered blocks in
-    this process, the odd-numbered ones in one forked child.  The child's
-    exception is re-raised here; an exception here kills the child.  Either
-    way the child is reaped before this returns.  The child leaves by
-    `os._exit`, so it runs none of the parent's exit handlers and flushes
-    none of its buffers."""
+    """(start, block(start)) for every start, from this process and one
+    forked child.  This process runs block 0 and the child block 1; then
+    each takes the next block from a shared queue until it is empty, so a
+    process that the host slows takes fewer blocks.  The child's exception
+    is re-raised here; an exception here kills the child.  Either way the
+    child is reaped before this returns.  The child leaves by `os._exit`,
+    so it runs none of the parent's exit handlers and flushes none of its
+    buffers."""
     parent = os.getpid()
-    read_fd, write_fd = os.pipe()
+    fds = [_block_queue(range(2, len(starts)))]
     try:
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         raise
+    queue_fd, read_fd, write_fd = fds
     if pid == 0:
         try:
             os.close(read_fd)
-            payload = _child_payload(block, starts[1::2], parent)
+            payload = _child_payload(block, _taken(starts, 1, queue_fd), parent)
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(payload)
         finally:
@@ -106,12 +120,14 @@ def _forked(block, starts: range) -> list:
     os.close(write_fd)
     with os.fdopen(read_fd, "rb") as pipe:
         try:
-            mine = [(start, block(start)) for start in starts[::2]]
+            mine = [(start, block(start)) for start in _taken(starts, 0, queue_fd)]
             payload = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             raise
+        finally:
+            os.close(queue_fd)
     _, status = os.waitpid(pid, 0)
     if not payload:
         raise RuntimeError(f"the audit's forked worker ended without a result "
@@ -122,7 +138,31 @@ def _forked(block, starts: range) -> list:
     return mine + theirs
 
 
-def _child_payload(block, starts: range, parent: int) -> bytes:
+def _block_queue(numbers: range) -> int:
+    """The read end of a pipe that holds `numbers` as 4-byte records, its
+    write end closed.  An empty pipe takes a write of at most PIPE_BUF
+    bytes whole, and a read of 4 bytes takes one whole record, so two
+    processes reading the pipe take each number once."""
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, b"".join(i.to_bytes(4, "little") for i in numbers))
+    except OSError:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    return read_fd
+
+
+def _taken(starts: range, first: int, queue_fd: int):
+    """starts[first], then the starts of the numbers read from the queue
+    until it is empty."""
+    yield starts[first]
+    while record := os.read(queue_fd, 4):
+        yield starts[int.from_bytes(record, "little")]
+
+
+def _child_payload(block, starts, parent: int) -> bytes:
     """The pickled (pairs, None) of the child's blocks, or ([], exception);
     the child ends at once if its parent has gone."""
     try:

@@ -6,6 +6,7 @@ one."""
 
 import functools
 import os
+import time
 
 import numpy as np
 import pytest
@@ -395,8 +396,9 @@ CONTROLS = anti_causal_controls()
 
 
 class TestForkedRoute:
-    """On three blocks the parent runs blocks 0 and 2 and one forked child
-    runs block 1; every defect must have the serial route's bits."""
+    """On three blocks the parent runs block 0, one forked child block 1,
+    and block 2 goes to whichever is free first; every defect must have
+    the serial route's bits."""
 
     @pytest.mark.parametrize("kind", ["ode-block", "heat", "maxwell", "wave", "skew", "picard"])
     def test_audits_match_serial(self, kind):
@@ -438,5 +440,37 @@ class TestForkedRoute:
                     ValueError, audit._ensemble_defect, raises_in_block(b), None, F, g)):
                 assert route.type is ValueError
                 assert str(route.value) == f"block {b} fails at node {b * (audit.BLOCK - 1)}"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_queue_hands_out_each_block_once(self):
+        starts = range(0, 40 * (audit.BLOCK - 1), audit.BLOCK - 1)
+        queue_fd = audit._block_queue(range(2, len(starts)))
+        try:
+            first, second = audit._taken(starts, 0, queue_fd), audit._taken(starts, 1, queue_fd)
+            taken = [next(first), next(second)]
+            for a, b in zip(first, second):
+                taken += [a, b]
+        finally:
+            os.close(queue_fd)
+        assert taken[:2] == [0, audit.BLOCK - 1]
+        assert sorted(taken) == list(starts)
+
+    def test_a_slowed_child_leaves_the_queue_to_the_parent(self):
+        # the child spends a second in block 1; the parent meanwhile takes
+        # every queued block, and every block is run once
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        parent = os.getpid()
+
+        def block(start):
+            if os.getpid() != parent:
+                time.sleep(1.0)
+            return np.array([float(os.getpid())])
+
+        starts = range(0, 6 * (audit.BLOCK - 1), audit.BLOCK - 1)
+        runs = dict(audit._forked(block, starts))
+        assert sorted(runs) == list(starts)
+        assert [s for s, pid in runs.items() if pid[0] != parent] == [starts[1]]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
