@@ -457,15 +457,15 @@ class TestForkedRoute:
         assert sorted(taken) == list(starts)
 
     def test_a_slowed_child_leaves_the_queue_to_the_parent(self):
-        # the child spends a second in block 1; the parent meanwhile takes
-        # every queued block, and every block is run once
+        # the child spends half a second in block 1; the parent meanwhile
+        # takes every queued block, and every block is run once
         if not hasattr(os, "fork"):
             pytest.skip("no os.fork on this platform")
         parent = os.getpid()
 
         def block(start):
             if os.getpid() != parent:
-                time.sleep(1.0)
+                time.sleep(0.5)
             return np.array([float(os.getpid())])
 
         starts = range(0, 6 * (audit.BLOCK - 1), audit.BLOCK - 1)
