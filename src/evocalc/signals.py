@@ -200,19 +200,24 @@ def shift(f: Signal, h: float) -> Signal:
 class Coefficient:
     """Matrix-valued coefficient acting nodewise on signals.
 
-    `sampler(t)` returns the dim x dim matrix at time t.  `pos_const` is a
-    claimed accretivity constant c with Re <M xi, xi> >= c |xi|^2, kept as
-    data; the solvers certify positivity themselves.  `deriv_sampler`, the
-    analytic time derivative, is data, never a difference of samples (zero
-    for constants and space profiles); `sample_deriv_all` raises without
-    it.  `diagonal` holds the cell values of a space profile.
+    `sampler(times)` takes a grid's whole time array and returns either one
+    dim x dim matrix, the value at every node, or the (n, dim, dim) stack;
+    any other shape raises.  A coefficient is time-independent exactly when
+    its sampler returns one matrix: `sample_all` then returns that matrix
+    broadcast over the nodes (`strides[0] == 0`), the rule every solver
+    reads.  `pos_const` is a claimed accretivity constant c with
+    Re <M xi, xi> >= c |xi|^2, kept as data; the solvers certify positivity
+    themselves.  `deriv_sampler`, the analytic time derivative, follows the
+    same contract and is data, never a difference of samples (zero for
+    constants and space profiles); `sample_deriv_all` raises without it.
+    `diagonal` holds the cell values of a space profile, and only a space
+    profile carries it.
     """
 
     dim: int
-    sampler: Callable[[float], np.ndarray]
+    sampler: Callable[[np.ndarray], np.ndarray]
     pos_const: float | None = None
-    deriv_sampler: Callable[[float], np.ndarray] | None = None
-    kind: str = "time-profile"
+    deriv_sampler: Callable[[np.ndarray], np.ndarray] | None = None
     diagonal: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
@@ -224,7 +229,6 @@ class Coefficient:
             sampler=lambda t, _m=m: _m,
             pos_const=pos_const,
             deriv_sampler=lambda t, _z=zero: _z,
-            kind="constant-matrix",
         )
 
     @staticmethod
@@ -232,7 +236,7 @@ class Coefficient:
         """Time-independent diagonal coefficient sampled on spatial cells.
 
         Only the cell values are stored (O(m)); the sampler builds the full
-        diagonal matrix when called, and 1D solvers read the cells instead.
+        diagonal matrix when called, and 1D solvers read `diagonal` instead.
         """
         vals = np.array(edge_values, dtype=complex)
         vals.setflags(write=False)
@@ -240,39 +244,31 @@ class Coefficient:
             dim=len(vals),
             sampler=lambda t: np.diag(vals),
             deriv_sampler=lambda t: np.zeros((len(vals),) * 2, dtype=complex),
-            kind="space-profile",
             diagonal=vals,
         )
 
-    def diagonal_values(self) -> np.ndarray:
-        """Read-only cell values of a space-profile coefficient."""
-        if self.kind != "space-profile":
-            raise ValueError(f"not a space profile: kind={self.kind}")
-        return self.diagonal
-
     @staticmethod
     def scalar_profile(
-        fn: Callable[[float], complex],
+        fn: Callable[[np.ndarray], complex],
         dim: int = 1,
-        deriv: Callable[[float], complex] | None = None,
+        deriv: Callable[[np.ndarray], complex] | None = None,
     ) -> "Coefficient":
+        """fn(times) times the identity; fn returns one value per time, or
+        one value for all of them (a constant)."""
         eye = np.eye(dim, dtype=complex)
         deriv_sampler = None
         if deriv is not None:
-            deriv_sampler = lambda t: deriv(t) * eye
+            deriv_sampler = lambda t: np.multiply.outer(deriv(t), eye)
         return Coefficient(
             dim=dim,
-            sampler=lambda t: fn(t) * eye,
+            sampler=lambda t: np.multiply.outer(fn(t), eye),
             deriv_sampler=deriv_sampler,
-            kind="time-profile",
         )
 
     def sample_all(self, grid: TimeGrid) -> np.ndarray:
-        """Stack of matrices, one per grid node, shape (n, dim, dim).
-
-        Time-independent kinds are sampled once and broadcast: the stack is
-        then a read-only view.
-        """
+        """Read-only stack of matrices, one per grid node, shape
+        (n, dim, dim): a broadcast view of one matrix when the coefficient
+        is time-independent."""
         return self._stack(self.sampler, grid)
 
     def sample_deriv_all(self, grid: TimeGrid) -> np.ndarray:
@@ -280,21 +276,16 @@ class Coefficient:
             raise ValueError("coefficient carries no analytic time derivative")
         return self._stack(self.deriv_sampler, grid)
 
-    def _stack(self, sampler: Callable[[float], np.ndarray], grid: TimeGrid) -> np.ndarray:
-        shape = (self.dim, self.dim)
+    def _stack(self, sampler: Callable[[np.ndarray], np.ndarray], grid: TimeGrid) -> np.ndarray:
+        shape = (grid.n, self.dim, self.dim)
         times = grid.times
-        varying = self.kind not in ("constant-matrix", "space-profile")
-        out = np.empty((grid.n if varying else 1,) + shape, dtype=complex)
-        for k, t in enumerate(times[: len(out)]):
-            m = np.atleast_2d(np.asarray(sampler(t), dtype=complex))
-            if m.shape != shape:
-                raise ValueError(f"sampler returned shape {m.shape} at t={t}")
-            out[k] = m
-        finite = np.isfinite(out).all(axis=(1, 2))  # one check for the stack
+        vals = np.asarray(sampler(times), dtype=complex)
+        if vals.shape not in (shape, shape[1:]):
+            raise ValueError(f"sampler returned shape {vals.shape}, need {shape[1:]} or {shape}")
+        finite = np.isfinite(vals).all(axis=(-2, -1))  # one check for the stack
         if not finite.all():
-            t = times[np.argmin(finite)]
-            raise ValueError(f"sampler returned non-finite entries at t={t}")
-        return out if varying else np.broadcast_to(out[0], (grid.n,) + shape)
+            raise ValueError(f"sampler returned non-finite entries at t={times[np.argmin(finite)]}")
+        return np.broadcast_to(vals, shape)
 
 
 def multiply(c: Coefficient, f: Signal) -> Signal:

@@ -472,18 +472,16 @@ def picard_solve(
 class PdeSystem:
     """State-space data for (d/dt M + N + A) u = f.
 
-    The skew-matrix kind carries full-state blocks `M` and `N`.  The 1D
-    kinds carry one `Coefficient` per leg in `legs`: (m0, m1, n0, n1) for
-    the grad-div kind, (a,) for the wave form.  A leg is a space profile of
-    the leg's length or a dim-1 scalar acting on every cell, and its kind
-    decides how a solve samples it.  `c` is the certified accretivity
-    constant of the full system at the working weight.
+    Every coefficient is a `Coefficient` in `legs`: the full-state blocks
+    (M, N) for the skew-matrix kind, (m0, m1, n0, n1) for the grad-div
+    kind, (a,) for the wave form.  A 1D leg is a space profile of the leg's
+    length or a dim-1 coefficient acting on every cell; a solve samples it
+    once, as a time series when its sampler returns one.  `c` is the
+    certified accretivity constant of the full system at the working weight.
     """
 
     A: SpatialOperator
     c: float
-    M: Coefficient | None = None
-    N: Coefficient | None = None
     legs: tuple[Coefficient, ...] = ()
 
     @property
@@ -492,7 +490,7 @@ class PdeSystem:
 
     @staticmethod
     def dense_small(M: Coefficient, N: Coefficient, A: SpatialOperator, c: float) -> "PdeSystem":
-        return PdeSystem(A=A, c=c, M=M, N=N)
+        return PdeSystem(A=A, c=c, legs=(M, N))
 
     @staticmethod
     def heat(a_edge: np.ndarray, nu: float) -> "PdeSystem":
@@ -533,44 +531,41 @@ class PdeSystem:
         )
 
 
-def _sample_legs(sys: PdeSystem, grid: TimeGrid, deriv: bool = False) -> list:
-    """The 1D legs, or the analytic time derivatives of the M legs (m0, m1),
-    sampled once per solve by kind: a time profile as an (n, 1) series, a
-    space profile as its read-only (1, size) cell values, any other scalar
-    as (1, 1).  A time-independent leg has derivative zero; a time profile
-    without an analytic derivative raises."""
+def _sample_legs(sys: PdeSystem, grid: TimeGrid) -> list:
+    """The 1D legs sampled once per solve: a space profile as its read-only
+    (1, size) cell values, a dim-1 leg as an (n, 1) series when it varies
+    in time and as (1, 1) when its stack is one broadcast matrix."""
     m = sys.A.m_x
     sizes = (m, m + 1, m, m + 1) if sys.A.kind == "grad0-div-1d" else (m + 1,)
     out = []
-    for leg, size in zip(sys.legs[:2] if deriv else sys.legs, sizes):
-        if leg.dim != 1 and not (leg.kind == "space-profile" and leg.dim == size):
-            raise ValueError(f"a leg of length {size} needs a dim-1 coefficient or a "
-                             f"space profile of that length, got {leg.kind} of dim {leg.dim}")
-        varying = leg.kind == "time-profile"
-        if deriv and not varying:
-            out.append(np.zeros((1, 1)))
-        elif leg.kind == "space-profile":
-            out.append(leg.diagonal_values()[None])
+    for leg, size in zip(sys.legs, sizes):
+        if leg.diagonal is not None and leg.dim == size:
+            out.append(leg.diagonal[None])
+        elif leg.dim == 1:
+            stack = leg.sample_all(grid)[:, :, 0]
+            out.append(stack[:1] if stack.strides[0] == 0 else stack)
         else:
-            stack = leg.sample_deriv_all(grid) if deriv else leg.sample_all(grid)
-            out.append(stack[:, :, 0] if varying else stack[:1, :, 0])
+            raise ValueError(f"a leg of length {size} needs a dim-1 coefficient or a "
+                             f"space profile of that length, got dim {leg.dim}")
     return out
 
 
 def _pde_check(sys: PdeSystem, grid: TimeGrid):
     """Check the positivity certificate Re(nu M + M'/2) + Re N >= c at
-    nu = grid.nu, M' the analytic derivative of M (a time profile without
-    one raises; a time-independent coefficient has M' = 0): for the
-    skew-matrix kind in one batched eigenvalue solve, at every node when M
-    or N is a time profile and at one node otherwise; per leg pair of the
-    grad-div kind, at every node of a time-profile leg and once for a
-    time-independent one (a time series meets a space profile through the
-    two minima); for the wave form as nu min(1, min Re(1/a))."""
+    nu = grid.nu, M' the analytic derivative of M (a time-varying M without
+    one raises; a time-independent leg has M' = 0): for the skew-matrix
+    kind in one batched eigenvalue solve, at every node when a stack varies
+    in time and at one node otherwise; per leg pair of the grad-div kind,
+    at every node of a time-varying leg and once for a time-independent one
+    (a time series meets a space profile through the two minima); for the
+    wave form as nu min(1, min Re(1/a))."""
     nu = grid.nu
-    if sys.A.kind == "skew-matrix" and sys.M is not None:
-        nodes = slice(None) if "time-profile" in (sys.M.kind, sys.N.kind) else slice(1)
-        herm = (nu * sys.M.sample_all(grid)[nodes] + 0.5 * sys.M.sample_deriv_all(grid)[nodes]
-                + sys.N.sample_all(grid)[nodes])
+    if sys.A.kind == "skew-matrix":
+        M, N = sys.legs
+        stacks = M.sample_all(grid), M.sample_deriv_all(grid), N.sample_all(grid)
+        nodes = slice(1) if all(s.strides[0] == 0 for s in stacks) else slice(None)
+        Ms, dMs, Ns = (s[nodes] for s in stacks)
+        herm = nu * Ms + 0.5 * dMs + Ns
         low = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(1, 2)))[:, 0]
         k = int(np.argmax(low < sys.c - 1e-9))  # the first failing node
         if low[k] < sys.c - 1e-9:
@@ -578,7 +573,8 @@ def _pde_check(sys: PdeSystem, grid: TimeGrid):
                              f"{low[k]:.4f} < c={sys.c}")
     elif sys.A.kind == "grad0-div-1d":
         m0, m1, n0, n1 = _sample_legs(sys, grid)
-        dm0, dm1 = _sample_legs(sys, grid, deriv=True)
+        dm0, dm1 = (np.zeros((1, 1)) if len(s) == 1 else leg.sample_deriv_all(grid)[:, :, 0]
+                    for leg, s in zip(sys.legs, (m0, m1)))
         for leg, (m, dm, n) in enumerate(((m0, dm0, n0), (m1, dm1, n1))):
             damped, n = (nu * m + 0.5 * dm).real, n.real
             if damped.min() < -1e-12:
@@ -596,8 +592,9 @@ def _pde_check(sys: PdeSystem, grid: TimeGrid):
 
 
 def _step_skew_dense(sys: PdeSystem, rows, grid: TimeGrid):
-    Ms = sys.M.sample_all(grid)
-    mats = Ms / grid.dt + sys.N.sample_all(grid) + sys.A.dense()
+    M, N = sys.legs
+    Ms = M.sample_all(grid)
+    mats = Ms / grid.dt + N.sample_all(grid) + sys.A.dense()
     return _step_dense(Ms, mats, rows, grid.dt)
 
 
@@ -605,7 +602,7 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     """Implicit step for the (u-leg, flux-leg) systems; flux eliminated per
     node, leaving a tridiagonal solve on the u-leg.  The legs are sampled
     once per solve, and the matrix is refactored only at the nodes where a
-    time-profile leg moved (`_tridiag_solvers`: batched inverses up to
+    time-varying leg moved (`_tridiag_solvers`: batched inverses up to
     INVERSE_MAX, cyclic reduction above).  The flux weight w = 1/(m1/dt + n1) of those nodes is
     computed with their bands, one chunk at a time, and queued for the node
     loop."""
@@ -618,12 +615,8 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     for s in legs:
         if len(s) > 1:
             moved[1:] |= s[1:, 0] != s[:-1, 0]
-    # the memory term of the first step reads M one step before t0
-    t_before = grid.times[0] - dt
-    m0_prev, m1_prev = (
-        s[0] if len(s) == 1 else np.asarray(leg.sampler(t_before), dtype=complex).reshape(1)
-        for leg, s in zip(sys.legs, legs[:2])
-    )
+    # the memory term of the first step multiplies the zero initial state
+    m0_prev, m1_prev = (s[0] for s in legs[:2])
 
     weights = collections.deque()  # w of the moved nodes whose bands are built
 
@@ -720,7 +713,8 @@ def evo_pde_forward(sys: PdeSystem, u: Signal) -> Signal:
     grid = u.grid
     v = u.values
     if sys.A.kind == "skew-matrix":
-        mu, nv = multiply(sys.M, u), multiply(sys.N, u)
+        M, N = sys.legs
+        mu, nv = multiply(M, u), multiply(N, u)
         av = v @ sys.A.dense().T
     elif sys.A.kind == "grad0-div-1d":
         m, dx_inv = sys.A.m_x, _dx_inv(sys.A.m_x)

@@ -468,7 +468,7 @@ def test_exported_names_are_reached(module):
 
 # The ratchet below: lower it when a change removes settable values, never
 # raise it to let one in.
-SETTABLE_VALUES_MAX = 66
+SETTABLE_VALUES_MAX = 62
 
 
 def test_settable_values_do_not_grow():

@@ -229,6 +229,25 @@ class TestCoefficient:
 
     def test_non_finite_time_sample_names_its_time(self):
         g = TimeGrid(0.0, 0.25, 9, 1.0)
-        c = Coefficient.scalar_profile(lambda t: np.nan if t == 1.5 else 1.0)
+        c = Coefficient.scalar_profile(lambda t: np.where(t == 1.5, np.nan, 1.0))
         with pytest.raises(ValueError, match=r"non-finite entries at t=1\.5"):
+            c.sample_all(g)
+
+    @pytest.mark.parametrize("n", [51, 501])
+    def test_time_profile_sampled_in_one_call(self, n):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return 1.0 + np.sin(t)
+
+        mats = Coefficient.scalar_profile(fn, dim=2).sample_all(TimeGrid(0.0, 0.01, n, 1.0))
+        assert len(calls) == 1
+        assert mats.strides[0] != 0
+        assert np.array_equal(mats[:, 1, 1], 1.0 + np.sin(0.01 * np.arange(n)))
+
+    def test_stack_of_wrong_shape_names_its_shape(self):
+        g = small_grid(n=7)
+        c = Coefficient(dim=2, sampler=lambda t: np.ones((len(t), 1, 2)))
+        with pytest.raises(ValueError, match=r"shape \(7, 1, 2\)"):
             c.sample_all(g)

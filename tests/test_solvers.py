@@ -250,7 +250,7 @@ class TestOdeBlock:
     def test_block_norms_match_nodewise_norms(self):
         g = TimeGrid(0.0, 0.05, 41, 1.0)
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        N00 = Coefficient(dim=2, sampler=lambda t: np.eye(2) + np.sin(t) * skew)
+        N00 = Coefficient(dim=2, sampler=lambda t: np.eye(2) + np.multiply.outer(np.sin(t), skew))
         N01 = Coefficient.constant([[1.0, 2.0], [0.0, -1.0]])
         sysb = OdeBlockSystem(M=Coefficient.constant(np.eye(2), 1.0), N00=N00, N01=N01,
                               N10=N01, N11=Coefficient.constant(np.eye(2), 1.0), c=1.0)
@@ -475,10 +475,20 @@ class TestPdeChecks:
     """The gates of the PDE solves: the positivity certificate of
     `solve_evo_pde` and the norm bound that the 1D wrappers add to it."""
 
+    def test_skew_system_without_its_legs_rejected_before_stepping(self, monkeypatch):
+        def no_stepping(*args):
+            raise AssertionError("stepped an unchecked system")
+
+        monkeypatch.setattr(solvers, "_pde_steps", no_stepping)
+        g = TimeGrid(0.0, 0.01, 21, 1.0)
+        sys_pde = PdeSystem(A=SpatialOperator.skew_matrix([[0.0, -1.0], [1.0, 0.0]]), c=1.0)
+        with pytest.raises(ValueError):
+            solve_evo_pde(sys_pde, np.zeros((g.n, 2)), g)
+
     def test_skew_positivity_checked_at_every_node(self):
         # M dips below c at a single node that a spot check could skip
         g = TimeGrid(0.0, 0.01, 301, 1.0)
-        M = Coefficient.scalar_profile(lambda t: 0.2 if abs(t - 1.37) < 1e-9 else 1.0,
+        M = Coefficient.scalar_profile(lambda t: np.where(abs(t - 1.37) < 1e-9, 0.2, 1.0),
                                        deriv=lambda t: 0.0)
         sys_pde = PdeSystem.dense_small(M, Coefficient.constant([[0.0]]),
                                         SpatialOperator.skew_matrix([[0.0]]), c=0.9)
@@ -675,7 +685,7 @@ class TestMaxwell:
         levels = rng.choice([0.0, 0.5, 1.0, 2.0], size=len(switches) + 1)
 
         def eps_at(t):
-            return levels[np.searchsorted(switches, int(round(t / dt)), side="right")]
+            return levels[np.searchsorted(switches, np.rint(t / dt), side="right")]
 
         eps = Coefficient.scalar_profile(eps_at, deriv=lambda t: 0.0)
         J = Signal(g, rng.standard_normal((n, m_x)) + 1j * rng.standard_normal((n, m_x)))
@@ -824,13 +834,13 @@ class TestInverseRoute:
 
 
 class TestLegCoefficients:
-    """Every 1D leg is a Coefficient, sampled once per solve by its kind."""
+    """Every 1D leg is a Coefficient, sampled once per solve."""
 
     def one(self):
         return Coefficient.scalar_profile(lambda t: 1.0, deriv=lambda t: 0.0)
 
     @pytest.mark.parametrize("build", [
-        lambda a: Coefficient.space_profile(a).diagonal_values(),
+        lambda a: Coefficient.space_profile(a).diagonal,
         lambda a: PdeSystem.heat(a, nu=1.0),
         lambda a: PdeSystem.wave(a, nu=1.0),
     ], ids=["space_profile", "heat", "wave"])
@@ -852,8 +862,7 @@ class TestLegCoefficients:
             calls.append(t)
             return np.eye(1)
 
-        mu = Coefficient(dim=1, sampler=sampler, kind="constant-matrix",
-                         deriv_sampler=lambda t: np.zeros((1, 1)))
+        mu = Coefficient(dim=1, sampler=sampler, deriv_sampler=lambda t: np.zeros((1, 1)))
         counts = []
         for n in (51, 501):
             calls.clear()
@@ -897,7 +906,7 @@ class TestLegCoefficients:
     def test_positivity_checked_at_every_node(self):
         # mu dips below c at a single node that a spot check could skip
         g = TimeGrid(0.0, 0.01, 301, 1.0)
-        mu = Coefficient.scalar_profile(lambda t: 0.5 if abs(t - 1.37) < 1e-9 else 1.0,
+        mu = Coefficient.scalar_profile(lambda t: np.where(abs(t - 1.37) < 1e-9, 0.5, 1.0),
                                         deriv=lambda t: 0.0)
         with pytest.raises(ValueError, match="positivity"):
             maxwell_1d_solve(self.one(), mu, self.one(), Signal.zero(g, 4), nu=1.0)
