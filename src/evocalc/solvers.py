@@ -197,13 +197,12 @@ def _tridiag_inverses(lower, diag, upper):
 
 
 def _inverse_solve(inv: np.ndarray):
-    """rhs -> inv @ rhs for rhs of shape (m,) or (m, K).  A GEMM rounds a
-    column by its position in the block unless one operand is real-valued,
-    so a complex inverse multiplies the real and imaginary parts of rhs
-    apart; equal columns then give bit-identical results, which keeps the
-    all-cuts audits of `causality_audit` exact."""
-    if not inv.imag.any():
-        return inv.__matmul__
+    """rhs -> inv @ rhs for a complex inverse and rhs of shape (m,) or
+    (m, K).  A GEMM rounds a column by its position in the block unless one
+    operand is real-valued, so the real and imaginary parts of rhs are
+    multiplied apart; equal columns then give bit-identical results, which
+    keeps the all-cuts audits of `causality_audit` exact.  A real-valued
+    inverse multiplies rhs directly (`_tridiag_solvers`)."""
     return lambda rhs: inv @ rhs.real + 1j * (inv @ rhs.imag)
 
 
@@ -218,7 +217,9 @@ def _tridiag_solvers(m: int, bands, nodes: np.ndarray):
     for start in range(0, len(nodes), step):
         lower, diag, upper = bands(nodes[start:start + step])
         if m <= INVERSE_MAX:
-            yield from map(_inverse_solve, _tridiag_inverses(lower, diag, upper))
+            invs = _tridiag_inverses(lower, diag, upper)
+            for inv, is_complex in zip(invs, invs.imag.any(axis=(1, 2))):
+                yield _inverse_solve(inv) if is_complex else inv.__matmul__
         else:
             yield functools.partial(
                 _pcr_solve, _pcr_levels(lower[:, 0], diag[:, 0], upper[:, 0]))

@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 import evocalc
-from evocalc import homogenization
+from evocalc import experiments, homogenization
 from evocalc.cli import ConfigError, main, parse_config, run, suite
 from evocalc.experiments import DEFAULTS, RUNNERS
-from evocalc.signals import Coefficient
+from evocalc.operators import ProbeSet, probe_sup
+from evocalc.signals import Coefficient, Signal, TimeGrid
+from evocalc.solvers import OdeBlockSystem, solve_ode_block_stepping
+from evocalc.timecalc import derivative
 
 
 def write(path: Path, text: str) -> Path:
@@ -318,6 +321,47 @@ class TestRun:
             "32,8.743838133177e-03,8.743838133177e-03,8.743838133177e-03,6.250000000000e-02,pass\n"
             "64,4.203983960417e-03,4.203983960417e-03,4.203983960417e-03,3.125000000000e-02,pass\n"
         )
+
+    def test_shipped_ode_block_csv_is_unchanged(self, tmp_path):
+        # the bytes it wrote before its residual probes stepped as one batch
+        run(Path(__file__).parents[1] / "configs" / "ode_block.cfg", out_override=tmp_path / "o")
+        assert (tmp_path / "o.csv").read_text() == (
+            "scale,pairing_error,strong_error,norm_error,bound_rhs,verdict\n"
+            "0,0.000000000000e+00,0.000000000000e+00,9.900990099010e-03,2.000000000000e-02,pass\n"
+            "1,0.000000000000e+00,0.000000000000e+00,4.936355031652e-11,1.000000000000e-06,pass\n"
+            "2,0.000000000000e+00,0.000000000000e+00,5.964618198664e-02,3.500000000000e-01,pass\n"
+        )
+
+    def test_batched_ode_block_residual_matches_single_probes(self):
+        # the residual estimate of one batched stepping pass against
+        # `probe_sup` over single-column solves, at a seed other than the
+        # shipped one; a complex GEMM rounds a column by its position in
+        # the batch, so the two agree to roundoff, not bit for bit
+        cfg = {**DEFAULTS["ode-block"], "seed": 7}
+        rng = np.random.default_rng(cfg["seed"])
+        grid = TimeGrid(0.0, cfg["dt"], cfg["n"], cfg["nu"])
+        sysb = OdeBlockSystem(
+            M=Coefficient.constant(experiments._random_accretive(rng, 2), 1.0),
+            N00=Coefficient.constant(experiments._random_bounded(rng, 2)),
+            N01=Coefficient.constant(experiments._random_bounded(rng, 2)),
+            N10=Coefficient.constant(experiments._random_bounded(rng, 2)),
+            N11=Coefficient.constant(experiments._random_accretive(rng, 2), 1.0), c=1.0)
+        M_inv = np.linalg.inv(sysb.M.sample_all(grid))
+        N11_inv = np.linalg.inv(sysb.N11.sample_all(grid))
+        N10 = sysb.N10.sample_all(grid)
+
+        def residual(phi):
+            top, bot = phi.values[:, :2], phi.values[:, 2:]
+            rhs = np.concatenate([derivative(Signal(grid, top)).values, bot], axis=1)
+            u = solve_ode_block_stepping(sysb, Signal(grid, rhs))
+            exact_top = np.einsum("kab,kb->ka", M_inv, top)
+            exact_bot = np.einsum("kab,kb->ka", N11_inv, bot) - np.einsum(
+                "kab,kbc,kc->ka", N11_inv, np.einsum("kab,kbc->kac", N10, M_inv), top)
+            return Signal(grid, u - np.concatenate([exact_top, exact_bot], axis=1))
+
+        single = probe_sup(residual, ProbeSet(grid, dim=4, seed=cfg["seed"]))
+        batched = RUNNERS["ode-block"](cfg).rows[2]["norm_error"]
+        assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
 
     def test_summary_is_strict_json(self, tmp_path):
         # ladder rows carry no bound: their NaN bound_rhs is written as null

@@ -281,6 +281,29 @@ class TestExperiments:
         with pytest.raises(ValueError, match="leg 0 damping fails"):
             eddy_current_experiment([(1, bad, 1.0, 0.0)], eta_list=[1.0], seed=42)
 
+    def test_eddy_weights_share_their_solves(self):
+        # each system steps once for every weight; each weight's norms are
+        # those of its run alone, bit for bit
+        def per_eta(etas):
+            cfg = {**DEFAULTS["eddy"], "scales": (8, 16), "eta_list": etas}
+            return RUNNERS["eddy"](cfg).metadata["per_eta"]
+
+        assert per_eta((1.0, 2.0)) == {**per_eta((1.0,)), **per_eta((2.0,))}
+
+    def test_eddy_certifies_every_weight(self):
+        # the shipped profiles pass at eta = 2; at eta = 0.1 the mu leg of
+        # the eps = 0 system fails its positivity, 0.1 < c = 1
+        cfg = {**DEFAULTS["eddy"], "eta_list": (2.0, 0.1)}
+        with pytest.raises(ValueError, match=r"leg 1 positivity fails: 0\.1000"):
+            RUNNERS["eddy"](cfg)
+        # 1 + cos(5t)/2 is damped at eta = 2 (min 2 - sqrt(10.25)/2 > 0) and
+        # not at eta = 1 (min 1 - sqrt(7.25)/2 < 0), where the eps = 0
+        # system still passes
+        eps = Coefficient.scalar_profile(lambda t: 1.0 + 0.5 * np.cos(5 * t),
+                                         deriv=lambda t: -2.5 * np.sin(5 * t))
+        with pytest.raises(ValueError, match="leg 0 damping fails"):
+            eddy_current_experiment([(1, eps, 1.5, 2.5)], eta_list=[2.0, 1.0], seed=42)
+
 
 class TestConvergenceReport:
     def test_csv_roundtrip_and_verdict(self, tmp_path):

@@ -833,6 +833,48 @@ class TestInverseRoute:
         assert large <= small + 2**18
 
 
+class TestWeightFreeStepping:
+    """No stepper reads the grid's weight: nu enters only the norms and the
+    positivity certificate.  `eddy_current_experiment` steps each system
+    once for all its weights on the strength of this, so a stepper that
+    reads nu has to fail here rather than silently change eddy."""
+
+    @staticmethod
+    def equal_at_two_weights(stepper, sys, g, m):
+        rng = np.random.default_rng(5)
+        F = rng.standard_normal((g.n, m, 3)) + 1j * rng.standard_normal((g.n, m, 3))
+        low, high = (np.array(list(stepper(sys, F, g.with_nu(nu)))) for nu in (1.0, 2.0))
+        assert np.array_equal(low, high)
+
+    @pytest.mark.parametrize("kind", ["skew", "heat", "maxwell", "wave"])
+    def test_pde_states_equal_at_two_weights(self, kind):
+        # heat has a complex conductivity (complex inverses), Maxwell an
+        # eps(t) refactored at every node
+        m_x = 8
+        g = TimeGrid(0.0, 0.01, 201, 1.0)
+        xe = np.linspace(0.0, 1.0, m_x + 1)
+        one = Coefficient.constant(1.0)
+        eps = Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t),
+                                         deriv=lambda t: -0.25 * np.sin(t))
+        sys_pde = {
+            "skew": PdeSystem.dense_small(
+                Coefficient.constant(np.eye(2), 1.0), Coefficient.constant(0.2 * np.eye(2)),
+                SpatialOperator.skew_matrix(rand_skew(np.random.default_rng(1), 2)), c=1.0),
+            "heat": PdeSystem.heat(1.5 + 0.5 * np.sin(2 * np.pi * xe) + 0.3j * xe, nu=1.0),
+            "maxwell": PdeSystem.maxwell(eps, one, one, m_x),
+            "wave": PdeSystem.wave(2.0 + np.sin(2 * np.pi * xe), nu=1.0),
+        }[kind]
+        self.equal_at_two_weights(solvers._pde_steps, sys_pde, g, sys_pde.state_dim)
+
+    def test_ode_block_states_equal_at_two_weights(self):
+        rng = np.random.default_rng(2)
+        C = Coefficient.constant
+        sys = OdeBlockSystem(M=C(np.eye(2) + 0.3 * rand_skew(rng, 2), 1.0),
+                             N00=C(rand_skew(rng, 2)), N01=C(rand_skew(rng, 2)),
+                             N10=C(rand_skew(rng, 2)), N11=C(np.eye(2), 1.0), c=1.0)
+        self.equal_at_two_weights(solvers._step_ode_block, sys, TimeGrid(0.0, 0.01, 201, 1.0), 4)
+
+
 class TestLegCoefficients:
     """Every 1D leg is a Coefficient, sampled once per solve."""
 
