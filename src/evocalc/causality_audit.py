@@ -255,7 +255,7 @@ def audit_picard(F_rule, lip: float, f: Signal) -> float:
     if joint.shape != alone.shape:
         raise ValueError(f"rule mapped the {pair.shape} stack to shape {joint.shape}")
     gap = np.linalg.norm(joint - alone) / max(np.linalg.norm(alone), NORM_FLOOR)
-    if gap > 1e-12:
+    if not gap <= 1e-12:
         raise ValueError(f"the Picard audit needs a column-wise rule: on two columns "
                          f"it differs from one column at a time by {gap:.2e}")
 

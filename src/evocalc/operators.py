@@ -28,6 +28,7 @@ __all__ = [
     "transfer_function",
     "nu_independence_defect",
     "probe_sup",
+    "sup",
     "series_terms",
 ]
 
@@ -179,13 +180,16 @@ def _weight_vector(grid: TimeGrid, dim: int) -> np.ndarray:
     return np.repeat(w, dim)
 
 
-def probe_sup(residual: Callable[[Signal], Signal], probes) -> float:
-    """Max over probes f of |residual(f)| / max(|f|, NORM_FLOOR), each norm
-    at the weight of its signal's grid, taken in probe order from 0.0."""
-    worst = 0.0
-    for f in probes:
-        worst = max(worst, norm_nu(residual(f)) / max(norm_nu(f), NORM_FLOOR))
-    return worst
+def sup(values: Iterable[float]) -> float:
+    """The largest of 0.0 and the values, NaN when any value is NaN, so that
+    a NaN reaches the gate it feeds instead of being dropped."""
+    return float(np.max(list(values), initial=0.0))
+
+
+def probe_sup(pairs: Iterable[tuple[Signal, Signal]]) -> float:
+    """`sup` over (residual, probe) pairs (r, f) of |r| / max(|f|, NORM_FLOOR),
+    each norm at the weight of its signal's grid."""
+    return sup(norm_nu(r) / max(norm_nu(f), NORM_FLOOR) for r, f in pairs)
 
 
 def series_terms(theta: float, prefactor: float, tol: float) -> int:
@@ -255,8 +259,8 @@ def causality_defect(S: CausalOp, t: float, probes: Iterable[Signal]) -> float:
     an operator that maps its grid to itself.
     """
     return probe_sup(
-        lambda f: truncate_before(S(f), t) - truncate_before(S(truncate_before(f, t)), t),
-        probes,
+        (truncate_before(S(f), t) - truncate_before(S(truncate_before(f, t)), t), f)
+        for f in probes
     )
 
 
@@ -295,18 +299,18 @@ def transfer_function(
         # causality: Q_c0 S = Q_c0 S Q_c0; the step has no past, so its
         # leak is Q_c0 S step alone.  The plain norms, not causality_defect's
         # floored ones: where they underflow to 0 this raises, not passes
-        leak = max(
+        leak = sup((
             norm_nu(truncate_before(resp - S(truncate_before(probe, c0)), c0)) / norm_nu(probe),
             norm_nu(truncate_before(S(late), c0)) / norm_nu(late),
-        )
-        if leak > 1e-8:
+        ))
+        if not leak <= 1e-8:
             raise ValueError(
                 f"causality defect {leak:.2e} > 1e-8 at t={c0} on column {j}: "
                 "representation theorem hypothesis (causality) violated"
             )
         # S tau_h = tau_h S for a causal grid shift
         drift = norm_nu(S(shift(probe, h)) - shift(resp, h)) / max(norm_nu(resp), NORM_FLOOR)
-        if drift > 1e-8:
+        if not drift <= 1e-8:
             raise ValueError(
                 f"shift-commutation defect {drift:.2e} > 1e-8 on column {j}: "
                 "representation theorem hypothesis (translation invariance) violated"
@@ -321,7 +325,7 @@ def transfer_function(
     out = []
     for z in z_samples:
         denom = laplace(bump[:, None], z)[0]
-        if abs(denom) < 1e-14:
+        if not abs(denom) >= 1e-14:
             raise ValueError(f"probe transform vanishes at z={z}")
         m = np.empty((S.dim_out, S.dim_in), dtype=complex)
         for j in range(S.dim_in):
@@ -349,7 +353,7 @@ def nu_independence_defect(
         raise ValueError(f"need 0 < nu1 < nu2, got {nu1}, {nu2}")
 
     def gap(f: Signal) -> Signal:
-        return Signal(f.grid, solve(f.values, f.grid.with_nu(nu1))
+        return Signal(f.grid.with_nu(0.0), solve(f.values, f.grid.with_nu(nu1))
                       - solve(f.values, f.grid.with_nu(nu2)))
 
-    return probe_sup(gap, (Signal(f.grid.with_nu(0.0), f.values) for f in probes))
+    return probe_sup((gap(f), Signal(f.grid.with_nu(0.0), f.values)) for f in probes)

@@ -237,8 +237,12 @@ class Coefficient:
 
         Only the cell values are stored (O(m)); the sampler builds the full
         diagonal matrix when called, and 1D solvers read `diagonal` instead.
+        A non-finite cell value raises, as a non-finite sample does.
         """
         vals = np.array(edge_values, dtype=complex)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise ValueError(f"space profile has a non-finite value at cell {np.argmin(finite)}")
         vals.setflags(write=False)
         return Coefficient(
             dim=len(vals),

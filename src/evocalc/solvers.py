@@ -94,7 +94,7 @@ class SpatialOperator:
     def skew_matrix(A) -> "SpatialOperator":
         A = np.atleast_2d(np.asarray(A, dtype=complex))
         defect = np.linalg.norm(A + A.conj().T, 2)
-        if defect > 1e-12 * max(1.0, np.linalg.norm(A, 2)):
+        if not defect <= 1e-12 * max(1.0, np.linalg.norm(A, 2)):
             raise ValueError(f"matrix is not skew-adjoint: defect {defect:.2e}")
         return SpatialOperator(kind="skew-matrix", m_x=A.shape[0], matrix=A)
 
@@ -406,7 +406,7 @@ def solve_ode_block(sys: OdeBlockSystem, F: Signal) -> Signal:
     """
     tol = 1e-8
     sig_step, gap = _ode_block_routes(sys, F, tol)
-    if gap > tol:
+    if not gap <= tol:
         raise ValueError(f"route disagreement {gap:.3e} > tol={tol}")
     return sig_step
 
@@ -460,7 +460,7 @@ def picard_solve(
         raise ValueError(f"fixed point did not reach tol={tol} in 200 iterations")
     sol = Signal(grid, u)
     defect = norm_nu(derivative(sol) - Signal(grid, nemitskii(sol.values) + f.values))
-    if defect > 10 * tol * max(1.0, norm_nu(sol)):
+    if not defect <= 10 * tol * max(1.0, norm_nu(sol)):
         raise ValueError(f"fixed-point equation defect {defect:.2e} too large")
     return Signal(f.grid, u)
 
@@ -499,7 +499,7 @@ class PdeSystem:
         a_edge = np.asarray(a_edge, dtype=complex)
         amin = float(np.min(a_edge.real))
         amax = float(np.max(np.abs(a_edge)))
-        if amin <= 0:
+        if not amin > 0:
             raise ValueError("conductivity must have positive real part")
         one, zero = Coefficient.constant(1.0), Coefficient.constant(0.0)
         return PdeSystem(
@@ -523,7 +523,7 @@ class PdeSystem:
         """Acoustic wave in first-order form with mean-zero projected flux:
         M = diag(1, 1/a), so c = nu min(1, min Re(1/a))."""
         a_edge = np.asarray(a_edge, dtype=complex)
-        if float(np.min(a_edge.real)) <= 0:
+        if not float(np.min(a_edge.real)) > 0:
             raise ValueError("wave coefficient must have positive real part")
         return PdeSystem(
             A=SpatialOperator.grad0_div_1d_projected(len(a_edge) - 1),
@@ -568,8 +568,8 @@ def _pde_check(sys: PdeSystem, grid: TimeGrid):
         Ms, dMs, Ns = (s[nodes] for s in stacks)
         herm = nu * Ms + 0.5 * dMs + Ns
         low = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(1, 2)))[:, 0]
-        k = int(np.argmax(low < sys.c - 1e-9))  # the first failing node
-        if low[k] < sys.c - 1e-9:
+        k = int(np.argmin(low >= sys.c - 1e-9))  # the first failing node
+        if not low[k] >= sys.c - 1e-9:
             raise ValueError(f"positivity certificate fails at t={grid.times[k]}: "
                              f"{low[k]:.4f} < c={sys.c}")
     elif sys.A.kind == "grad0-div-1d":
@@ -578,12 +578,12 @@ def _pde_check(sys: PdeSystem, grid: TimeGrid):
                     for leg, s in zip(sys.legs, (m0, m1)))
         for leg, (m, dm, n) in enumerate(((m0, dm0, n0), (m1, dm1, n1))):
             damped, n = (nu * m + 0.5 * dm).real, n.real
-            if damped.min() < -1e-12:
+            if not damped.min() >= -1e-12:
                 raise ValueError(f"leg {leg} damping fails: {damped.min():.3e} < 0")
             if damped.shape[0] != n.shape[0] and damped.shape[1] != n.shape[1]:
                 damped, n = damped.min(), n.min()
             low = float(np.min(damped + n))
-            if low < sys.c - 1e-9:
+            if not low >= sys.c - 1e-9:
                 raise ValueError(f"leg {leg} positivity fails: {low:.4f} < c={sys.c}")
     elif sys.A.kind == "grad0-div-1d-projected":
         (a,) = _sample_legs(sys, grid)
@@ -626,7 +626,7 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
         # u-leg: (m0/dt + n0) u - G^T h = f0 + m0_prev u_prev / dt
         m0, m1, n0, n1 = (s[nodes] if len(s) > 1 else s[:1] for s in legs)
         d1 = m1 / dt + n1
-        if np.any(np.abs(d1) < 1e-300):
+        if not np.all(np.abs(d1) >= 1e-300):
             raise ValueError("flux-leg coefficient vanishes; cannot eliminate")
         w = np.broadcast_to(1.0 / d1, (len(nodes), m_x + 1))
         weights.extend(w)
@@ -808,7 +808,7 @@ def _solve_driven(sys: PdeSystem, f: Signal, nu: float) -> Signal:
     # f is F without its zero columns, so it has F's norm
     bound = (1.0 / sys.c) * norm_nu(f) * 1.05
     norm_u = norm_nu(u)
-    if norm_u > bound + 1e-14:
+    if not norm_u <= bound + 1e-14:
         raise ValueError(
             f"norm bound violated: |u|={norm_u:.4e} > (1/c)|f|*1.05={bound:.4e}"
         )
@@ -846,7 +846,7 @@ def elliptic_solve(a_edge, f_nodes: np.ndarray) -> np.ndarray:
     if len(a_edge) != m_x + 1:
         raise ValueError("a must be sampled on the m_x+1 edges")
     alpha = float(np.min(a_edge.real))
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"coefficient not uniformly positive: min Re a = {alpha}")
     dx_inv = _dx_inv(m_x)
     # steps 1 and 3 solve with the Dirichlet Laplacian G^T G, reduced once
@@ -866,6 +866,6 @@ def elliptic_solve(a_edge, f_nodes: np.ndarray) -> np.ndarray:
     direct = _pcr_solve(_pcr_levels(off, diag, off), f_nodes)
     scale = max(float(np.linalg.norm(direct)), NORM_FLOOR)
     gap = float(np.linalg.norm(u - direct)) / scale
-    if gap > 1e-8:
+    if not gap <= 1e-8:
         raise ValueError(f"three-factor route disagrees with direct solve: {gap:.2e}")
     return u

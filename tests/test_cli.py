@@ -332,6 +332,27 @@ class TestRun:
             "2,0.000000000000e+00,0.000000000000e+00,5.964618198664e-02,3.500000000000e-01,pass\n"
         )
 
+    @pytest.mark.parametrize("name, csv", [
+        pytest.param("funid", (
+            "0,0.000000000000e+00,0.000000000000e+00,0.000000000000e+00,1.000000000000e-12,pass\n"
+            "1,0.000000000000e+00,0.000000000000e+00,5.508984251758e-14,1.000000000000e-06,pass\n"
+            "2,0.000000000000e+00,0.000000000000e+00,1.630553239259e-01,6.087772653981e-01,pass\n"
+        ), id="funid"),
+        pytest.param("heat", (
+            "2,2.768577303766e-02,2.768577303766e-02,2.768577303766e-02,nan,pass\n"
+            "4,1.367744372740e-02,1.367744372740e-02,1.367744372740e-02,nan,pass\n"
+            "8,6.818678864729e-03,6.818678864729e-03,6.818678864729e-03,nan,pass\n"
+            "16,3.406852414419e-03,3.406852414419e-03,3.406852414419e-03,nan,pass\n"
+            "999,0.000000000000e+00,0.000000000000e+00,0.000000000000e+00,1.000000000000e-10,pass\n"
+        ), id="heat"),
+    ])
+    def test_shipped_probe_sup_csv_is_unchanged(self, tmp_path, name, csv):
+        # the bytes they wrote before their probe loops and sample maxima
+        # went through `probe_sup` and `sup`
+        run(Path(__file__).parents[1] / "configs" / f"{name}.cfg", out_override=tmp_path / "o")
+        assert (tmp_path / "o.csv").read_text() == (
+            "scale,pairing_error,strong_error,norm_error,bound_rhs,verdict\n" + csv)
+
     def test_batched_ode_block_residual_matches_single_probes(self):
         # the residual estimate of one batched stepping pass against
         # `probe_sup` over single-column solves, at a seed other than the
@@ -359,7 +380,7 @@ class TestRun:
                 "kab,kbc,kc->ka", N11_inv, np.einsum("kab,kbc->kac", N10, M_inv), top)
             return Signal(grid, u - np.concatenate([exact_top, exact_bot], axis=1))
 
-        single = probe_sup(residual, ProbeSet(grid, dim=4, seed=cfg["seed"]))
+        single = probe_sup((residual(phi), phi) for phi in ProbeSet(grid, dim=4, seed=cfg["seed"]))
         batched = RUNNERS["ode-block"](cfg).rows[2]["norm_error"]
         assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
 

@@ -22,6 +22,7 @@ from evocalc.homogenization import (
     ode_weak_limit_equation,
     product_mean_limit,
     strong_error,
+    wave_g_convergence_experiment,
     weak_pairing_error,
 )
 
@@ -90,6 +91,12 @@ class TestTopologyDiagnostics:
         w = weak_pairing_error(S, Z, probes)
         s = strong_error(S, Z, probes)
         assert w <= s * (1 + 1e-9)
+
+    def test_nan_difference_reaches_both_errors(self):
+        g = ref_grid()
+        nan_op = lambda f: Signal(f.grid, f.values * np.nan)
+        weak, strong = _probe_errors(nan_op, zero_op(g), ProbeSet(g, seed=1))
+        assert np.isnan(weak) and np.isnan(strong)
 
 
 class TestOracles:
@@ -303,6 +310,17 @@ class TestExperiments:
                                          deriv=lambda t: -2.5 * np.sin(5 * t))
         with pytest.raises(ValueError, match="leg 0 damping fails"):
             eddy_current_experiment([(1, eps, 1.5, 2.5)], eta_list=[2.0, 1.0], seed=42)
+
+    def test_one_scale_wave_with_a_nan_profile_fails(self):
+        # 2 + sin(2 pi y), NaN near y = 0.5: scale 8 samples y = 0.5 on the
+        # edges, and the coefficient check rejects the NaN instead of
+        # solving with it
+        def profile(y):
+            y = np.asarray(y)
+            return np.where(np.abs(y - 0.5) < 0.01, np.nan, 2.0 + np.sin(2 * np.pi * y))
+
+        with pytest.raises(ValueError, match="wave coefficient must have positive real part"):
+            wave_g_convergence_experiment(profile, [8], nu=1.0, seed=42)
 
 
 class TestConvergenceReport:

@@ -17,6 +17,7 @@ from evocalc.operators import (
     op_norm,
     probe_sup,
     series_terms,
+    sup,
     transfer_function,
 )
 
@@ -130,8 +131,18 @@ class TestProbeSup:
             probes = list(ProbeSet(g, seed=4)) + [Signal.zero(g)]
             expected = max(norm_nu(residual(f)) / max(norm_nu(f), NORM_FLOOR)
                            for f in probes)
-            assert probe_sup(residual, probes) == expected
-        assert probe_sup(residual, []) == 0.0
+            assert probe_sup((residual(f), f) for f in probes) == expected
+        assert probe_sup([]) == 0.0
+
+    def test_nan_ratio_reaches_the_sup(self):
+        # a NaN anywhere is the sup, wherever it falls among the values;
+        # with no values the sup is 0.0
+        assert sup([]) == 0.0
+        assert sup([0.5, 2.0, 1.0]) == 2.0
+        for vals in ([np.nan], [np.nan, 1.0], [1.0, np.nan, 2.0], [3.0, np.nan]):
+            assert np.isnan(sup(vals))
+        g = TimeGrid(0.0, 0.01, 101, 1.0)
+        assert np.isnan(probe_sup((Signal(g, f.values * np.nan), f) for f in ProbeSet(g)))
 
 
 class TestSeriesTerms:

@@ -28,6 +28,7 @@ from evocalc.solvers import (
     wave_1d_solve,
 )
 from evocalc import solvers
+from evocalc.operators import CausalOp, transfer_function
 from evocalc.solvers import _tridiag_factor, _tridiag_solve
 from evocalc.timecalc import _pcr_levels, _pcr_solve
 
@@ -1099,3 +1100,42 @@ class TestForwardMap:
         for u, sys_pde in cases:
             ref = solve_evo_pde(sys_pde, F, g.with_nu(nu))
             assert np.array_equal(u.values, ref)
+
+
+def _nan_at(values, k):
+    out = np.array(values, dtype=complex)
+    out[k] = np.nan
+    return out
+
+
+def _fail_closed_cases():
+    g = TimeGrid(0.0, 0.01, 201, 1.0)
+    m_x = 16
+    xe = np.linspace(0.0, 1.0, m_x + 1)
+    xi = np.linspace(0.0, 1.0, m_x + 2)[1:-1]
+    drive = Signal(g, np.outer(np.exp(-(((g.times - 0.5) / 0.2) ** 2)), np.sin(np.pi * xi)))
+    relax = OdeBlockSystem(M=Coefficient.constant([[1.0]], 1.0),
+                           N00=Coefficient.constant([[0.5]]), c=1.0)
+    pulse = np.exp(-(((g.times - 0.5) / 0.2) ** 2))[:, None]
+    nan_op = CausalOp(grid=g, action=lambda f: Signal(g, f.values * np.nan))
+    return {
+        "heat": (lambda: heat_1d_solve(_nan_at(1.0 + 0.5 * np.sin(2 * np.pi * xe), 5), drive, nu=1.0),
+                 "conductivity must have positive real part"),
+        "wave": (lambda: wave_1d_solve(_nan_at(2.0 + np.sin(2 * np.pi * xe), 5), drive, nu=1.0),
+                 "wave coefficient must have positive real part"),
+        "elliptic": (lambda: elliptic_solve(_nan_at(2.0 + np.sin(2 * np.pi * xe), 5), np.ones(m_x)),
+                     "coefficient not uniformly positive"),
+        "ode-block": (lambda: solve_ode_block(relax, Signal(g, _nan_at(pulse, 40))),
+                      "route disagreement"),
+        "transfer": (lambda: transfer_function(nan_op, [1.0]), "causality defect"),
+        "space-profile": (lambda: Coefficient.space_profile(_nan_at(np.ones(m_x), 3)),
+                          "non-finite value at cell 3"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fail_closed_cases()))
+def test_certificates_fail_closed_on_nan(case):
+    # each certificate is the condition that must hold, so a NaN fails it
+    call, match = _fail_closed_cases()[case]
+    with pytest.raises(ValueError, match=match):
+        call()
