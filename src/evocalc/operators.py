@@ -211,9 +211,10 @@ def op_norm(S: CausalOp) -> float:
     With an analytic adjoint: power iteration on S* S from a seeded random
     start, at most 3000 steps, stopping at relative change 1e-12; it warns
     with its budget when it does not settle and returns the final Rayleigh
-    ratio.  Otherwise, up to DENSE_LIMIT columns: the largest singular value
-    of the weighted similarity W^(1/2) S W^(-1/2) of the materialized S,
-    taken in real arithmetic when that matrix has no imaginary part.
+    ratio; a norm that is not finite raises at its step.  Otherwise, up to
+    DENSE_LIMIT columns: the largest singular value of the weighted
+    similarity W^(1/2) S W^(-1/2) of the materialized S, taken in real
+    arithmetic when that matrix has no imaginary part.
     """
     size = S.grid.n * S.dim_in
     if S.adjoint_action is not None:
@@ -224,9 +225,11 @@ def op_norm(S: CausalOp) -> float:
                    + 1j * rng.standard_normal((S.grid.n, S.dim_in)))
         v = (1.0 / max(norm_nu(v), NORM_FLOOR)) * v
         sigma = 0.0
-        for _ in range(3000):
+        for step in range(1, 3001):
             v = S.adjoint_action(S(v))
             nv = norm_nu(v)
+            if not np.isfinite(nv):
+                raise ValueError(f"power iteration norm {nv} is not finite at step {step}")
             if nv < NORM_FLOOR:
                 return 0.0
             sigma_new = float(np.sqrt(nv))

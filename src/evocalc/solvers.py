@@ -10,7 +10,6 @@ of the Dirichlet gradient leg).
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -135,19 +134,18 @@ class SpatialOperator:
 # ---------------------------------------------------------------------------
 
 # Largest tridiagonal size the 1D steppers solve with a cached explicit
-# inverse, one GEMM per node; larger ones solve by parallel cyclic reduction
-# (`timecalc._pcr_levels`), set up once per matrix.  Best of 100-200 calls
-# (2 cores, BLAS on 1 thread), one RHS column, Thomas against inverse @ rhs:
-# 96 vs 21 us at m = 256, 209 vs 181 us at m = 512 and 642 vs 1448 us at
-# m = 1024.  Cyclic reduction then replaced Thomas above INVERSE_MAX: 37 us
-# per solve at m = 512 and 54 us at m = 1024, against Thomas's 180 and 422.
-# Building the inverses by cyclic reduction on the identity, batched over
-# the nodes, was slower than Thomas (2.3 vs 1.6 ms for 100 nodes at m = 24,
-# 3.7 vs 2.1 ms for one at m = 256), so Thomas builds them.
+# inverse of a real matrix, one GEMM per node; every other matrix solves by
+# parallel cyclic reduction (`timecalc._pcr_levels`), set up once per matrix.
+# Best of 5 x 200 calls (2 cores, BLAS on 1 thread), one RHS column, real
+# matrices: inverse @ rhs 8.3, 28 and 197 us at m = 128, 256 and 512, against
+# 44, 51 and 69 us by cyclic reduction.
+# Thomas builds the inverses: cyclic reduction on the identity, batched over
+# the nodes, was slower (2.3 vs 1.6 ms for 100 nodes at m = 24, 3.7 vs 2.1 ms
+# for one at m = 256).
 INVERSE_MAX = 256
 # Complex entries of the inverses one batched pass builds: a time-varying
-# stepper inverts its moved nodes in chunks of INVERSE_CHUNK // m**2, so the
-# memory of the cache does not grow with the node count.
+# stepper builds the bands and solves of its nodes in chunks of
+# INVERSE_CHUNK // m**2, so their memory does not grow with the node count.
 INVERSE_CHUNK = 2**16
 
 
@@ -158,11 +156,11 @@ def _tridiag_factor(lower, diag, upper):
 
     The loops run over Python lists of numpy scalars (or of (B,) rows): list
     indexing is cheaper than array indexing, and the arithmetic is the same.
-    Its one use is to build the cached explicit inverses of the 1D steppers
-    at m <= INVERSE_MAX: this kernel applied to the identity
-    (`_tridiag_inverses`), in chunks of at most INVERSE_CHUNK entries.
-    Every solve with a right-hand side above INVERSE_MAX, and every
-    `elliptic_solve`, runs by cyclic reduction instead.
+    Its one use is to build the cached explicit inverses of the real u-leg
+    matrices of the 1D steppers at m <= INVERSE_MAX: this kernel applied to
+    the identity (`_tridiag_inverses`), in chunks of at most INVERSE_CHUNK
+    entries.  Every other u-leg matrix, and every `elliptic_solve`, solves
+    by cyclic reduction instead (`_tridiag_solves`).
     """
     lower, diag, upper = list(lower), list(diag), list(upper)
     c, dd = [], [diag[0]]
@@ -196,33 +194,19 @@ def _tridiag_inverses(lower, diag, upper):
     return np.ascontiguousarray(inv.transpose(2, 0, 1))
 
 
-def _inverse_solve(inv: np.ndarray):
-    """rhs -> inv @ rhs for a complex inverse and rhs of shape (m,) or
-    (m, K).  A GEMM rounds a column by its position in the block unless one
-    operand is real-valued, so the real and imaginary parts of rhs are
-    multiplied apart; equal columns then give bit-identical results, which
-    keeps the all-cuts audits of `causality_audit` exact.  A real-valued
-    inverse multiplies rhs directly (`_tridiag_solvers`)."""
-    return lambda rhs: inv @ rhs.real + 1j * (inv @ rhs.imag)
-
-
-def _tridiag_solvers(m: int, bands, nodes: np.ndarray):
-    """The solves of the tridiagonal systems at `nodes`, in order, each a
-    map rhs -> x for rhs of shape (m,) or (m, K).  `bands(chunk)` returns
-    the bands of the nodes in `chunk` with the node axis last, (m - 1, B),
-    (m, B), (m - 1, B).  Up to INVERSE_MAX the solve is a cached explicit
-    inverse, built in one batched pass per chunk of at most INVERSE_CHUNK
-    entries; above it, cyclic reduction set up per node (`_pcr_levels`)."""
-    step = max(1, INVERSE_CHUNK // m**2)  # 1 above INVERSE_MAX
-    for start in range(0, len(nodes), step):
-        lower, diag, upper = bands(nodes[start:start + step])
-        if m <= INVERSE_MAX:
-            invs = _tridiag_inverses(lower, diag, upper)
-            for inv, is_complex in zip(invs, invs.imag.any(axis=(1, 2))):
-                yield _inverse_solve(inv) if is_complex else inv.__matmul__
-        else:
-            yield functools.partial(
-                _pcr_solve, _pcr_levels(lower[:, 0], diag[:, 0], upper[:, 0]))
+def _tridiag_solves(lower, diag, upper) -> list:
+    """The solves rhs -> x, rhs of shape (m,) or (m, K), of the B tridiagonal
+    matrices with bands (m - 1, B), (m, B), (m - 1, B), the node axis last.
+    A real matrix up to INVERSE_MAX solves with its cached explicit inverse,
+    all of them built in one batched pass; every other matrix by cyclic
+    reduction, whose columns are computed elementwise, so equal columns
+    give equal bits, as the all-cuts audits of `causality_audit` require."""
+    real = ~np.concatenate([lower, diag, upper]).imag.any(axis=0) & (len(diag) <= INVERSE_MAX)
+    invs = iter(_tridiag_inverses(lower[:, real], diag[:, real], upper[:, real])
+                if real.any() else ())
+    return [next(invs).__matmul__ if cached else functools.partial(
+                _pcr_solve, _pcr_levels(lower[:, b], diag[:, b], upper[:, b]))
+            for b, cached in enumerate(real)]
 
 
 def _laplacian_bands(dx_inv: float, weight: np.ndarray):
@@ -427,7 +411,7 @@ def picard_solve(
     the iteration a 1/2-contraction; the returned signal satisfies the
     backward-difference equation du = F(u) + f nodewise to within 10*tol.
     `F_rule` maps the whole (n, m) stack of states to an (n, m) array; any
-    other shape raises.
+    other shape raises, and so does a gap that is not finite, at its step.
 
     Convergence is in the weighted norm: pointwise accuracy at the window
     tail degrades like exp(2*lip*t) times the iteration gap, so nodal
@@ -447,13 +431,15 @@ def picard_solve(
         return vals
 
     u = np.zeros((grid.n, f.dim), dtype=complex)
-    for _ in range(200):
+    for step in range(1, 201):
         u.setflags(write=False)  # a rule that writes to its input raises, not corrupts u
         u_next = _cumsum(nemitskii(u) + f.values, grid.dt)
         d = u_next - u
         gap = float(np.sqrt(max(_inner_values(w, d, d).real, 0.0)))
         del d  # one (n, m) block fewer alive while the rule runs
         u = u_next
+        if not np.isfinite(gap):
+            raise ValueError(f"fixed-point gap {gap} is not finite at step {step}")
         if gap <= tol * (1 - kappa):
             break
     else:
@@ -602,46 +588,37 @@ def _step_skew_dense(sys: PdeSystem, rows, grid: TimeGrid):
 def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     """Implicit step for the (u-leg, flux-leg) systems; flux eliminated per
     node, leaving a tridiagonal solve on the u-leg.  The legs are sampled
-    once per solve, and the matrix is refactored only at the nodes where a
-    time-varying leg moved (`_tridiag_solvers`: batched inverses up to
-    INVERSE_MAX, cyclic reduction above).  The flux weight w = 1/(m1/dt + n1) of those nodes is
-    computed with their bands, one chunk at a time, and queued for the node
-    loop."""
+    once per solve.  The flux weight w = 1/(m1/dt + n1) and the u-leg bands
+    are built once when no leg varies in time and at every node otherwise,
+    in chunks of at most INVERSE_CHUNK entries, and solved by
+    `_tridiag_solves`."""
     m_x = sys.A.m_x
     dx_inv = _dx_inv(m_x)
     dt = grid.dt
     legs = _sample_legs(sys, grid)
-    moved = np.zeros(grid.n, dtype=bool)
-    moved[0] = True
-    for s in legs:
-        if len(s) > 1:
-            moved[1:] |= s[1:, 0] != s[:-1, 0]
-    # the memory term of the first step multiplies the zero initial state
-    m0_prev, m1_prev = (s[0] for s in legs[:2])
+    n = max(len(s) for s in legs)  # 1 when no leg varies in time
 
-    weights = collections.deque()  # w of the moved nodes whose bands are built
+    def solves():
+        step = max(1, INVERSE_CHUNK // m_x**2)  # 1 above INVERSE_MAX
+        for start in range(0, n, step):
+            # flux-leg: d1 * h + G u = rhs1  ->  h = (rhs1 - G u)/d1
+            # u-leg: (m0/dt + n0) u - G^T h = f0 + m0_prev u_prev / dt
+            m0, m1, n0, n1 = (s[start:start + step] if len(s) > 1 else s for s in legs)
+            d1 = m1 / dt + n1
+            if not np.all(np.abs(d1) >= 1e-300):
+                raise ValueError("flux-leg coefficient vanishes; cannot eliminate")
+            w = np.broadcast_to(1.0 / d1, (min(step, n - start), m_x + 1))
+            off, diag = _laplacian_bands(dx_inv, w.T)
+            yield from zip(_tridiag_solves(off, diag + m0.T / dt + n0.T, off), w)
 
-    def bands(nodes):
-        # flux-leg: d1 * h + G u = rhs1  ->  h = (rhs1 - G u)/d1
-        # u-leg: (m0/dt + n0) u - G^T h = f0 + m0_prev u_prev / dt
-        m0, m1, n0, n1 = (s[nodes] if len(s) > 1 else s[:1] for s in legs)
-        d1 = m1 / dt + n1
-        if not np.all(np.abs(d1) >= 1e-300):
-            raise ValueError("flux-leg coefficient vanishes; cannot eliminate")
-        w = np.broadcast_to(1.0 / d1, (len(nodes), m_x + 1))
-        weights.extend(w)
-        off, diag = _laplacian_bands(dx_inv, w.T)
-        return off, diag + m0.T / dt + n0.T, off
-
-    solves = _tridiag_solvers(m_x, bands, np.flatnonzero(moved))
+    pairs = solves() if n > 1 else itertools.repeat(next(solves()))
     batch, rows = _batch_shape(rows)
     u = np.zeros((m_x,) + batch, dtype=complex)
     h = np.zeros((m_x + 1,) + batch, dtype=complex)
-    for k, f in enumerate(rows):
-        if moved[k]:
-            m0, m1 = (s[k] if len(s) > 1 else s[0] for s in legs[:2])
-            solve = next(solves)
-            w = weights.popleft()
+    # the memory term of the first step multiplies the zero initial state
+    m0_prev, m1_prev = (s[0] for s in legs[:2])
+    for k, (f, (solve, w)) in enumerate(zip(rows, pairs)):
+        m0, m1 = (s[k] if len(s) > 1 else s[0] for s in legs[:2])
         rhs1 = f[m_x:] + _scale(m1_prev, h) / dt
         rhs0 = f[:m_x] + _scale(m0_prev, u) / dt + _gt_apply(_scale(w, rhs1), dx_inv)
         u = solve(rhs0)
@@ -665,8 +642,7 @@ def _step_wave(sys: PdeSystem, rows, grid: TimeGrid):
     dx_inv = _dx_inv(m_x)
     dt = grid.dt
     off, diag = _laplacian_bands(dx_inv, a[:, None])
-    (solve,) = _tridiag_solvers(
-        m_x, lambda nodes: (off * dt, diag * dt + 1.0 / dt, off * dt), np.arange(1))
+    (solve,) = _tridiag_solves(off * dt, diag * dt + 1.0 / dt, off * dt)
     batch, rows = _batch_shape(rows)
     v = np.zeros((m_x,) + batch, dtype=complex)
     q = np.zeros((m_x + 1,) + batch, dtype=complex)
@@ -684,7 +660,11 @@ def solve_evo_pde(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
     column j the solution for F[:, :, j]; F of shape (n, state_dim) is one
     solve.  The positivity certificate is checked first at grid.nu, so every
     solve is of a certified system.  The 1D wrappers add the norm bound; the
-    all-cuts audits of `causality_audit` certify causality."""
+    all-cuts audits of `causality_audit` certify causality.  An F of another
+    node count or state size raises."""
+    if not np.shape(F)[:2] == (grid.n, sys.state_dim):
+        raise ValueError(f"F of shape {np.shape(F)} is not (n, state_dim) = ({grid.n}, "
+                         f"{sys.state_dim})")
     _pde_check(sys, grid)
     return _dispatch_step(sys, F, grid)
 

@@ -28,7 +28,7 @@ from evocalc.solvers import (
     wave_1d_solve,
 )
 from evocalc import solvers
-from evocalc.operators import CausalOp, transfer_function
+from evocalc.operators import CausalOp, op_norm, transfer_function
 from evocalc.solvers import _tridiag_factor, _tridiag_solve
 from evocalc.timecalc import _pcr_levels, _pcr_solve
 
@@ -91,8 +91,7 @@ class TestTridiagonalKernel:
 
         lower, upper = draw(m - 1, nodes), draw(m - 1, nodes)
         diag = 5.0 + draw(m, nodes)
-        solves = list(solvers._tridiag_solvers(
-            m, lambda idx: (lower[:, idx], diag[:, idx], upper[:, idx]), np.arange(nodes)))
+        solves = solvers._tridiag_solves(lower, diag, upper)
         assert len(solves) == nodes
         col = draw(m)
         for b, solve in enumerate(solves):
@@ -311,6 +310,20 @@ class TestDenseStepper:
             list(solvers._step_dense(Ms, mats, np.ones((n, 2)), 0.1))
 
 
+@pytest.mark.parametrize("iteration", ["picard_solve", "op_norm"])
+def test_non_finite_iterate_raises_at_its_step(iteration):
+    # a NaN iterate stops the iteration at once, naming the step, instead of
+    # running out its budget (200 Picard steps, 3000 power steps)
+    g = TimeGrid(0.0, 0.01, 2001, 1.0)
+    with pytest.raises(ValueError, match="nan is not finite at step 1$"):
+        if iteration == "picard_solve":
+            picard_solve(lambda u: np.sin(u) * np.nan, 1.0, Signal(g, np.ones(g.n)))
+        else:
+            def nan(f):
+                return Signal(g, f.values * np.nan)
+            op_norm(CausalOp(grid=g, action=nan, adjoint_action=nan))
+
+
 class TestPicard:
     def test_pure_quadrature(self):
         g = TimeGrid(0.0, 0.01, 1001, 1.0)
@@ -485,6 +498,28 @@ class TestPdeChecks:
         sys_pde = PdeSystem(A=SpatialOperator.skew_matrix([[0.0, -1.0], [1.0, 0.0]]), c=1.0)
         with pytest.raises(ValueError):
             solve_evo_pde(sys_pde, np.zeros((g.n, 2)), g)
+
+    @pytest.mark.parametrize("kind", ["skew", "wave", "maxwell-const", "maxwell-eps(t)"])
+    @pytest.mark.parametrize("rows", [15, 7])
+    def test_solution_map_rejects_f_off_the_grid(self, kind, rows):
+        # a stepper takes as many rows as F has, up to the length of a
+        # time-varying leg: an F of another node count would be cut short or
+        # stepped past the grid
+        g = TimeGrid(0.0, 0.01, 11, 1.0)
+        one = Coefficient.constant(1.0)
+        eps = Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t),
+                                         deriv=lambda t: -0.25 * np.sin(t))
+        sys_pde = {
+            "skew": PdeSystem.dense_small(Coefficient.constant(np.eye(2)),
+                                          Coefficient.constant(np.eye(2)),
+                                          SpatialOperator.skew_matrix([[0.0, -1.0], [1.0, 0.0]]),
+                                          c=1.0),
+            "wave": PdeSystem.wave(np.full(5, 2.0), nu=1.0),
+            "maxwell-const": PdeSystem.maxwell(one, one, one, 4),
+            "maxwell-eps(t)": PdeSystem.maxwell(eps, one, one, 4),
+        }[kind]
+        with pytest.raises(ValueError, match=r"is not \(n, state_dim\) = \(11, "):
+            solve_evo_pde(sys_pde, np.ones((rows, sys_pde.state_dim)), g)
 
     def test_skew_positivity_checked_at_every_node(self):
         # M dips below c at a single node that a spot check could skip
@@ -711,9 +746,10 @@ class TestMaxwell:
 
 
 class TestFactorOnChange:
-    """The grad-div stepper refactors only when a leg profile changes.  The
-    count is of matrices factored, not of calls: the inverses of the moved
-    nodes come from one batched call, bands with the node axis last."""
+    """The grad-div stepper factors its u-leg matrix once when no leg varies
+    in time and at every node otherwise.  The count is of matrices factored,
+    not of calls: the inverses of a chunk of nodes come from one batched
+    call, bands with the node axis last."""
 
     @pytest.fixture
     def factor_calls(self, monkeypatch):
@@ -748,9 +784,10 @@ class TestFactorOnChange:
 
 
 class TestInverseRoute:
-    """Up to INVERSE_MAX the 1D steppers solve with cached explicit
-    inverses: chosen by size, pinned to single-column solves, and built in
-    chunks whose memory does not grow with n."""
+    """Up to INVERSE_MAX the 1D steppers solve a real matrix with its cached
+    explicit inverse: chosen by size and by realness, pinned to
+    single-column solves, and built in chunks whose memory does not grow
+    with n."""
 
     def one(self):
         return Coefficient.scalar_profile(lambda t: 1.0, deriv=lambda t: 0.0)
@@ -759,10 +796,11 @@ class TestInverseRoute:
         return Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t),
                                           deriv=lambda t: -0.25 * np.sin(t))
 
-    @pytest.mark.parametrize("m_x, inverses", [
-        (solvers.INVERSE_MAX, 1), (solvers.INVERSE_MAX + 1, 0),
-    ])
-    def test_route_chosen_by_size(self, monkeypatch, m_x, inverses):
+    @pytest.mark.parametrize("m_x, a, inverses", [
+        (solvers.INVERSE_MAX, 1.5, 1), (solvers.INVERSE_MAX + 1, 1.5, 0),
+        (16, 1.5 + 0.5j, 0),  # a complex matrix solves by cyclic reduction
+    ], ids=["256-1", "257-0", "16-complex-0"])
+    def test_route_chosen_by_size(self, monkeypatch, m_x, a, inverses):
         calls = []
         build = solvers._tridiag_inverses
 
@@ -772,15 +810,15 @@ class TestInverseRoute:
 
         monkeypatch.setattr(solvers, "_tridiag_inverses", counting)
         g = TimeGrid(0.0, 0.01, 3, 1.0)
-        heat_1d_solve(1.5 + np.zeros(m_x + 1), Signal(g, np.ones((g.n, m_x))), nu=1.0)
+        heat_1d_solve(a + np.zeros(m_x + 1), Signal(g, np.ones((g.n, m_x))), nu=1.0)
         assert len(calls) == inverses
 
     @pytest.mark.parametrize("kind", ["heat", "wave", "maxwell"])
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=5, deadline=None)
     def test_batch_matches_single_solves(self, kind, seed):
-        # complex conductivities (complex inverses) for heat and wave, a
-        # real eps(t) refactored at every node for Maxwell
+        # complex conductivities (cyclic reduction) for heat and wave, a
+        # real eps(t) factored at every node for Maxwell
         rng = np.random.default_rng(seed)
         g = TimeGrid(0.0, 0.01, 101, 1.0)
         m_x, K = 16, int(rng.integers(2, 8))
@@ -849,8 +887,8 @@ class TestWeightFreeStepping:
 
     @pytest.mark.parametrize("kind", ["skew", "heat", "maxwell", "wave"])
     def test_pde_states_equal_at_two_weights(self, kind):
-        # heat has a complex conductivity (complex inverses), Maxwell an
-        # eps(t) refactored at every node
+        # heat has a complex conductivity (cyclic reduction), Maxwell an
+        # eps(t) factored at every node
         m_x = 8
         g = TimeGrid(0.0, 0.01, 201, 1.0)
         xe = np.linspace(0.0, 1.0, m_x + 1)
