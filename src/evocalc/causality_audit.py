@@ -36,7 +36,7 @@ import signal
 import numpy as np
 
 from .signals import NORM_FLOOR, GridMismatchError, Signal, TimeGrid
-from .solvers import OdeBlockSystem, PdeSystem, _pde_steps, _step_ode_block, picard_solve
+from .solvers import OdeBlockSystem, PdeSystem, _pde_steps, picard_solve
 
 __all__ = [
     "audit_ode_block",
@@ -218,7 +218,7 @@ def _ensemble_defect(stepper, sys, F: Signal, grid: TimeGrid) -> float:
 def audit_ode_block(sys: OdeBlockSystem, F: Signal, grid: TimeGrid) -> float:
     """All-cuts causality defect of the block time-stepping solve; grid must
     be F's."""
-    return _ensemble_defect(_step_ode_block, sys, F, grid)
+    return _ensemble_defect(_pde_steps, sys, F, grid)
 
 
 def audit_pde(sys: PdeSystem, F: Signal, grid: TimeGrid) -> float:

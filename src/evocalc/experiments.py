@@ -34,8 +34,8 @@ from .solvers import (
     OdeBlockSystem,
     PdeSystem,
     SpatialOperator,
+    _dispatch_step,
     _ode_block_routes,
-    _step_ode_block,
     evo_pde_forward,
     funid_residual,
     picard_solve,
@@ -169,7 +169,7 @@ def run_ode_block(cfg: dict) -> ConvergenceReport:
     probes = ProbeSet(grid, dim=m0 + m1, seed=cfg["seed"])
     rhs = np.stack([np.concatenate([derivative(Signal(grid, phi.values[:, :m0])).values,
                                     phi.values[:, m0:]], axis=1) for phi in probes], axis=2)
-    cols = np.moveaxis(np.array(list(_step_ode_block(sysb, rhs, grid))), 2, 0)
+    cols = np.moveaxis(_dispatch_step(sysb, rhs, grid), 2, 0)
     observed = probe_sup((Signal(grid, col) - exact(phi), phi) for col, phi in zip(cols, probes))
     rep.metadata["theta"] = theta
     _gate(rep, 2, observed, rhs_bound * (1 + 0.05))

@@ -241,7 +241,7 @@ def product_mean_limit(
         probes = ProbeSet(grid, dim=1, seed=seed)
         diags = [np.asarray(a((n * grid.times) % 1.0), dtype=complex) for a in a_profiles]
 
-        def osc_op(f: Signal, diags=diags) -> Signal:
+        def osc_op(f: Signal) -> Signal:
             out = Signal(f.grid, f.values * diags[-1][:, None])
             for d in reversed(diags[:-1]):
                 out = antiderivative(out)
@@ -375,7 +375,7 @@ def dbf_experiment(
     for n in scales:
         grid = _resolving_grid(n, nu)
 
-        def msamp(t, n=n):
+        def msamp(t):
             out = np.zeros((len(t), 2, 2), dtype=complex)
             out[:, 0, 0], out[:, 1, 1] = eps_profile(n * t), mu_profile(n * t)
             return out

@@ -3,9 +3,9 @@
 The ODE class couples a time derivative of a positive coefficient with a
 bounded block perturbation and is inverted two independent ways (geometric
 series and causal time stepping); the PDE class adds a skew spatial operator
-assembled so that skew-adjointness is a bit-exact matrix identity (staggered
-one-sided differences: the divergence leg is literally minus the transpose
-of the Dirichlet gradient leg).
+applied matrix-free so that skew-adjointness is bit-exact (staggered one-sided
+differences: the divergence leg is literally minus the transpose of the
+Dirichlet gradient leg).  Every system steps through `_pde_steps`.
 """
 
 from __future__ import annotations
@@ -111,22 +111,6 @@ class SpatialOperator:
             return self.matrix.shape[0]
         return 2 * self.m_x + 1  # u-leg m_x, flux-leg m_x+1
 
-    def dense(self) -> np.ndarray:
-        """Assembled matrix; used by checks and the skew-matrix solve path."""
-        if self.kind == "skew-matrix":
-            return self.matrix
-        g = staggered_grad0(self.m_x)
-        m = self.m_x
-        a = np.zeros((2 * m + 1, 2 * m + 1))
-        if self.kind == "grad0-div-1d-projected":
-            # conjugate the gradient leg with the mean-zero projection and
-            # flip sign: the wave system carries minus the heat block
-            g = -mean_zero_project(g)
-        # one leg is built, the other is minus its transpose: exactly skew
-        a[m:, :m] = g
-        a[:m, m:] = -g.T
-        return a
-
 
 # ---------------------------------------------------------------------------
 # tridiagonal kernels (cached inverses, cyclic reduction) and staggered
@@ -172,10 +156,10 @@ def _tridiag_factor(lower, diag, upper):
 
 def _tridiag_solve(factors, rhs):
     """Forward and back substitution with `_tridiag_factor` factors; rhs of
-    shape (m,) or (m, K), one system per column; with the factors of B
-    matrices, rhs of shape (m, K, B), or (m, K, 1) shared by all B.  The
-    1D steppers call it once per chunk of nodes on the identity, up to
-    INVERSE_MAX only (see `_tridiag_factor`)."""
+    shape (m, K), one system per column; with the factors of B matrices, rhs
+    of shape (m, K, B), or (m, K, 1) shared by all B.  The 1D steppers call
+    it once per chunk of nodes on the identity, up to INVERSE_MAX only (see
+    `_tridiag_factor`)."""
     lower, c, dd = factors
     x = [rhs[0] / dd[0]]
     for i in range(1, len(dd)):
@@ -195,7 +179,7 @@ def _tridiag_inverses(lower, diag, upper):
 
 
 def _tridiag_solves(lower, diag, upper) -> list:
-    """The solves rhs -> x, rhs of shape (m,) or (m, K), of the B tridiagonal
+    """The solves rhs -> x, rhs of shape (m, K), of the B tridiagonal
     matrices with bands (m - 1, B), (m, B), (m - 1, B), the node axis last.
     A real matrix up to INVERSE_MAX solves with its cached explicit inverse,
     all of them built in one batched pass; every other matrix by cyclic
@@ -218,8 +202,8 @@ def _laplacian_bands(dx_inv: float, weight: np.ndarray):
 
 
 def _scale(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of x times v[i]; x of shape (m,) or (m, K)."""
-    return (v * x.T).T
+    """Row i of x times v[i]; x of shape (m, K)."""
+    return v[:, None] * x
 
 
 def _g_apply(u: np.ndarray, dx_inv: float) -> np.ndarray:
@@ -235,14 +219,6 @@ def _g_apply(u: np.ndarray, dx_inv: float) -> np.ndarray:
 def _gt_apply(h: np.ndarray, dx_inv: float) -> np.ndarray:
     """Transpose of the staggered gradient (minus the divergence)."""
     return (h[:-1] - h[1:]) * dx_inv
-
-
-def _batch_shape(rows):
-    """Trailing shape of the RHS rows, () or (K,), and an iterator over all
-    of them."""
-    rows = iter(rows)
-    first = next(rows)
-    return first.shape[1:], itertools.chain([first], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +274,12 @@ def _step_dense(Ms, mats, rows, dt: float):
     leg with no memory).  The stack is inverted once per pass, so each node
     is two small products, u_k = inv_k f_k + P_k u_{k-1}[:m0] with the
     memory propagator P_k = inv_k[:, :m0] Ms[k-1] / dt (P_0 = 0).  Yields u
-    node by node for RHS rows of shape (m,) or (m, K); rows may widen from
-    (m, 1) to (m, K) at any node, and the states widen with them."""
+    node by node for RHS rows of shape (m, K)."""
     m0 = Ms.shape[1]
     inv = np.linalg.inv(mats)
     prop = np.zeros_like(inv[:, :, :m0])
     prop[1:] = inv[1:, :, :m0] @ Ms[:-1] / dt
-    batch, rows = _batch_shape(rows)
-    u = np.zeros((mats.shape[1],) + batch, dtype=complex)
+    u = np.zeros((mats.shape[1], 1), dtype=complex)
     for inv_k, prop_k, f in zip(inv, prop, rows):
         u = inv_k @ f + prop_k @ u[:m0]
         yield u
@@ -325,7 +299,7 @@ def _step_ode_block(sys: OdeBlockSystem, rows, grid: TimeGrid):
 
 def solve_ode_block_stepping(sys: OdeBlockSystem, F: Signal) -> np.ndarray:
     """Route (b) of `solve_ode_block` alone: causal stepping, values (n, m)."""
-    return np.array(list(_step_ode_block(sys, F.values, F.grid)))
+    return _dispatch_step(sys, F.values, F.grid)
 
 
 def solve_ode_block_neumann(sys: OdeBlockSystem, F: Signal, tol: float) -> np.ndarray:
@@ -462,8 +436,9 @@ class PdeSystem:
     Every coefficient is a `Coefficient` in `legs`: the full-state blocks
     (M, N) for the skew-matrix kind, (m0, m1, n0, n1) for the grad-div
     kind, (a,) for the wave form.  A 1D leg is a space profile of the leg's
-    length or a dim-1 coefficient acting on every cell; a solve samples it
-    once, as a time series when its sampler returns one.  `c` is the
+    length or a dim-1 coefficient acting on every cell; a solve samples it,
+    as a time series when its sampler returns one, once per pass and not
+    once per node: for the certificate and again for the stepper.  `c` is the
     certified accretivity constant of the full system at the working weight.
     """
 
@@ -519,7 +494,7 @@ class PdeSystem:
 
 
 def _sample_legs(sys: PdeSystem, grid: TimeGrid) -> list:
-    """The 1D legs sampled once per solve: a space profile as its read-only
+    """The 1D legs sampled once per pass: a space profile as its read-only
     (1, size) cell values, a dim-1 leg as an (n, 1) series when it varies
     in time and as (1, 1) when its stack is one broadcast matrix."""
     m = sys.A.m_x
@@ -581,14 +556,14 @@ def _pde_check(sys: PdeSystem, grid: TimeGrid):
 def _step_skew_dense(sys: PdeSystem, rows, grid: TimeGrid):
     M, N = sys.legs
     Ms = M.sample_all(grid)
-    mats = Ms / grid.dt + N.sample_all(grid) + sys.A.dense()
+    mats = Ms / grid.dt + N.sample_all(grid) + sys.A.matrix
     return _step_dense(Ms, mats, rows, grid.dt)
 
 
 def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
     """Implicit step for the (u-leg, flux-leg) systems; flux eliminated per
     node, leaving a tridiagonal solve on the u-leg.  The legs are sampled
-    once per solve.  The flux weight w = 1/(m1/dt + n1) and the u-leg bands
+    once per pass.  The flux weight w = 1/(m1/dt + n1) and the u-leg bands
     are built once when no leg varies in time and at every node otherwise,
     in chunks of at most INVERSE_CHUNK entries, and solved by
     `_tridiag_solves`."""
@@ -612,9 +587,8 @@ def _step_grad_div(sys: PdeSystem, rows, grid: TimeGrid):
             yield from zip(_tridiag_solves(off, diag + m0.T / dt + n0.T, off), w)
 
     pairs = solves() if n > 1 else itertools.repeat(next(solves()))
-    batch, rows = _batch_shape(rows)
-    u = np.zeros((m_x,) + batch, dtype=complex)
-    h = np.zeros((m_x + 1,) + batch, dtype=complex)
+    u = np.zeros((m_x, 1), dtype=complex)
+    h = np.zeros((m_x + 1, 1), dtype=complex)
     # the memory term of the first step multiplies the zero initial state
     m0_prev, m1_prev = (s[0] for s in legs[:2])
     for k, (f, (solve, w)) in enumerate(zip(rows, pairs)):
@@ -643,9 +617,8 @@ def _step_wave(sys: PdeSystem, rows, grid: TimeGrid):
     dt = grid.dt
     off, diag = _laplacian_bands(dx_inv, a[:, None])
     (solve,) = _tridiag_solves(off * dt, diag * dt + 1.0 / dt, off * dt)
-    batch, rows = _batch_shape(rows)
-    v = np.zeros((m_x,) + batch, dtype=complex)
-    q = np.zeros((m_x + 1,) + batch, dtype=complex)
+    v = np.zeros((m_x, 1), dtype=complex)
+    q = np.zeros((m_x + 1, 1), dtype=complex)
     for f in rows:
         # (1/dt + dt G^T a G) v_k = f + v_prev/dt - G^T a q_prev
         rhs = f[:m_x] + v / dt - _gt_apply(_scale(a, q), dx_inv)
@@ -669,11 +642,14 @@ def solve_evo_pde(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return _dispatch_step(sys, F, grid)
 
 
-def _pde_steps(sys: PdeSystem, rows, grid: TimeGrid):
-    """Node-by-node states of the stepper for the system's spatial kind, fed
-    RHS rows of shape (m,) or (m, K).  Rows may widen from (m, 1) to (m, K)
-    at any node: the states stay one column wide up to it and then match
-    the states of full-width rows, as the causality audits require."""
+def _pde_steps(sys: PdeSystem | OdeBlockSystem, rows, grid: TimeGrid):
+    """Node-by-node states of the system's stepper (the ODE block's, or that
+    of the PDE system's spatial kind) for RHS rows of shape (m, K).  Each
+    starts from a zero state of shape (m, 1), so rows may widen from (m, 1)
+    to (m, K) at any node and the states widen with them, as the causality
+    audits require."""
+    if isinstance(sys, OdeBlockSystem):
+        return _step_ode_block(sys, rows, grid)
     if sys.A.kind == "skew-matrix":
         return _step_skew_dense(sys, rows, grid)
     if sys.A.kind == "grad0-div-1d":
@@ -683,8 +659,12 @@ def _pde_steps(sys: PdeSystem, rows, grid: TimeGrid):
     raise ValueError(f"unknown spatial kind {sys.A.kind}")
 
 
-def _dispatch_step(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    return np.array(list(_pde_steps(sys, F, grid)))
+def _dispatch_step(sys: PdeSystem | OdeBlockSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The states (n, m, K) of `_pde_steps` for F of shape (n, m, K); an F of
+    shape (n, m) steps as one column and gives the states (n, m)."""
+    one = F.ndim == 2
+    states = np.array(list(_pde_steps(sys, F[:, :, None] if one else F, grid)))
+    return states[:, :, 0] if one else states
 
 
 def evo_pde_forward(sys: PdeSystem, u: Signal) -> Signal:
@@ -696,7 +676,7 @@ def evo_pde_forward(sys: PdeSystem, u: Signal) -> Signal:
     if sys.A.kind == "skew-matrix":
         M, N = sys.legs
         mu, nv = multiply(M, u), multiply(N, u)
-        av = v @ sys.A.dense().T
+        av = v @ sys.A.matrix.T
     elif sys.A.kind == "grad0-div-1d":
         m, dx_inv = sys.A.m_x, _dx_inv(sys.A.m_x)
         m0, m1, n0, n1 = _sample_legs(sys, grid)

@@ -21,7 +21,6 @@ from evocalc.solvers import (
     SpatialOperator,
     _dispatch_step,
     _pde_steps,
-    _step_ode_block,
     solve_ode_block_stepping,
 )
 
@@ -270,7 +269,7 @@ class TestBatchedStepping:
         def single(sys, F, g):
             return solve_ode_block_stepping(sys, Signal(g, F))
 
-        batched_matches_single(_step_ode_block, single, sys, g, rng, sys.m0 + sys.m1)
+        batched_matches_single(_pde_steps, single, sys, g, rng, sys.m0 + sys.m1)
 
     @pytest.mark.parametrize("kind", ["heat", "maxwell", "wave", "skew"])
     @given(seed=st.integers(0, 2**31 - 1))
@@ -305,7 +304,7 @@ def audited(kind, g):
     if kind == "ode-block":
         # coupled: an algebraic leg past the memory rows of M
         sys = ode_system(np.random.default_rng(3), True)
-        return _step_ode_block, sys, Signal(g, np.hstack([two, two[:, ::-1]]))
+        return _pde_steps, sys, Signal(g, np.hstack([two, two[:, ::-1]]))
     sys = pde_systems()[kind]
     return _pde_steps, sys, Signal(g, two) if kind == "skew" else pde_drive(g)
 

@@ -48,16 +48,15 @@ class TestSpatialOperator:
         block[17:, :17] = g
         assert np.linalg.norm(block + block.T, 2) <= 1e-12
 
-    def test_assembled_kinds_are_skew(self):
-        for op in (
-            SpatialOperator.grad0_div_1d(12),
-            SpatialOperator.grad0_div_1d_projected(12),
-            SpatialOperator.grad0_div_1d_projected(16),
-            SpatialOperator.grad0_div_1d_projected(64),
-            SpatialOperator.skew_matrix(np.array([[0.0, -2.0], [2.0, 0.0]])),
-        ):
-            a = op.dense()
-            assert np.array_equal(a, -a.conj().T)
+    def test_matrix_free_pair_is_bit_exact(self):
+        # the pair the grad-div and wave steppers run: the divergence leg is
+        # exactly the transpose of the gradient leg, and the gradient leg is
+        # exactly staggered_grad0; at m = 48, _dx_inv(m) differs from m + 1
+        for m in (1, 12, 16, 48, 64):
+            dx = solvers._dx_inv(m)
+            g = solvers._g_apply(np.eye(m), dx)
+            assert np.array_equal(solvers._gt_apply(np.eye(m + 1), dx), g.T)
+            assert np.array_equal(g, staggered_grad0(m))
 
     def test_non_skew_rejected(self):
         with pytest.raises(ValueError):
@@ -263,8 +262,7 @@ class TestOdeBlock:
 def _step_dense_by_solve(Ms, mats, rows, dt):
     """The recurrence `solvers._step_dense` replaced: one dense solve per node."""
     m0 = Ms.shape[1]
-    batch, rows = solvers._batch_shape(rows)
-    mu_prev = np.zeros((mats.shape[1],) + batch, dtype=complex)  # (M u) at the previous node
+    mu_prev = np.zeros((mats.shape[1], 1), dtype=complex)  # (M u) at the previous node
     for k, f in enumerate(rows):
         uk = np.linalg.solve(mats[k], f + mu_prev / dt)
         if mu_prev.shape != uk.shape:
@@ -276,7 +274,7 @@ def _step_dense_by_solve(Ms, mats, rows, dt):
 class TestDenseStepper:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
-           st.integers(2, 30), st.sampled_from(["flat", "wide", "widen"]),
+           st.integers(2, 30), st.sampled_from(["wide", "widen"]),
            st.integers(1, 7), st.integers(0, 30), st.floats(0.01, 1.0),
            st.integers(0, 2**32 - 1))
     def test_matches_the_per_node_solve(self, dims, n, layout, K, widen_at, dt, seed):
@@ -291,7 +289,7 @@ class TestDenseStepper:
         mats[:, :m0, :m0] += Ms / dt
         F = cplx(n, d, K)
         widen_at = min(widen_at, n)
-        rows = {"flat": list(F[:, :, 0]), "wide": list(F),
+        rows = {"wide": list(F),
                 "widen": [F[k, :, :1] if k < widen_at else F[k] for k in range(n)]}[layout]
         ref = list(_step_dense_by_solve(Ms, mats, rows, dt))
         got = list(solvers._step_dense(Ms, mats, rows, dt))
@@ -307,7 +305,7 @@ class TestDenseStepper:
         mats = Ms / 0.1 + np.eye(2)
         mats[4] = [[1.0, 2.0], [2.0, 4.0]]
         with pytest.raises(np.linalg.LinAlgError):
-            list(solvers._step_dense(Ms, mats, np.ones((n, 2)), 0.1))
+            list(solvers._step_dense(Ms, mats, np.ones((n, 2, 1)), 0.1))
 
 
 @pytest.mark.parametrize("iteration", ["picard_solve", "op_norm"])
@@ -858,7 +856,7 @@ class TestInverseRoute:
 
         def peak(n):
             g = TimeGrid(0.0, 0.01, n, 1.0)
-            rows = (np.ones(sys_pde.state_dim, dtype=complex) for _ in range(n))
+            rows = (np.ones((sys_pde.state_dim, 1), dtype=complex) for _ in range(n))
             tracemalloc.start()
             try:
                 for _ in solvers._pde_steps(sys_pde, rows, g):
@@ -911,7 +909,7 @@ class TestWeightFreeStepping:
         sys = OdeBlockSystem(M=C(np.eye(2) + 0.3 * rand_skew(rng, 2), 1.0),
                              N00=C(rand_skew(rng, 2)), N01=C(rand_skew(rng, 2)),
                              N10=C(rand_skew(rng, 2)), N11=C(np.eye(2), 1.0), c=1.0)
-        self.equal_at_two_weights(solvers._step_ode_block, sys, TimeGrid(0.0, 0.01, 201, 1.0), 4)
+        self.equal_at_two_weights(solvers._pde_steps, sys, TimeGrid(0.0, 0.01, 201, 1.0), 4)
 
 
 class TestLegCoefficients:
