@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .signals import NORM_FLOOR, Coefficient, Signal, TimeGrid, inner_nu, norm_nu
+from .signals import NORM_FLOOR, Coefficient, Signal, TimeGrid, norm_nu
 from .timecalc import antiderivative
-from .operators import CausalOp, ProbeSet, probe_sup, series_terms, sup
+from .operators import CausalOp, ProbeSet, pairing_sup, probe_sup, series_terms, sup
 from .solvers import (
     OdeBlockSystem,
     PdeSystem,
@@ -148,21 +148,15 @@ def _probe_errors(S_n, S_lim, probes: ProbeSet) -> tuple[float, float]:
     """The weak pairing error and the strong error of S_n against S_lim,
     from one evaluation of (S_n - S_lim) phi per probe."""
     diffs = [S_n(phi) - S_lim(phi) for phi in probes]
-    norms = [max(norm_nu(phi), NORM_FLOOR) for phi in probes]
-    weak = sup(abs(inner_nu(psi, d)) / (nphi * npsi)
-               for d, nphi in zip(diffs, norms)
-               for psi, npsi in zip(probes, norms) if psi.dim == d.dim)
-    return weak, probe_sup(zip(diffs, probes))
+    scales = [max(norm_nu(phi), NORM_FLOOR) for phi in probes]
+    return pairing_sup(probes, zip(diffs, scales)), probe_sup(zip(diffs, probes))
 
 
 def weak_pairing_error(S_n, S_lim, probes: ProbeSet) -> float:
-    """Max over probe pairs of |<psi, (S_n - S_lim) phi>| / (|phi| |psi|).
-
-    The discrete surrogate of weak-operator distance on bounded sets, at the
-    weight of the probes' grid; reweighting the pairing changes none of the
-    verdicts for compactly supported probes, so the weight only fixes the
-    bookkeeping.
-    """
+    """Max over probe pairs of |<psi, (S_n - S_lim) phi>| / (|phi| |psi|), the
+    `pairing_sup` of the probes against the differences: the discrete
+    surrogate of weak-operator distance on bounded sets, at the weight of the
+    probes' grid, which for compactly supported probes changes no verdict."""
     return _probe_errors(S_n, S_lim, probes)[0]
 
 
@@ -401,10 +395,7 @@ def dbf_experiment(
         # the limit solution itself is the sharpest pairing probe: it eats
         # systematic (wrong-oracle) offsets while oscillation still cancels
         probes = list(ProbeSet(grid, dim=2, seed=seed)) + [u_lim]
-        pe = sup(
-            abs(inner_nu(psi, diff)) / (max(norm_nu(psi), NORM_FLOOR) * norm_ref)
-            for psi in probes
-        )
+        pe = pairing_sup(probes, [(diff, norm_ref)])
         se = norm_nu(diff) / norm_ref
         report.add_row(n, pe, se, se)
     report.finalize(0.02, -0.5)
@@ -449,12 +440,11 @@ def memory_kernel_experiment(scales: Sequence[int], nu: float, seed: int) -> Con
         norm_ref = max(norm_nu(Signal(grid, u_lim)), NORM_FLOOR)
         x_tests = [((x >= xa) & (x < xb)).astype(float) for (xa, xb) in x_blocks]
         x_tests.append(np.sin(np.pi * x))
-        # per x-test, the tested mismatch and the test's norm; each block is
-        # wider than a cell, so no test vanishes
+        # per x-test, the tested mismatch and its scale, the test's norm times
+        # norm_ref; each block is wider than a cell, so no test vanishes
         tested = [(Signal(grid, (u * hx[None, :]).mean(axis=1) - float(np.mean(hx)) * u_lim),
-                   np.sqrt(float(np.mean(hx**2)))) for hx in x_tests]
-        worst = sup(abs(inner_nu(g, d)) / (max(norm_nu(g), NORM_FLOOR) * nh * norm_ref)
-                    for d, nh in tested for g in t_probes)
+                   np.sqrt(float(np.mean(hx**2))) * norm_ref) for hx in x_tests]
+        worst = pairing_sup(t_probes, tested)
         # strong/norm surrogates: bulk space-time mismatch (does not vanish)
         u -= u_lim[:, None]  # u's last use: square the mismatch in place
         mismatch = np.sqrt(np.mean(np.square(u, out=u), axis=1))
@@ -553,10 +543,8 @@ def wave_g_convergence_experiment(
     grid = TimeGrid(0.0, 0.01, 301, nu)
     t = grid.times
     drive_t = ((t >= 0.0) & (t < 0.5)).astype(float)
-    t_probes = [np.exp(-(((t - c) / 0.4) ** 2)) for c in (0.8, 1.6)]
-    t_probes.append(((t >= 0.5) & (t < 2.0)).astype(float))
-
-    w = grid.quad_weights()
+    t_probes = [Signal(grid, np.exp(-(((t - c) / 0.4) ** 2))) for c in (0.8, 1.6)]
+    t_probes.append(Signal.indicator(grid, 0.5, 2.0))
     report = ConvergenceReport("wave", metadata={"seed": seed, "g_limit": b})
     for n in scales:
         m_x = 16 * n
@@ -570,16 +558,15 @@ def wave_g_convergence_experiment(
         dx_i = 1.0 / (m_x + 1)
         x_tests = [np.sin(np.pi * xi), np.sin(2 * np.pi * xi), ((xi > 0.2) & (xi < 0.7)).astype(float)]
         x_tests_e = [np.sin(np.pi * xe), np.cos(np.pi * xe), ((xe > 0.3) & (xe < 0.8)).astype(float)]
-        # per x-test, the mismatch of its leg tested in x and the test's norm
-        tested = [((u_n.values[:, leg] - u_b.values[:, leg]).real @ hx,
-                   np.sqrt(np.sum(hx**2) * dx_i))
+        diff = u_n - u_b
+        norm_ref = max(norm_nu(u_b) * np.sqrt(dx_i), NORM_FLOOR)
+        # per x-test, its leg's mismatch tested in x (times dx_i) and its scale
+        tested = [(Signal(grid, (diff.values[:, leg].real @ hx) * dx_i),
+                   np.sqrt(np.sum(hx**2) * dx_i) * norm_ref)
                   for leg, tests in ((slice(None, m_x), x_tests), (slice(m_x, None), x_tests_e))
                   for hx in tests]
-        norm_ref = norm_nu(u_b) * np.sqrt(dx_i)
-        worst = sup(abs(np.sum(w * gt * d * dx_i))
-                    / max(np.sqrt(np.sum(w * gt**2)) * nh * norm_ref, NORM_FLOOR)
-                    for gt in t_probes for d, nh in tested)
-        bulk = norm_nu(u_n - u_b) * np.sqrt(dx_i) / max(norm_ref, NORM_FLOOR)
+        worst = pairing_sup(t_probes, tested)
+        bulk = norm_nu(diff) * np.sqrt(dx_i) / norm_ref
         report.add_row(n, worst, bulk, bulk)
     report.finalize(0.05, -0.5)
 

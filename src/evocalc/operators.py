@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .signals import (
-    NORM_FLOOR, GridMismatchError, Signal, TimeGrid, norm_nu, truncate_before, shift,
+    NORM_FLOOR, GridMismatchError, Signal, TimeGrid, inner_nu, norm_nu, truncate_before, shift,
 )
 from .timecalc import antiderivative
 
@@ -27,6 +27,7 @@ __all__ = [
     "causality_defect",
     "transfer_function",
     "nu_independence_defect",
+    "pairing_sup",
     "probe_sup",
     "sup",
     "series_terms",
@@ -190,6 +191,15 @@ def probe_sup(pairs: Iterable[tuple[Signal, Signal]]) -> float:
     """`sup` over (residual, probe) pairs (r, f) of |r| / max(|f|, NORM_FLOOR),
     each norm at the weight of its signal's grid."""
     return sup(norm_nu(r) / max(norm_nu(f), NORM_FLOOR) for r, f in pairs)
+
+
+def pairing_sup(tests: Iterable[Signal], mismatches: Iterable[tuple[Signal, float]]) -> float:
+    """The weak counterpart of `probe_sup`: `sup` over every test g and every
+    (mismatch d, scale s) of |<g, d>| / (max(|g|, NORM_FLOOR) s), each test's
+    norm taken once; a mismatch off a test's grid or dim raises."""
+    pairs = list(mismatches)
+    normed = ((g, max(norm_nu(g), NORM_FLOOR)) for g in tests)
+    return sup(abs(inner_nu(g, d)) / (ng * s) for g, ng in normed for d, s in pairs)
 
 
 def series_terms(theta: float, prefactor: float, tol: float) -> int:

@@ -404,10 +404,12 @@ def picard_solve(
             raise ValueError(f"rule mapped the {u.shape} stack to shape {vals.shape}")
         return vals
 
-    u = np.zeros((grid.n, f.dim), dtype=complex)
+    # column-major, so that the cumulative sum runs down contiguous columns
+    fv = np.asfortranarray(f.values)
+    u = np.zeros_like(fv)
     for step in range(1, 201):
         u.setflags(write=False)  # a rule that writes to its input raises, not corrupts u
-        u_next = _cumsum(nemitskii(u) + f.values, grid.dt)
+        u_next = _cumsum(nemitskii(u) + fv, grid.dt)
         d = u_next - u
         gap = float(np.sqrt(max(_inner_values(w, d, d).real, 0.0)))
         del d  # one (n, m) block fewer alive while the rule runs
@@ -635,9 +637,9 @@ def solve_evo_pde(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
     solve is of a certified system.  The 1D wrappers add the norm bound; the
     all-cuts audits of `causality_audit` certify causality.  An F of another
     node count or state size raises."""
-    if not np.shape(F)[:2] == (grid.n, sys.state_dim):
-        raise ValueError(f"F of shape {np.shape(F)} is not (n, state_dim) = ({grid.n}, "
-                         f"{sys.state_dim})")
+    F = np.asarray(F)
+    if not F.shape[:2] == (grid.n, sys.state_dim):
+        raise ValueError(f"F of shape {F.shape} is not (n, state_dim) = {grid.n, sys.state_dim}")
     _pde_check(sys, grid)
     return _dispatch_step(sys, F, grid)
 

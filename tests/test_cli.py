@@ -531,11 +531,8 @@ def test_no_unused_imports(module):
     assert sorted(imported - read - exported) == []
 
 
-@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(evocalc.__path__)
-                                          if m.name != "solvers"))
-def test_only_solvers_names_a_stepper(module):
-    # every other module steps a system through `solvers._pde_steps` or
-    # `solvers._dispatch_step`, so the choice of stepper is made in one place
+def _names(module: str) -> set:
+    # the imported, loaded and attribute names of an evocalc module
     tree = ast.parse(Path(importlib.import_module(f"evocalc.{module}").__file__).read_text())
     names = set()
     for node in ast.walk(tree):
@@ -545,7 +542,23 @@ def test_only_solvers_names_a_stepper(module):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    assert sorted(name for name in names if name.startswith("_step_")) == []
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(evocalc.__path__)
+                                          if m.name != "solvers"))
+def test_only_solvers_names_a_stepper(module):
+    # every other module steps a system through `solvers._pde_steps` or
+    # `solvers._dispatch_step`, so the choice of stepper is made in one place
+    assert sorted(name for name in _names(module) if name.startswith("_step_")) == []
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(evocalc.__path__)
+                                          if m.name not in ("signals", "operators")))
+def test_only_signals_and_operators_name_inner_nu(module):
+    # every other module pairs signals through `operators.pairing_sup`, so
+    # each weak gate floors and scales its pairing in one place
+    assert "inner_nu" not in _names(module)
 
 
 # Exported names that nothing in src/, the benchmark or the acceptance

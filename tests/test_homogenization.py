@@ -5,7 +5,9 @@ import csv
 import numpy as np
 import pytest
 
-from evocalc.signals import Coefficient, Signal, TimeGrid, inner_nu, norm_nu, truncate_before
+from evocalc.signals import (
+    Coefficient, GridMismatchError, Signal, TimeGrid, inner_nu, norm_nu, truncate_before,
+)
 from evocalc.timecalc import antiderivative
 from evocalc.operators import CausalOp, ProbeSet
 from evocalc import homogenization
@@ -91,6 +93,14 @@ class TestTopologyDiagnostics:
         w = weak_pairing_error(S, Z, probes)
         s = strong_error(S, Z, probes)
         assert w <= s * (1 + 1e-9)
+
+    def test_difference_of_another_dim_raises(self):
+        # a pairing of a dim-2 difference with the dim-1 probes has no value;
+        # skipping such pairs would read as a weak error of 0.0
+        g = ref_grid()
+        with pytest.raises(GridMismatchError, match="dims differ"):
+            _probe_errors(matrix_op(g, [[1.0], [2.0]]), matrix_op(g, [[0.0], [0.0]]),
+                          ProbeSet(g, seed=1))
 
     def test_nan_difference_reaches_both_errors(self):
         g = ref_grid()

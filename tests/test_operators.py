@@ -7,7 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evocalc.signals import NORM_FLOOR, Signal, TimeGrid, norm_nu, shift
+from evocalc import operators
+from evocalc.signals import (
+    NORM_FLOOR, GridMismatchError, Signal, TimeGrid, inner_nu, norm_nu, shift,
+)
 from evocalc.timecalc import MultiplierFunction, antiderivative, apply_multiplier
 from evocalc.operators import (
     CausalOp,
@@ -15,6 +18,7 @@ from evocalc.operators import (
     causality_defect,
     nu_independence_defect,
     op_norm,
+    pairing_sup,
     probe_sup,
     series_terms,
     sup,
@@ -143,6 +147,51 @@ class TestProbeSup:
             assert np.isnan(sup(vals))
         g = TimeGrid(0.0, 0.01, 101, 1.0)
         assert np.isnan(probe_sup((Signal(g, f.values * np.nan), f) for f in ProbeSet(g)))
+
+
+class TestPairingSup:
+    def mismatches(self, g):
+        return [(f, s) for f, s in zip(ProbeSet(g, seed=5), (1.0, 0.5, 3.0, 2.0, 0.25))]
+
+    def test_floored_ratio_at_the_given_weight(self):
+        # a zero test is floored, not divided by: its pairings are 0.0
+        for nu in (1.0, 0.0, 2.0):
+            g = grid_small(nu=nu)
+            tests = list(ProbeSet(g, seed=4)) + [Signal.zero(g)]
+            expected = max(abs(inner_nu(h, d)) / (max(norm_nu(h), NORM_FLOOR) * s)
+                           for h in tests for d, s in self.mismatches(g))
+            assert pairing_sup(tests, self.mismatches(g)) == expected
+            assert pairing_sup([Signal.zero(g)], self.mismatches(g)) == 0.0
+        assert pairing_sup([], self.mismatches(g)) == 0.0
+
+    def test_nan_mismatch_reaches_the_sup(self):
+        g = grid_small()
+        for at in (0, 2, 4):
+            pairs = self.mismatches(g)
+            pairs[at] = (Signal(g, pairs[at][0].values * np.nan), 1.0)
+            assert np.isnan(pairing_sup(ProbeSet(g, seed=4), pairs))
+
+    def test_mismatch_of_another_dim_raises(self):
+        g = grid_small()
+        with pytest.raises(GridMismatchError, match="dims differ"):
+            pairing_sup(ProbeSet(g), [(Signal.zero(g, 2), 1.0)])
+
+    def test_each_test_is_normed_once(self, monkeypatch):
+        # every test meets every mismatch, and the mismatches may come as a
+        # one-pass iterator
+        calls = 0
+
+        def counted(f):
+            nonlocal calls
+            calls += 1
+            return norm_nu(f)
+
+        g = grid_small()
+        tests = list(ProbeSet(g, seed=4))
+        expected = pairing_sup(tests, self.mismatches(g))
+        monkeypatch.setattr(operators, "norm_nu", counted)
+        assert pairing_sup(tests, iter(self.mismatches(g))) == expected
+        assert calls == len(tests)
 
 
 class TestSeriesTerms:
