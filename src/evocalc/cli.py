@@ -178,7 +178,9 @@ def _run(config_path, out_override, verbose) -> tuple[int, dict | None]:
     except Exception as exc:
         print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1, cfg
-    summary = _write_outputs(report, out_base, time.time() - t0, cfg.get("seed"))
+    # a seed is recorded only where the experiment reads one
+    summary = _write_outputs(report, out_base, time.time() - t0,
+                             cfg["seed"] if "seed" in DEFAULTS[name] else None)
     if verbose:
         for r in report.rows:
             print(f"  scale={r['scale']} pairing={r['pairing_error']:.3e} "

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import forkmap
 from .signals import NORM_FLOOR, Coefficient, Signal, TimeGrid, norm_nu
 from .timecalc import antiderivative
 from .operators import CausalOp, ProbeSet, pairing_sup, probe_sup, series_terms, sup
@@ -366,7 +367,8 @@ def dbf_experiment(
             "mu_limit": complex(mu_lim).real,
         },
     )
-    for n in scales:
+
+    def scale_row(n):
         grid = _resolving_grid(n, nu)
 
         def msamp(t):
@@ -395,8 +397,9 @@ def dbf_experiment(
         # the limit solution itself is the sharpest pairing probe: it eats
         # systematic (wrong-oracle) offsets while oscillation still cancels
         probes = list(ProbeSet(grid, dim=2, seed=seed)) + [u_lim]
-        pe = pairing_sup(probes, [(diff, norm_ref)])
-        se = norm_nu(diff) / norm_ref
+        return pairing_sup(probes, [(diff, norm_ref)]), norm_nu(diff) / norm_ref
+
+    for n, (pe, se) in zip(scales, forkmap.map(scale_row, scales)):
         report.add_row(n, pe, se, se)
     report.finalize(0.02, -0.5)
     return report
@@ -427,28 +430,36 @@ def memory_kernel_experiment(scales: Sequence[int], nu: float, seed: int) -> Con
         metadata={"seed": seed, "i0_at_1": float(bessel_i0(np.array(1.0)))},
     )
     x_blocks = ((0.11, 0.53), (0.27, 0.81), (0.07, 0.96))
-    for n in scales:
+
+    def scale_row(n):
         m_cells = 16 * n
         x = (np.arange(m_cells) + 0.5) / m_cells
         s = np.sin(2 * np.pi * n * x)
-        u = np.zeros((grid.n, m_cells))
-        prev = np.zeros(m_cells)
-        denom = 1.0 + dt * s
-        for k in range(grid.n):
-            prev = (prev + dt * f_t[k]) / denom
-            u[k] = prev
-        norm_ref = max(norm_nu(Signal(grid, u_lim)), NORM_FLOOR)
         x_tests = [((x >= xa) & (x < xb)).astype(float) for (xa, xb) in x_blocks]
         x_tests.append(np.sin(np.pi * x))
+        # the field streams through blocks of 64 rows, so its memory does not
+        # grow with n; each reduction is per row: the whole field's bits
+        means, mismatch = np.empty((len(x_tests), grid.n)), np.empty(grid.n)
+        prev = np.zeros(m_cells)
+        denom = 1.0 + dt * s
+        for ks in (slice(k, k + 64) for k in range(0, grid.n, 64)):
+            block = np.empty((len(f_t[ks]), m_cells))
+            for j, f in enumerate(f_t[ks]):
+                prev = (prev + dt * f) / denom
+                block[j] = prev
+            means[:, ks] = [(block * hx).mean(axis=1) for hx in x_tests]
+            # strong/norm surrogates: bulk space-time mismatch (does not vanish)
+            block -= u_lim[ks, None]
+            mismatch[ks] = np.sqrt(np.mean(np.square(block, out=block), axis=1))
+        norm_ref = max(norm_nu(Signal(grid, u_lim)), NORM_FLOOR)
         # per x-test, the tested mismatch and its scale, the test's norm times
         # norm_ref; each block is wider than a cell, so no test vanishes
-        tested = [(Signal(grid, (u * hx[None, :]).mean(axis=1) - float(np.mean(hx)) * u_lim),
-                   np.sqrt(float(np.mean(hx**2))) * norm_ref) for hx in x_tests]
-        worst = pairing_sup(t_probes, tested)
-        # strong/norm surrogates: bulk space-time mismatch (does not vanish)
-        u -= u_lim[:, None]  # u's last use: square the mismatch in place
-        mismatch = np.sqrt(np.mean(np.square(u, out=u), axis=1))
-        se = norm_nu(Signal(grid, mismatch)) / norm_ref
+        tested = [(Signal(grid, mean - float(np.mean(hx)) * u_lim),
+                   np.sqrt(float(np.mean(hx**2))) * norm_ref)
+                  for mean, hx in zip(means, x_tests)]
+        return pairing_sup(t_probes, tested), norm_nu(Signal(grid, mismatch)) / norm_ref
+
+    for n, (worst, se) in zip(scales, forkmap.map(scale_row, scales)):
         report.add_row(n, worst, se, se)
     report.finalize(0.02, -0.5)
     return report
@@ -503,18 +514,18 @@ def eddy_current_experiment(
     # the eps = 0 operator applied to J v1
     y = np.stack([evo_pde_forward(sys0, v).values for v in v2], axis=2)
     jv1 = np.stack([v.values for v in v2], axis=2)
-    diffs = [_dispatch_step(sys, y, window) - jv1 for sys in systems]
-    observed = {  # (profile index, eta) -> observed
-        (i, eta): probe_sup((Signal(grid, d[..., j]), Signal(grid, p))
-                            for j, p in enumerate(probes))
-        for eta, grid in zip(eta_list, grids) for i, d in enumerate(diffs)
-    }
+
+    def observed_per_eta(sys):
+        d = _dispatch_step(sys, y, window) - jv1
+        return [probe_sup((Signal(grid, d[..., j]), Signal(grid, p)) for j, p in enumerate(probes))
+                for grid in grids]
+
     per_eta = {}
-    for i, (label, _, eps_sup, eps_d_sup) in enumerate(eps_scale_profiles):
+    for (label, _, eps_sup, eps_d_sup), observed in zip(
+            eps_scale_profiles, forkmap.map(observed_per_eta, systems)):
         row_ok = True
         row_obs, row_bound = 0.0, 0.0
-        for eta in eta_list:
-            obs = observed[i, eta]
+        for eta, obs in zip(eta_list, observed):
             bound = (1.0 / c**2) * (eps_sup + eps_d_sup / eta)
             per_eta[(label, eta)] = (obs, bound)
             # absolute floor covers the degenerate zero-dielectricity control
@@ -546,7 +557,8 @@ def wave_g_convergence_experiment(
     t_probes = [Signal(grid, np.exp(-(((t - c) / 0.4) ** 2))) for c in (0.8, 1.6)]
     t_probes.append(Signal.indicator(grid, 0.5, 2.0))
     report = ConvergenceReport("wave", metadata={"seed": seed, "g_limit": b})
-    for n in scales:
+
+    def scale_row(n):
         m_x = 16 * n
         xe = np.linspace(0.0, 1.0, m_x + 1)
         xi = np.linspace(0.0, 1.0, m_x + 2)[1:-1]
@@ -565,8 +577,9 @@ def wave_g_convergence_experiment(
                    np.sqrt(np.sum(hx**2) * dx_i) * norm_ref)
                   for leg, tests in ((slice(None, m_x), x_tests), (slice(m_x, None), x_tests_e))
                   for hx in tests]
-        worst = pairing_sup(t_probes, tested)
-        bulk = norm_nu(diff) * np.sqrt(dx_i) / norm_ref
+        return pairing_sup(t_probes, tested), norm_nu(diff) * np.sqrt(dx_i) / norm_ref
+
+    for n, (worst, bulk) in zip(scales, forkmap.map(scale_row, scales)):
         report.add_row(n, worst, bulk, bulk)
     report.finalize(0.05, -0.5)
 
@@ -618,9 +631,12 @@ def heat_strong_continuity_experiment(
     F = np.zeros((grid.n, 2 * m_x + 1, len(probes)), dtype=complex)
     F[:, :m_x] = np.stack([f.values for f in probes], axis=2)
     u_b = solve_evo_pde(PdeSystem.heat(b_edge, nu=nu), F, grid)
-    for label, a_edge in a_family:
+
+    def error(a_edge):
         u_a = solve_evo_pde(PdeSystem.heat(np.asarray(a_edge, dtype=complex), nu=nu), F, grid)
-        w = probe_sup((Signal(grid, u_a[..., j] - u_b[..., j]), f) for j, f in enumerate(probes))
+        return probe_sup((Signal(grid, u_a[..., j] - u_b[..., j]), f) for j, f in enumerate(probes))
+
+    for (label, _), w in zip(a_family, forkmap.map(error, [a for _, a in a_family])):
         report.add_row(label, pairing_error=w, strong_error=w, norm_error=w)
     report.finalize(0.02, -0.5)
     return report

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evocalc import causality_audit as audit
+from evocalc import causality_audit as audit, forkmap
 from evocalc.signals import Coefficient, GridMismatchError, Signal, TimeGrid
 from evocalc.solvers import (
     INVERSE_MAX,
@@ -444,9 +444,9 @@ class TestForkedRoute:
 
     def test_queue_hands_out_each_block_once(self):
         starts = range(0, 40 * (audit.BLOCK - 1), audit.BLOCK - 1)
-        queue_fd = audit._block_queue(range(2, len(starts)))
+        queue_fd = forkmap._block_queue(range(2, len(starts)))
         try:
-            first, second = audit._taken(starts, 0, queue_fd), audit._taken(starts, 1, queue_fd)
+            first, second = forkmap._taken(starts, 0, queue_fd), forkmap._taken(starts, 1, queue_fd)
             taken = [next(first), next(second)]
             for a, b in zip(first, second):
                 taken += [a, b]
@@ -468,7 +468,8 @@ class TestForkedRoute:
             return np.array([float(os.getpid())])
 
         starts = range(0, 6 * (audit.BLOCK - 1), audit.BLOCK - 1)
-        runs = dict(audit._forked(block, starts))
+        # the map hands items out from the last, so the blocks go in last-first
+        runs = dict(zip(starts[::-1], forkmap._forked(block, starts[::-1])))
         assert sorted(runs) == list(starts)
         assert [s for s, pid in runs.items() if pid[0] != parent] == [starts[1]]
         with pytest.raises(ChildProcessError):

@@ -448,6 +448,16 @@ class TestRun:
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("experiment, seed", [("transfer", None), ("spectrum", None),
+                                                  ("picard", 7)])
+    def test_summary_records_a_seed_only_where_it_is_read(self, tmp_path, experiment, seed):
+        # every config may set `seed` (the benchmark sets it on all of them),
+        # but spectrum and transfer read none
+        p = write(tmp_path / "s.cfg", f"experiment = {experiment}\nseed = 7\n")
+        assert run(p) == 0
+        assert json.loads((tmp_path / "s.json").read_text())["seed"] == seed
+
+
 class TestSuite:
     def test_aggregate_with_expect_fail(self, tmp_path):
         write(tmp_path / "a_pass.cfg", "experiment = spectrum\nn = 256\n")
@@ -551,6 +561,14 @@ def test_only_solvers_names_a_stepper(module):
     # every other module steps a system through `solvers._pde_steps` or
     # `solvers._dispatch_step`, so the choice of stepper is made in one place
     assert sorted(name for name in _names(module) if name.startswith("_step_")) == []
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(evocalc.__path__)
+                                          if m.name != "forkmap"))
+def test_only_forkmap_names_fork(module):
+    # every other module runs independent items through `forkmap.map`, so
+    # there stays one fork path
+    assert "fork" not in _names(module)
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(evocalc.__path__)
