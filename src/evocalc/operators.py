@@ -103,12 +103,18 @@ class CausalOp:
         size_in = n * di
         if size_in > DENSE_LIMIT:
             raise ValueError(f"refusing to materialize {size_in} columns")
+        # each impulse response is written as a contiguous row of a block of
+        # at most 2^16 entries, and the block goes into the columns at once
         cols = np.empty((n * do, size_in), dtype=complex)
+        rows = np.empty((min(size_in, max(1, 2**16 // (n * do))), n * do), dtype=complex)
         basis = np.zeros((n, di), dtype=complex)
-        for j in range(size_in):
-            basis.flat[j] = 1.0
-            cols[:, j] = self.action(Signal(self.grid, basis)).values.ravel()
-            basis.flat[j] = 0.0
+        for start in range(0, size_in, len(rows)):
+            stop = min(start + len(rows), size_in)
+            for j in range(start, stop):
+                basis.flat[j] = 1.0
+                rows[j - start] = self.action(Signal(self.grid, basis)).values.ravel()
+                basis.flat[j] = 0.0
+            cols[:, start:stop] = rows[:stop - start].T
         return replace(self, dense=cols)
 
 
@@ -259,7 +265,8 @@ def op_norm(S: CausalOp) -> float:
     S = S.materialize()
     w_in = _weight_vector(S.grid, S.dim_in)
     w_out = _weight_vector(S.grid, S.dim_out)
-    A = np.sqrt(w_out)[:, None] * S.dense / np.sqrt(w_in)[None, :]
+    A = np.sqrt(w_out)[:, None] * S.dense
+    A /= np.sqrt(w_in)[None, :]
     return float(np.linalg.norm(A if A.imag.any() else A.real, 2))
 
 

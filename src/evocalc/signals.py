@@ -4,7 +4,10 @@ The continuous object being modelled is a square-integrable function on the
 real line measured against the weight exp(-2*nu*t).  Large nu damps the
 future, which is what makes the causal time calculus in `timecalc` work.
 Everything here is a plain numpy array plus a little bookkeeping; all values
-are immutable after construction.
+are immutable after construction.  A `Signal` shares an array that cannot
+change (complex128, 2-D, C-contiguous, owning its memory and read-only) and
+copies anything else, so a fresh result that is frozen, and a relabelling
+`Signal(grid2, f.values)`, cost no copy.
 """
 
 from __future__ import annotations
@@ -88,20 +91,27 @@ def _quad_weights(t0: float, dt: float, n: int, nu: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Signal:
-    """Vector-valued grid function: values[k] is the state at node t_k."""
+    """Vector-valued grid function: values[k] is the state at node t_k.
+
+    `values` is taken as it is, without a copy, when no one can change it:
+    a complex128, 2-D, C-contiguous array that owns its memory and is
+    read-only.  Anything else is copied into such an array, and a 1-D input
+    becomes its own (n, 1) array, so a writeable source is never aliased.
+    """
 
     grid: TimeGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex, order="C")  # a private copy
-        if v.ndim == 1:
-            v = v[:, None]
+        v = np.asarray(self.values)
+        if not (v.dtype == np.complex128 and v.ndim == 2 and v.flags.c_contiguous
+                and v.flags.owndata and not v.flags.writeable):
+            v = np.array(v[:, None] if v.ndim == 1 else v, dtype=complex, order="C")
+            v.setflags(write=False)
         if v.shape[0] != self.grid.n:
             raise ValueError(
                 f"values has {v.shape[0]} rows, grid has {self.grid.n} nodes"
             )
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -110,27 +120,34 @@ class Signal:
 
     @staticmethod
     def zero(grid: TimeGrid, dim: int = 1) -> "Signal":
-        return Signal(grid, np.zeros((grid.n, dim), dtype=complex))
+        return _frozen(grid, np.zeros((grid.n, dim), dtype=complex))
 
     @staticmethod
     def indicator(grid: TimeGrid, a: float, b: float, dim: int = 1) -> "Signal":
         """1 on [a, b), 0 elsewhere, in every component."""
         t = grid.times
         mask = ((t >= a) & (t < b)).astype(complex)
-        return Signal(grid, np.repeat(mask[:, None], dim, axis=1))
+        return _frozen(grid, np.repeat(mask[:, None], dim, axis=1))
 
     def __add__(self, other: "Signal") -> "Signal":
         _check_compatible(self, other)
-        return Signal(self.grid, self.values + other.values)
+        return _frozen(self.grid, self.values + other.values)
 
     def __sub__(self, other: "Signal") -> "Signal":
         _check_compatible(self, other)
-        return Signal(self.grid, self.values - other.values)
+        return _frozen(self.grid, self.values - other.values)
 
     def __mul__(self, scalar: complex) -> "Signal":
-        return Signal(self.grid, self.values * scalar)
+        return _frozen(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
+
+
+def _frozen(grid: TimeGrid, v: np.ndarray) -> Signal:
+    """A `Signal` on a fresh array, which is made read-only so that the
+    `Signal` takes it without a copy."""
+    v.setflags(write=False)
+    return Signal(grid, v)
 
 
 def _check_compatible(f: Signal, g: Signal):
@@ -156,8 +173,17 @@ def inner_nu(f: Signal, g: Signal) -> complex:
 
 
 def _inner_values(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
-    """The quadrature sum behind `inner_nu` on raw (n, dim) value arrays."""
-    return complex(np.sum(w * np.sum(np.conj(a) * b, axis=1)))
+    """The quadrature sum behind `inner_nu` on raw (n, dim) value arrays.
+
+    The row sums of conj(a) * b are formed over blocks of at most 2^16
+    entries, so no (n, dim) temporary is made; each row's sum, and so the
+    quadrature sum, has the same bits as in one pass over all rows."""
+    rows = np.empty(len(a), dtype=complex)
+    step = max(1, 2**16 // max(a.shape[1], 1))
+    for start in range(0, len(a), step):
+        block = slice(start, start + step)
+        rows[block] = np.sum(np.conj(a[block]) * b[block], axis=1)
+    return complex(np.sum(w * rows))
 
 
 def norm_nu(f: Signal) -> float:
@@ -173,7 +199,7 @@ def truncate_before(f: Signal, t: float) -> Signal:
     applying it twice changes nothing.
     """
     mask = (f.grid.times < t).astype(float)
-    return Signal(f.grid, f.values * mask[:, None])
+    return _frozen(f.grid, f.values * mask[:, None])
 
 
 def shift(f: Signal, h: float) -> Signal:
@@ -193,7 +219,7 @@ def shift(f: Signal, h: float) -> Signal:
         out[:-k] = f.values[k:]
     else:
         out[-k:] = f.values[:k]
-    return Signal(f.grid, out)
+    return _frozen(f.grid, out)
 
 
 @dataclass(frozen=True)
@@ -297,4 +323,4 @@ def multiply(c: Coefficient, f: Signal) -> Signal:
     if c.dim != f.dim:
         raise GridMismatchError(f"coefficient dim {c.dim} != signal dim {f.dim}")
     mats = c.sample_all(f.grid)
-    return Signal(f.grid, np.einsum("kij,kj->ki", mats, f.values))
+    return _frozen(f.grid, np.einsum("kij,kj->ki", mats, f.values))

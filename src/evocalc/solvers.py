@@ -663,10 +663,14 @@ def _pde_steps(sys: PdeSystem | OdeBlockSystem, rows, grid: TimeGrid):
 
 def _dispatch_step(sys: PdeSystem | OdeBlockSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """The states (n, m, K) of `_pde_steps` for F of shape (n, m, K); an F of
-    shape (n, m) steps as one column and gives the states (n, m)."""
+    shape (n, m) steps as one column and gives the states (n, m).  Each
+    node's state is written into one array that owns its memory."""
     one = F.ndim == 2
-    states = np.array(list(_pde_steps(sys, F[:, :, None] if one else F, grid)))
-    return states[:, :, 0] if one else states
+    states = np.empty(F.shape, dtype=complex)
+    cols = states[:, :, None] if one else states
+    for k, state in enumerate(_pde_steps(sys, F[:, :, None] if one else F, grid)):
+        cols[k] = state
+    return states
 
 
 def evo_pde_forward(sys: PdeSystem, u: Signal) -> Signal:
@@ -766,7 +770,10 @@ def _solve_driven(sys: PdeSystem, f: Signal, nu: float) -> Signal:
     f = Signal(grid, f.values)
     F = np.zeros((grid.n, sys.state_dim), dtype=complex)
     F[:, :sys.A.m_x] = f.values
-    u = Signal(grid, solve_evo_pde(sys, F, grid))
+    states = solve_evo_pde(sys, F, grid)
+    del F  # one (n, state) array fewer alive through the norms
+    states.setflags(write=False)
+    u = Signal(grid, states)
     # f is F without its zero columns, so it has F's norm
     bound = (1.0 / sys.c) * norm_nu(f) * 1.05
     norm_u = norm_nu(u)

@@ -40,6 +40,24 @@ class TestAlgebra:
             S.dense @ f.values.ravel(), S(f).values.ravel(), rtol=0, atol=1e-12,
         )
 
+    def test_materialized_dense_is_the_impulse_responses(self):
+        # column j is the response to the j-th unit impulse, bit for bit;
+        # each impulse is its own Signal although one buffer builds them all
+        g = grid_small(n=24)
+        B = np.random.default_rng(6).standard_normal((2, 3))
+        seen = []
+
+        def act(f):
+            seen.append(f)
+            return Signal(g, antiderivative(f).values @ B)
+
+        S = CausalOp(grid=g, action=act, dim_in=2, dim_out=3).materialize()
+        eye = np.eye(2 * g.n)
+        assert len(seen) == len(eye)
+        assert all(np.array_equal(f.values.ravel(), e) for f, e in zip(seen, eye))
+        cols = np.stack([act(Signal(g, e.reshape(g.n, 2))).values.ravel() for e in eye], axis=1)
+        assert np.array_equal(S.dense, cols)
+
     def test_submultiplicative_norm(self):
         g = grid_small(n=256)
         rng = np.random.default_rng(4)

@@ -15,6 +15,7 @@ from evocalc.signals import (
     shift,
     truncate_before,
 )
+from evocalc.signals import _inner_values
 
 
 def small_grid(nu=1.0, n=256, dt=0.05):
@@ -98,6 +99,76 @@ class TestInnerProduct:
         alpha = 0.7 - 0.4j
         lhs = inner_nu(alpha * f, h)
         assert lhs == pytest.approx(np.conj(alpha) * inner_nu(f, h), rel=1e-12)
+
+
+class TestChunkedInnerProduct:
+    """`_inner_values` sums conj(a) * b over row blocks of at most 2^16
+    entries; every result has the bits of the one-pass sum."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, dim", [
+        (1000, 1), (70001, 1),  # one block of 65536 rows, then two
+        (300, 128), (3001, 128),  # the Picard gap's (3001, 128) stack
+        (20, 2049), (301, 2049),  # 31 rows a block
+    ])
+    def test_blocks_match_one_pass_bit_for_bit(self, n, dim, order):
+        rng = np.random.default_rng(n + dim)
+        a, b = (np.asarray(rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)),
+                           order=order) for _ in range(2))
+        w = rng.random(n)
+        one_pass = complex(np.sum(w * np.sum(np.conj(a) * b, axis=1)))
+        assert _inner_values(w, a, b) == one_pass
+        assert _inner_values(w, a, a) == complex(np.sum(w * np.sum(np.conj(a) * a, axis=1)))
+
+
+class TestSharing:
+    """A Signal takes an array that no one can change without a copy, and
+    copies anything else."""
+
+    def test_writeable_source_is_never_aliased(self):
+        g = small_grid(n=8)
+        base = np.ones((8, 2), dtype=complex)
+        view = base[:]
+        view.setflags(write=False)  # read-only, but writes to base reach it
+        owned = [np.ones((8, 2), dtype=complex), np.ones(8), np.ones((8, 2))]
+        for src, writer in [*((a, a) for a in owned), (view, base)]:
+            f = Signal(g, src)
+            writer[0] = 5.0
+            assert np.all(f.values == 1.0)
+            assert not np.shares_memory(f.values, src)
+
+    def test_read_only_owned_source_is_shared(self):
+        g = small_grid(n=8)
+        src = np.arange(16, dtype=complex).reshape(8, 2).copy()
+        src.setflags(write=False)
+        f = Signal(g, src)
+        assert np.shares_memory(f.values, src)
+        # relabelling onto another weight copies nothing
+        assert Signal(g.with_nu(2.0), f.values).values is f.values
+        # a read-only array in another layout or dtype is copied
+        for other in (np.asfortranarray(np.ones((8, 2), dtype=complex)), np.ones((8, 2))):
+            other.setflags(write=False)
+            v = Signal(g, other).values
+            assert not np.shares_memory(v, other)
+            assert v.flags.c_contiguous and v.dtype == np.complex128
+
+    def test_results_are_read_only_and_shared(self):
+        rng = np.random.default_rng(8)
+        g = small_grid(n=16)
+        f = Signal(g, rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2)))
+        h = Signal(g, rng.standard_normal((16, 2)))
+        for r in (f + h, f - h, 2.0 * f, f * (0.5 - 1j)):
+            assert not r.values.flags.writeable
+            with pytest.raises(ValueError):
+                r.values[0, 0] = 1.0
+            assert Signal(g, r.values).values is r.values
+
+    def test_one_dimensional_input_becomes_an_owned_column(self):
+        g = small_grid(n=8)
+        v = Signal(g, np.arange(8.0)).values
+        assert v.shape == (8, 1)
+        assert v.flags.owndata and v.flags.c_contiguous and not v.flags.writeable
+        assert np.array_equal(v[:, 0], np.arange(8.0))
 
 
 class TestTruncation:

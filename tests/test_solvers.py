@@ -906,31 +906,60 @@ class TestWeightFreeStepping:
 
     @pytest.mark.parametrize("kind", ["skew", "heat", "maxwell", "wave"])
     def test_pde_states_equal_at_two_weights(self, kind):
-        # heat has a complex conductivity (cyclic reduction), Maxwell an
-        # eps(t) factored at every node
-        m_x = 8
+        sys_pde, m = stepping_system(kind)
         g = TimeGrid(0.0, 0.01, 201, 1.0)
-        xe = np.linspace(0.0, 1.0, m_x + 1)
-        one = Coefficient.constant(1.0)
-        eps = Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t),
-                                         deriv=lambda t: -0.25 * np.sin(t))
-        sys_pde = {
-            "skew": PdeSystem.dense_small(
-                Coefficient.constant(np.eye(2), 1.0), Coefficient.constant(0.2 * np.eye(2)),
-                SpatialOperator.skew_matrix(rand_skew(np.random.default_rng(1), 2)), c=1.0),
-            "heat": PdeSystem.heat(1.5 + 0.5 * np.sin(2 * np.pi * xe) + 0.3j * xe, nu=1.0),
-            "maxwell": PdeSystem.maxwell(eps, one, one, m_x),
-            "wave": PdeSystem.wave(2.0 + np.sin(2 * np.pi * xe), nu=1.0),
-        }[kind]
-        self.equal_at_two_weights(solvers._pde_steps, sys_pde, g, sys_pde.state_dim)
+        self.equal_at_two_weights(solvers._pde_steps, sys_pde, g, m)
 
     def test_ode_block_states_equal_at_two_weights(self):
+        sys, m = stepping_system("ode-block")
+        self.equal_at_two_weights(solvers._pde_steps, sys, TimeGrid(0.0, 0.01, 201, 1.0), m)
+
+
+def stepping_system(kind: str):
+    """One system of each stepper, with its state size m.  Heat has a
+    complex conductivity (cyclic reduction), Maxwell an eps(t) factored at
+    every node."""
+    m_x = 8
+    xe = np.linspace(0.0, 1.0, m_x + 1)
+    one = Coefficient.constant(1.0)
+    eps = Coefficient.scalar_profile(lambda t: 1.0 + 0.25 * np.cos(t),
+                                     deriv=lambda t: -0.25 * np.sin(t))
+    if kind == "ode-block":
         rng = np.random.default_rng(2)
         C = Coefficient.constant
         sys = OdeBlockSystem(M=C(np.eye(2) + 0.3 * rand_skew(rng, 2), 1.0),
                              N00=C(rand_skew(rng, 2)), N01=C(rand_skew(rng, 2)),
                              N10=C(rand_skew(rng, 2)), N11=C(np.eye(2), 1.0), c=1.0)
-        self.equal_at_two_weights(solvers._pde_steps, sys, TimeGrid(0.0, 0.01, 201, 1.0), 4)
+        return sys, 4
+    sys_pde = {
+        "skew": PdeSystem.dense_small(
+            Coefficient.constant(np.eye(2), 1.0), Coefficient.constant(0.2 * np.eye(2)),
+            SpatialOperator.skew_matrix(rand_skew(np.random.default_rng(1), 2)), c=1.0),
+        "heat": PdeSystem.heat(1.5 + 0.5 * np.sin(2 * np.pi * xe) + 0.3j * xe, nu=1.0),
+        "maxwell": PdeSystem.maxwell(eps, one, one, m_x),
+        "wave": PdeSystem.wave(2.0 + np.sin(2 * np.pi * xe), nu=1.0),
+    }[kind]
+    return sys_pde, sys_pde.state_dim
+
+
+class TestDispatchStep:
+    """`_dispatch_step` writes the states of `_pde_steps` node by node into
+    one array that owns its memory: the bits of the stacked states."""
+
+    @pytest.mark.parametrize("K", [None, 1, 3], ids=["single", "K1", "K3"])
+    @pytest.mark.parametrize("kind", ["skew", "heat", "maxwell", "wave", "ode-block"])
+    def test_matches_stacked_states(self, kind, K):
+        sys, m = stepping_system(kind)
+        g = TimeGrid(0.0, 0.01, 201, 1.0)
+        rng = np.random.default_rng(9)
+        F = rng.standard_normal((g.n, m, K or 1)) + 1j * rng.standard_normal((g.n, m, K or 1))
+        ref = np.array(list(solvers._pde_steps(sys, F, g)))
+        if K is None:  # one solve: F and the states are (n, m)
+            F, ref = F[:, :, 0], ref[:, :, 0]
+        states = solvers._dispatch_step(sys, F, g)
+        assert np.array_equal(states, ref)
+        assert states.shape == F.shape
+        assert states.flags.owndata and states.flags.c_contiguous
 
 
 class TestLegCoefficients:
@@ -1098,6 +1127,24 @@ class TestWaveSolve:
         u = wave_1d_solve(2.0 + np.sin(2 * np.pi * np.linspace(0, 1, m_x + 1)), F, nu=1.0)
         p = u.values[:, m_x:]
         assert np.max(np.abs(p.mean(axis=1))) <= 1e-12 * max(np.max(np.abs(p)), 1.0)
+
+    def test_peak_memory_in_state_arrays(self):
+        # the zero-padded drive and the states should be the only (n, state)
+        # arrays alive at once: 2.05 state arrays measured, 3.51 with private
+        # Signal copies and one-pass norm temporaries; a copy of f alone,
+        # half a state array alive throughout, crosses the bound
+        m_x, n = 1024, 301
+        g = TimeGrid(0.0, 0.01, n, 1.0)
+        f = Signal(g, np.random.default_rng(3).standard_normal((n, m_x)))
+        a = np.linspace(1.0, 2.0, m_x + 1)
+        state_bytes = n * (2 * m_x + 1) * 16
+        tracemalloc.start()
+        try:
+            wave_1d_solve(a, f, nu=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * state_bytes
 
 
 class TestForwardMap:
