@@ -424,7 +424,7 @@ def picard_solve(
     defect = norm_nu(derivative(sol) - Signal(grid, nemitskii(sol.values) + f.values))
     if not defect <= 10 * tol * max(1.0, norm_nu(sol)):
         raise ValueError(f"fixed-point equation defect {defect:.2e} too large")
-    return Signal(f.grid, u)
+    return Signal(f.grid, sol.values)
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +636,13 @@ def solve_evo_pde(sys: PdeSystem, F: np.ndarray, grid: TimeGrid) -> np.ndarray:
     solve.  The positivity certificate is checked first at grid.nu, so every
     solve is of a certified system.  The 1D wrappers add the norm bound; the
     all-cuts audits of `causality_audit` certify causality.  An F of another
-    node count or state size raises."""
+    node count or state size raises, and so does a wave F that drives the
+    flux leg, which the wave stepper does not read."""
     F = np.asarray(F)
     if not F.shape[:2] == (grid.n, sys.state_dim):
         raise ValueError(f"F of shape {F.shape} is not (n, state_dim) = {grid.n, sys.state_dim}")
+    if sys.A.kind == "grad0-div-1d-projected" and np.any(F[:, sys.A.m_x:]):
+        raise ValueError("F drives the wave system's flux leg, which its stepper does not read")
     _pde_check(sys, grid)
     return _dispatch_step(sys, F, grid)
 

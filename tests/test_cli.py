@@ -572,6 +572,24 @@ def test_only_forkmap_names_fork(module):
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(evocalc.__path__)
+                                          if m.name != "solvers"))
+def test_only_solvers_names_staggered_grad0(module):
+    # the steppers, the elliptic solve and the wave ladder's premise apply
+    # the gradient matrix-free (`solvers._g_apply`); the assembled matrix is
+    # the reference of the tests and the benchmark only
+    assert "staggered_grad0" not in _names(module)
+
+
+def test_no_ladder_loops_over_its_scales():
+    # each ladder runs its scales as the items of one `forkmap.map`, so no
+    # scale's work runs in a serial loop beside it
+    tree = ast.parse(Path(homogenization.__file__).read_text())
+    loops = [node.iter for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert not any(isinstance(it, ast.Name) and it.id == "scales" for it in loops)
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(evocalc.__path__)
                                           if m.name not in ("signals", "operators")))
 def test_only_signals_and_operators_name_inner_nu(module):
     # every other module pairs signals through `operators.pairing_sup`, so

@@ -38,12 +38,28 @@ def test_results_keep_the_items_order():
     ("dbf", {"scales": (2, 3, 4)}),
     ("wave", {"scales": (2, 3, 4)}),
     ("heat", {"scales": (1, 2, 3, 4), "m_x": 20}),
+    ("timprod", {"scales": (4, 8, 16)}),
 ])
 def test_ladders_match_serial(experiment, settings):
     cfg = {**DEFAULTS[experiment], **settings}
     forked, serial = on_both_routes(lambda: RUNNERS[experiment](cfg))
     assert forked.rows == serial.rows
     assert forked.metadata == serial.metadata
+
+
+@pytest.mark.parametrize("experiment", ["timprod", "dbf", "memory-kernel", "eddy", "heat", "wave"])
+def test_each_ladder_is_one_map_over_its_scales(experiment, monkeypatch):
+    # each scale's rows come from one item of one map call
+    calls, map_ = [], forkmap.map
+
+    def recorded(fn, items):
+        calls.append(len(items))
+        return map_(fn, items)
+
+    monkeypatch.setattr(forkmap, "map", recorded)
+    cfg = dict(DEFAULTS[experiment])
+    RUNNERS[experiment](cfg)
+    assert calls == [len(cfg["scales"])]
 
 
 def test_wave_error_line_is_the_first_failing_scale(tmp_path, capsys):

@@ -534,6 +534,20 @@ class TestPdeChecks:
             solve_evo_pde(sys_pde, np.ones((rows, sys_pde.state_dim)), g)
 
     @pytest.mark.parametrize("shape", [(), (3,)], ids=["one-solve", "K=3"])
+    def test_wave_flux_leg_drive_rejected(self, shape):
+        # the wave stepper reads the velocity leg of F only, so a drive on
+        # the flux leg would be dropped, giving the undriven states
+        g = TimeGrid(0.0, 0.01, 21, 1.0)
+        m_x = 4
+        sys_pde = PdeSystem.wave(np.full(m_x + 1, 2.0), nu=1.0)
+        F = np.zeros((g.n, sys_pde.state_dim, *shape))
+        F[:, :m_x] = 1.0
+        solve_evo_pde(sys_pde, F, g)
+        F[:, m_x:] = 1e3
+        with pytest.raises(ValueError, match="drives the wave system's flux leg"):
+            solve_evo_pde(sys_pde, F, g)
+
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["one-solve", "K=3"])
     def test_solution_map_takes_a_nested_list_f(self, shape):
         g = TimeGrid(0.0, 0.01, 11, 1.0)
         sys_pde = PdeSystem.heat(np.ones(5), nu=1.0)
